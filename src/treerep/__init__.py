@@ -17,7 +17,6 @@ from .errors import (
     IllConditionedError,
     MalformedAddressError,
     NotCompleteError,
-    NumericError,
     OperatorDomainError,
     PartitionError,
     PruningError,

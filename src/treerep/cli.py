@@ -9,14 +9,12 @@ Exit codes: 0 all selected checks passed, 1 a suite reported failures,
 2 configuration problems, 3 numeric breakdown (functional calculus or
 guard rejection).  Reports are deterministic per (argv, seed); the
 timestamp field is the only varying byte and --no-timestamp removes it.
-TREEREP_THREADS caps suite parallelism.
 """
 from __future__ import annotations
 
 import argparse
 import datetime
 import json
-import os
 import sys
 import zlib
 
@@ -25,7 +23,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     IllConditionedError,
-    NumericError,
     SpectralGuardError,
     TreeRepError,
 )
@@ -67,17 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("spectrum", help="guard report for a seeded operator pair"))
     common(sub.add_parser("replay-prune", aliases=["replay-prop21"], help="orbit-pruning replay"))
     return parser
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("TREEREP_THREADS")
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"TREEREP_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _envelope(args, payload: dict) -> dict:
@@ -164,9 +150,8 @@ def run(argv: list[str] | None = None) -> int:
             seed=args.seed,
             tol=args.tol,
         )
-        threads = _thread_cap()
         if args.command == "verify":
-            reports = run_all(cfg, threads)
+            reports = run_all(cfg)
         elif args.command == "suite":
             reports = [run_suite(cfg, args.name)]
         elif args.command == "admissibility-table":
@@ -193,7 +178,7 @@ def run(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (IllConditionedError, NumericError, SpectralGuardError) as exc:
+    except (IllConditionedError, SpectralGuardError) as exc:
         print(f"numeric breakdown: {exc}", file=sys.stderr)
         return 3
     except TreeRepError as exc:

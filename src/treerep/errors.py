@@ -66,9 +66,5 @@ class IllConditionedError(TreeRepError):
         self.residuals = dict(residuals or {})
 
 
-class NumericError(TreeRepError):
-    """An iterative numeric routine failed to converge."""
-
-
 class SpectralGuardError(TreeRepError):
     """A spectral exclusion that the theory guarantees failed numerically."""

@@ -11,14 +11,19 @@ there, and phi(z) together with q/phi(z) are the two roots of
 t^2 - z t + q = 0.  The principal branch would be wrong on real spectra,
 where both roots are complex of modulus sqrt(q).
 
-Applying phi to a matrix alpha of spectral norm < 2 sqrt(q) produces tau
-with tau + q tau^{-1} = alpha; tau^{-1} is built from the sibling scalar
-function, never by inverting tau, so the inversion residual is a real
-check and not a tautology.  Construction is by eigendecomposition when
-the eigenvector basis is well conditioned and by a Schur triangular
-recurrence otherwise; either way the defining residuals are measured
-and a pair whose residuals exceed tolerance is rejected loudly
-(IllConditionedError) instead of returned quietly.
+That cut square root is i times the principal square root of 4q - z^2, and
+for |z| < 2 sqrt(q) the number 4q - z^2 lies in the open right half-plane.
+So for a matrix alpha of spectral norm < 2 sqrt(q) one principal matrix
+square root gives both
+
+    tau = (alpha + i sqrtm(4q - alpha^2)) / 2,
+    tau^{-1} = (alpha - i sqrtm(4q - alpha^2)) / (2q),
+
+with tau + q tau^{-1} = alpha.  tau^{-1} is never obtained by inverting
+tau, so the inversion residual is a real check and not a tautology.  The
+defining residuals are measured in the spectral norm, and a pair whose
+residuals exceed tolerance is rejected loudly (IllConditionedError)
+instead of returned quietly.
 """
 from __future__ import annotations
 
@@ -32,47 +37,19 @@ import scipy.linalg
 from .errors import (
     BranchCutError,
     IllConditionedError,
-    NumericError,
     OperatorDomainError,
     SpectralGuardError,
 )
 
-_EIG_COND_LIMIT = 1e8
-_CONFLUENCE_CUTOFF = 1e-9
 
-
-def spectral_norm(a: np.ndarray, rtol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest singular value by power iteration on a*a.
-
-    Deterministic start vector; convergence is declared when the Rayleigh
-    quotient stabilizes to `rtol` relative accuracy.
-    """
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a square matrix."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise OperatorDomainError(f"expected a square matrix, got shape {a.shape}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise OperatorDomainError("matrix has non-finite entries")
-    if not a.any():
-        return 0.0
-    b = a.conj().T @ a
-    rng = np.random.default_rng(0x5eed)
-    v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        lam = float(np.real(np.vdot(v, w)))
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            # v landed in the kernel; the matrix is nonzero, so restart once
-            v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nrm
-        if lam > 0 and abs(lam - prev) <= rtol * lam:
-            return math.sqrt(lam)
-        prev = lam
-    raise NumericError(f"power iteration did not stabilize in {max_iter} steps")
+    return float(scipy.linalg.svdvals(a)[0])
 
 
 def _sqrt_cut(w: complex) -> complex:
@@ -94,14 +71,6 @@ def psi_scalar(z: complex, q: int) -> complex:
     return (z - _sqrt_cut(z * z - 4 * q)) / (2.0 * q)
 
 
-def phi_prime_scalar(z: complex, q: int) -> complex:
-    return (1.0 + z / _sqrt_cut(z * z - 4 * q)) / 2.0
-
-
-def psi_prime_scalar(z: complex, q: int) -> complex:
-    return (1.0 - z / _sqrt_cut(z * z - 4 * q)) / (2.0 * q)
-
-
 @dataclass(eq=False)
 class OperatorPair:
     """alpha together with tau = phi(alpha), its sibling inverse, and the
@@ -120,51 +89,13 @@ class OperatorPair:
         return self.alpha.shape[0]
 
 
-def _apply_scalar_eig(alpha: np.ndarray, fn) -> np.ndarray | None:
-    lam, vecs = np.linalg.eig(alpha)
-    cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > _EIG_COND_LIMIT:
-        return None
-    fl = np.array([fn(z) for z in lam], dtype=np.complex128)
-    # right-solve keeps one factorization: F = V diag(fl) V^{-1}
-    return np.linalg.solve(vecs.T, (vecs * fl).T).T
-
-
-def _apply_scalar_schur(alpha: np.ndarray, fn, fn_prime) -> np.ndarray:
-    t, zmat = scipy.linalg.schur(alpha, output="complex")
-    d = t.shape[0]
-    f = np.zeros_like(t)
-    for i in range(d):
-        f[i, i] = fn(t[i, i])
-    scale = max(1.0, float(np.max(np.abs(np.diagonal(t)))))
-    for offset in range(1, d):
-        for i in range(d - offset):
-            j = i + offset
-            denom = t[j, j] - t[i, i]
-            accum = t[i, j] * (f[j, j] - f[i, i])
-            for k in range(i + 1, j):
-                accum += f[i, k] * t[k, j] - t[i, k] * f[k, j]
-            if abs(denom) > _CONFLUENCE_CUTOFF * scale:
-                f[i, j] = accum / denom
-            elif offset == 1:
-                # adjacent equal eigenvalues: divided difference degenerates
-                # to the derivative at the cluster
-                f[i, j] = t[i, j] * fn_prime((t[i, i] + t[j, j]) / 2.0)
-            else:
-                raise IllConditionedError(
-                    "eigenvalue cluster too deep for the triangular recurrence",
-                    residuals={},
-                )
-    return zmat @ f @ zmat.conj().T
-
-
 def build_pair(alpha: np.ndarray, q: int, tol: float = 1e-9) -> OperatorPair:
-    """Construct tau = phi(alpha) and tau^{-1} = psi(alpha), verify the
-    defining residuals, and package the lot.
+    """Construct tau = phi(alpha) and tau^{-1} = psi(alpha) from one matrix
+    square root, verify the defining residuals, and package the lot.
 
     Raises OperatorDomainError when alpha is outside the open disc of
-    radius 2 sqrt(q) and IllConditionedError when the computed pair fails
-    its own residual bounds.
+    radius 2 sqrt(q) and IllConditionedError when the square root is not
+    finite or the computed pair fails its own residual bounds.
     """
     alpha = np.ascontiguousarray(alpha, dtype=np.complex128)
     if q < 2:
@@ -175,16 +106,12 @@ def build_pair(alpha: np.ndarray, q: int, tol: float = 1e-9) -> OperatorPair:
             f"spectral norm {norm_alpha:.6g} is not inside the disc of radius "
             f"{2.0 * math.sqrt(q):.6g}"
         )
-    tau = _apply_scalar_eig(alpha, lambda z: phi_scalar(z, q))
-    tau_inv = _apply_scalar_eig(alpha, lambda z: psi_scalar(z, q)) if tau is not None else None
-    if tau is None or tau_inv is None:
-        tau = _apply_scalar_schur(
-            alpha, lambda z: phi_scalar(z, q), lambda z: phi_prime_scalar(z, q)
-        )
-        tau_inv = _apply_scalar_schur(
-            alpha, lambda z: psi_scalar(z, q), lambda z: psi_prime_scalar(z, q)
-        )
     eye = np.eye(alpha.shape[0], dtype=np.complex128)
+    root = 1j * scipy.linalg.sqrtm(4 * q * eye - alpha @ alpha)
+    if not np.all(np.isfinite(root)):
+        raise IllConditionedError("matrix square root has non-finite entries")
+    tau = (alpha + root) / 2.0
+    tau_inv = (alpha - root) / (2.0 * q)
     residuals = {
         "quad": spectral_norm(tau @ tau - alpha @ tau + q * eye),
         "sum": spectral_norm(tau + q * tau_inv - alpha),

@@ -9,8 +9,7 @@ with relative tolerances scaled by the operator norms involved.
 
 Randomness discipline: every trial draws from
 default_rng([seed, crc32(suite_name), trial]), so suites are
-deterministic per configuration, independent of execution order, and
-independent of how many threads run them.
+deterministic per configuration and independent of execution order.
 """
 from __future__ import annotations
 
@@ -558,13 +557,6 @@ def run_suite(cfg: SuiteConfig, name: str) -> SuiteReport:
     return SUITES[name](cfg)
 
 
-def run_all(cfg: SuiteConfig, max_workers: int | None = None) -> list[SuiteReport]:
-    """Run every suite; execution may be parallel, assembly is ordered."""
-    names = list(SUITES)
-    if max_workers is None or max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers or min(4, len(names))) as pool:
-            futures = {name: pool.submit(SUITES[name], cfg) for name in names}
-            return [futures[name].result() for name in names]
-    return [SUITES[name](cfg) for name in names]
+def run_all(cfg: SuiteConfig) -> list[SuiteReport]:
+    """Run every suite, one after another in registry order."""
+    return [suite(cfg) for suite in SUITES.values()]

@@ -161,8 +161,11 @@ def busemann_on_cylinder(params: TreeParams, u: Address, x: Address, y: Address)
     sits strictly above x or y the increment genuinely varies over the
     cell, and the function raises CylinderTooShallowError so the caller
     refines instead of receiving one value of many.
+
+    The value is a closed formula, not an enumeration, so none of the
+    three addresses is held to the depth cap.
     """
-    check_address(params, u)
+    check_address(params, u, allow_deep=True)
     check_address(params, x, allow_deep=True)
     check_address(params, y, allow_deep=True)
     if x == y:

@@ -1,11 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import jsonschema
+import numpy as np
 import pytest
+import scipy.linalg
 
 from treerep import cli
 from treerep.errors import IllConditionedError
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -55,19 +61,32 @@ def test_numeric_breakdown_gives_exit_3(capsys, monkeypatch):
     assert "breakdown" in err
 
 
-def test_bad_thread_env_gives_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("TREEREP_THREADS", "many")
-    assert run_cli(capsys, "verify", "--trials", "2")[0] == 2
+@pytest.mark.parametrize("name", ["perturbed", "nan"])
+def test_bad_square_root_gives_exit_3(capsys, monkeypatch, name):
+    exact = scipy.linalg.sqrtm
+
+    def corrupt(a):
+        root = exact(a)
+        if name == "nan":
+            root[0, 0] = np.nan
+            return root
+        return root + 1e-3 * np.eye(root.shape[0])
+
+    monkeypatch.setattr(scipy.linalg, "sqrtm", corrupt)
+    code, _, err = run_cli(capsys, "spectrum", "--no-timestamp")
+    assert code == 3
+    assert "breakdown" in err
 
 
-def test_thread_env_is_honoured(capsys, monkeypatch):
-    monkeypatch.setenv("TREEREP_THREADS", "1")
-    code, out, _ = run_cli(capsys, "verify", "--trials", "3", "--no-timestamp")
-    assert code == 0
-    monkeypatch.setenv("TREEREP_THREADS", "4")
-    code2, out2, _ = run_cli(capsys, "verify", "--trials", "3", "--no-timestamp")
-    assert code2 == 0
-    assert out == out2  # thread count never changes the report
+@pytest.mark.parametrize("q,seed", [(2, 1), (3, 4)])
+def test_measure_cocycle_pulls_cells_past_the_depth_cap(capsys, q, seed):
+    # pulling a depth-cap cell back by g can make it deeper than the cap;
+    # the cocycle is a closed formula and must not reject it
+    code, out, err = run_cli(
+        capsys, "suite", "measure_cocycle", "--q", str(q), "--seed", str(seed), "--no-timestamp"
+    )
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
 
 
 def test_help_exits_zero(capsys):
@@ -122,6 +141,17 @@ def test_reports_are_byte_identical_without_timestamp(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--trials", "3", "--seed", "8", "--no-timestamp")
     _, out2, _ = run_cli(capsys, "verify", "--trials", "3", "--seed", "8", "--no-timestamp")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "--trials", "4"), ("spectrum",)], ids=["verify", "spectrum"]
+)
+def test_reports_validate_against_the_schema(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 0
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    errors = [e.message for e in jsonschema.Draft202012Validator(SCHEMA).iter_errors(json.loads(out))]
+    assert errors == []
 
 
 def test_timestamp_present_by_default(capsys):

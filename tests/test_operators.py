@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from treerep import operators as op
 from treerep.errors import (
     BranchCutError,
     IllConditionedError,
-    NumericError,
     OperatorDomainError,
     SpectralGuardError,
 )
@@ -30,6 +30,7 @@ def test_spectral_norm_matches_lapack(seed, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     want = np.linalg.norm(a, 2)
     assert abs(op.spectral_norm(a) - want) <= 1e-10 * max(1.0, want)
+    assert op.spectral_norm(a) == scipy.linalg.svdvals(a)[0]
 
 
 def test_spectral_norm_rejects_bad_input():
@@ -92,17 +93,21 @@ def test_branch_cut_is_the_nonnegative_reals():
     assert abs(up - down) > 0.1
 
 
-def test_phi_derivatives_by_finite_differences():
-    eps = 1e-6
-    for q in (2, 3):
-        for z in (0.4 + 0.3j, -1.1 + 0.2j, 0.1 - 0.9j):
-            fd = (op.phi_scalar(z + eps, q) - op.phi_scalar(z - eps, q)) / (2 * eps)
-            assert abs(fd - op.phi_prime_scalar(z, q)) < 1e-5
-            fd = (op.psi_scalar(z + eps, q) - op.psi_scalar(z - eps, q)) / (2 * eps)
-            assert abs(fd - op.psi_prime_scalar(z, q)) < 1e-5
-
-
 # -- pair construction --------------------------------------------------------
+
+
+def random_unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    u, r = np.linalg.qr(z)
+    return u * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def assert_residuals_within_bounds(pair, tol=1e-9):
+    na = np.linalg.norm(pair.alpha, 2)
+    quad, lin, inv = residuals_direct(pair)
+    assert quad <= tol * (1 + na * na)
+    assert lin <= tol * (1 + na)
+    assert inv <= tol * (1 + np.linalg.norm(pair.tau, 2) * np.linalg.norm(pair.tau_inv, 2))
 
 
 def residuals_direct(pair):
@@ -134,19 +139,36 @@ def test_build_pair_residuals_seeded():
     for q in (2, 3):
         for d in (1, 2, 4, 6):
             for _ in range(5):
-                alpha = op.random_in_disc(d, q, rng)
-                pair = op.build_pair(alpha, q)
-                na = np.linalg.norm(alpha, 2)
-                quad, lin, inv = residuals_direct(pair)
-                assert quad <= 1e-9 * (1 + na * na)
-                assert lin <= 1e-9 * (1 + na)
-                assert inv <= 1e-9 * (1 + np.linalg.norm(pair.tau, 2) * np.linalg.norm(pair.tau_inv, 2))
+                pair = op.build_pair(op.random_in_disc(d, q, rng), q)
+                assert_residuals_within_bounds(pair)
                 assert pair.residuals["quad"] >= 0
 
 
 def test_build_pair_rejects_large_alpha():
     with pytest.raises(OperatorDomainError):
         op.build_pair(np.diag([2 * math.sqrt(2) + 0.01]).astype(complex), 2)
+
+
+def test_domain_guard_is_conservative_near_the_boundary():
+    # the top two singular values differ by 1e-3 relative, which a power
+    # iteration settles below the true norm; the exact norm is just outside
+    r = 2 * math.sqrt(2)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        u, v = random_unitary(3, rng), random_unitary(3, rng)
+        alpha = u @ np.diag([r * (1 + 1e-10), r * (1 - 1e-3), 0.5]) @ v.conj().T
+        with pytest.raises(OperatorDomainError):
+            op.build_pair(alpha, 2)
+
+
+def test_alpha_just_inside_the_disc_builds():
+    # nearly equal top singular values, just inside the radius: a valid
+    # input, so the guard must accept it and the residuals must hold
+    r = 2 * math.sqrt(2)
+    for seed in range(20):
+        u = random_unitary(3, np.random.default_rng(seed))
+        alpha = u @ np.diag([r * (1 - 1e-6), r * (1 - 1e-5), 0.5]) @ u.conj().T
+        assert_residuals_within_bounds(op.build_pair(alpha, 2))
 
 
 def test_random_in_disc_stays_in_domain():
@@ -157,8 +179,8 @@ def test_random_in_disc_stays_in_domain():
 
 
 def test_jordan_block_falls_back_to_schur():
-    # defective matrix: eigendecomposition is ill-conditioned, the
-    # triangular path must still satisfy the residual contract
+    # defective matrix: no eigenvector basis exists, the Schur-based
+    # square root must still satisfy the residual contract
     j = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
     pair = op.build_pair(j, 2)
     quad, lin, inv = residuals_direct(pair)
@@ -167,14 +189,34 @@ def test_jordan_block_falls_back_to_schur():
     assert inv <= 1e-8
 
 
-def test_deep_confluence_is_reported_not_silent():
-    # a 3x3 Jordan block needs second derivatives the triangular fallback
-    # does not carry; it must raise rather than return garbage
-    j = np.array(
-        [[0.4, 1.0, 0.0], [0.0, 0.4, 1.0], [0.0, 0.0, 0.4]], dtype=complex
-    )
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_jordan_blocks_meet_residual_bounds(size, q):
+    for lam in (0.4, -0.7 + 0.3j, 0.2j):
+        j = lam * np.eye(size, dtype=complex) + np.eye(size, k=1, dtype=complex)
+        pair = op.build_pair(j, q)
+        assert_residuals_within_bounds(pair)
+        # tau is a function of alpha, so it is upper triangular with
+        # phi(lam) on the diagonal
+        assert np.allclose(np.diagonal(pair.tau), op.phi_scalar(lam, q), atol=1e-12)
+        assert np.allclose(np.tril(pair.tau, -1), 0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["perturbed", "nan"])
+def test_bad_square_root_is_reported_not_silent(monkeypatch, name):
+    exact = scipy.linalg.sqrtm
+
+    def corrupt(a):
+        root = exact(a)
+        if name == "nan":
+            root[0, 0] = np.nan
+            return root
+        return root + 1e-3 * np.eye(root.shape[0])
+
+    monkeypatch.setattr(scipy.linalg, "sqrtm", corrupt)
+    alpha = op.random_in_disc(3, 2, np.random.default_rng(9))
     with pytest.raises(IllConditionedError):
-        op.build_pair(j, 2)
+        op.build_pair(alpha, 2)
 
 
 def test_spectral_mapping_sanity():
