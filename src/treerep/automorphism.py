@@ -17,6 +17,13 @@ Three generator kinds suffice for everything the verification suites need:
   x_{-k} = 2 1^(k-1) (k >= 1) by one: t x_k = x_{k+1}.  Realized as the
   edge inversion composed with the portrait swapping branches 1 and 2.
 
+Letter matrices (one address per row, with a length per row) go through a
+portrait level by level: each depth that carries permutations (depth 0
+carries the root permutation) holds the sorted prefix indices of its
+vertices and their stacked letter tables, so a level costs one searchsorted
+of the rows' running prefix index and one gather, and the tables grow with
+the portrait, not with the tree.
+
 An automorphism is a word of (generator, inverted) pairs applied left to
 right; composition concatenates words, inversion reverses the word and
 flips the flags.  Every generator is a total, exactly invertible map on
@@ -50,12 +57,19 @@ def _check_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     return t
 
 
-def _table(perm: tuple[int, ...]) -> np.ndarray:
-    # table[letter] = image letter; slot 0 unused
-    t = np.zeros(len(perm) + 1, dtype=np.int16)
-    for i, img in enumerate(perm):
-        t[i + 1] = img
+def _tables(perms: list[tuple[int, ...]]) -> np.ndarray:
+    # row i, column letter = image letter under perms[i]; column 0 unused
+    t = np.zeros((len(perms), len(perms[0]) + 1), dtype=np.int16)
+    t[:, 1:] = perms
     return t
+
+
+def _prefix_index(q: int, addr: Address) -> int:
+    # tree.address_index without the depth-cap check
+    idx = 0
+    for letter in addr:
+        idx = idx * q + (letter - 1)
+    return idx
 
 
 def _inv_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -82,11 +96,13 @@ class Portrait:
         if q < 2:
             raise ConfigError("root permutation must act on at least 3 letters")
         object.__setattr__(self, "root_perm", _check_perm(self.root_perm, q + 1, "root perm"))
+        params = TreeParams(q)
         clean = {}
         for addr, perm in self.node_perms.items():
             if not addr:
                 raise ConfigError("attach the basepoint permutation via root_perm")
-            clean[tuple(addr)] = _check_perm(perm, q, f"node perm at {format_address(addr)}")
+            addr = check_address(params, tuple(addr), allow_deep=True)
+            clean[addr] = _check_perm(perm, q, f"node perm at {format_address(addr)}")
         object.__setattr__(self, "node_perms", clean)
 
     @property
@@ -107,50 +123,60 @@ class PortraitGen:
 
     def __init__(self, portrait: Portrait):
         self.portrait = portrait
-        self._root = _table(portrait.root_perm)
-        self._root_inv = _table(_inv_perm(portrait.root_perm))
-        items = sorted(portrait.node_perms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        self._nodes = [(addr, _table(p)) for addr, p in items]
-        self._nodes_inv = [(addr, _table(_inv_perm(p))) for addr, p in items]
+        # scalar lookups, vertex address -> permutation of the letter below
+        # it; the basepoint's is the root permutation
+        self._perms = {ROOT: portrait.root_perm, **portrait.node_perms}
+        self._perms_inv = {addr: _inv_perm(p) for addr, p in self._perms.items()}
+        # level tables, built from the same data: for every depth j that
+        # carries permutations, the sorted prefix indices (tree.address_index
+        # numbering) of its vertices and their stacked letter tables,
+        # forward and inverted; depth 0 is the basepoint alone
+        by_level: dict[int, list[Address]] = {}
+        for addr in self._perms:
+            by_level.setdefault(len(addr), []).append(addr)
+        self._levels = []
+        for j in sorted(by_level):
+            addrs = sorted(by_level[j])  # letters are in range: index order
+            keys = np.array([_prefix_index(portrait.q, a) for a in addrs], dtype=np.int64)
+            self._levels.append((
+                j,
+                keys,
+                _tables([self._perms[a] for a in addrs]),
+                _tables([self._perms_inv[a] for a in addrs]),
+            ))
 
     def apply(self, addr: Address, inverted: bool) -> Address:
-        if not addr:
-            return addr
-        perms = dict(self.portrait.node_perms)
-        out = []
-        if inverted:
-            inv_root = _inv_perm(self.portrait.root_perm)
-            out.append(inv_root[addr[0] - 1])
-            for j in range(1, len(addr)):
-                perm = perms.get(tuple(out), None)
-                letter = addr[j]
-                out.append(_inv_perm(perm)[letter - 1] if perm else letter)
-        else:
-            out.append(self.portrait.root_perm[addr[0] - 1])
-            for j in range(1, len(addr)):
-                perm = perms.get(addr[:j], None)
-                letter = addr[j]
-                out.append(perm[letter - 1] if perm else letter)
+        # the permutation below a vertex is keyed by the original prefix
+        # going forward, by the preimage prefix (built so far) going backward
+        perms = self._perms_inv if inverted else self._perms
+        out: list[int] = []
+        for j, letter in enumerate(addr):
+            perm = perms.get(tuple(out) if inverted else addr[:j])
+            out.append(perm[letter - 1] if perm else letter)
         return tuple(out)
 
     def batch(self, letters: np.ndarray, lengths: np.ndarray, inverted: bool):
-        if letters.shape[1] == 0:
-            return letters, lengths
+        # the keying rule of `apply`: the running prefix index reads the
+        # original letters forward, the image letters written so far
+        # backward; levels past the deepest vertex are the identity
         out = letters.copy()
-        root = self._root_inv if inverted else self._root
-        has0 = lengths >= 1
-        out[has0, 0] = root[letters[has0, 0]]
-        # the permutation below a vertex is keyed by the original prefix
-        # going forward, by the preimage prefix (built so far) going backward
         ref = out if inverted else letters
-        for addr, table in (self._nodes_inv if inverted else self._nodes):
-            j = len(addr)
+        q = self.portrait.q
+        idx = np.zeros(letters.shape[0], dtype=np.int64)
+        done = 0  # columns folded into idx
+        for j, keys, fwd, inv in self._levels:
             if j >= letters.shape[1]:
-                continue
-            rows = lengths >= j + 1
-            key = np.asarray(addr, dtype=letters.dtype)
-            rows &= (ref[:, :j] == key).all(axis=1)
-            out[rows, j] = table[letters[rows, j]]
+                break
+            for k in range(done, j):
+                idx = idx * q + (ref[:, k] - 1)
+            done = j
+            rows = np.flatnonzero(lengths > j)
+            at = idx[rows]
+            pos = np.minimum(np.searchsorted(keys, at), len(keys) - 1)
+            hit = keys[pos] == at
+            rows = rows[hit]
+            table = inv if inverted else fwd
+            out[rows, j] = table[pos[hit], letters[rows, j]]
         return out, lengths
 
     def to_json_obj(self) -> dict:
@@ -209,8 +235,6 @@ class StepTranslationGen:
 
     kind = "step_translation"
     grows = 1
-
-    _swap = None  # class-level cache of the 1<->2 letter table
 
     def __init__(self):
         self._edge = EdgeInversionGen()
@@ -277,7 +301,7 @@ class TreeAutomorphism:
 
     def apply_batch(self, letters: np.ndarray, lengths: np.ndarray):
         """Vectorized apply_vertex over rows of a letter matrix."""
-        growth = sum(gen.grows for gen, _ in self.word)
+        growth = self.word_cost()
         if growth:
             pad = np.zeros((letters.shape[0], growth), dtype=letters.dtype)
             letters = np.concatenate([letters, pad], axis=1)

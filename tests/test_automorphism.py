@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from treerep import automorphism as au
 from treerep import tree as tr
-from treerep.errors import ConfigError, DepthBudgetError
+from treerep.errors import ConfigError, DepthBudgetError, MalformedAddressError
 
 P2 = tr.TreeParams(2)
 P3 = tr.TreeParams(3)
@@ -36,6 +36,8 @@ def test_portrait_validation():
         au.Portrait((2, 1, 3), {(): (1, 2)})  # basepoint slot is root_perm's
     with pytest.raises(ConfigError):
         au.Portrait((2, 1, 3), {(1,): (2, 2)})
+    with pytest.raises(MalformedAddressError):
+        au.Portrait((2, 1, 3), {(1, 3): (2, 1)})  # letter 3 below depth 1 at q=2
 
 
 def test_portrait_identity_fixes_everything():
@@ -49,9 +51,9 @@ def test_portrait_acts_letterwise():
     assert g.apply_vertex(()) == ()
     assert g.apply_vertex((1,)) == (2,)
     assert g.apply_vertex((3, 1)) == (3, 1)
-    # second letter permuted only below the vertex named by the *image* prefix?
-    # no: node_perms are keyed by the original prefix on the way down
-    assert g.apply_vertex((2, 1)) == (1, 2) or g.apply_vertex((2, 1)) == (1, 1)
+    # node_perms are keyed by the original prefix on the way down
+    assert g.apply_vertex((2, 1)) == (1, 2)
+    assert g.inverse().apply_vertex((1, 2)) == (2, 1)
 
 
 def test_portrait_preserves_levels_exactly():
@@ -167,6 +169,52 @@ def test_batch_matches_scalar(seed):
             v = tr.address_from_index(params, depth, i)
             img = g.apply_vertex(v)
             assert tuple(int(x) for x in out_letters[i, : out_lengths[i]]) == img
+
+
+@pytest.mark.parametrize("q,cap", [(2, 6), (3, 5), (5, 4)])
+def test_portrait_batch_matches_scalar_at_every_level(q, cap):
+    # rows of length 0, rows ending above the deepest node and full rows,
+    # against dense, sparse and single-deep-node portraits of every depth
+    rng = np.random.default_rng(100 + q)
+    params = tr.TreeParams(q, cap)
+    letters = tr.letter_matrix(params, cap)
+    portraits = []
+    for depth in range(1, cap + 1):
+        dense = au.random_portrait(params, depth, rng)
+        sparse = {a: p for a, p in dense.node_perms.items() if rng.random() < 0.3}
+        portraits += [(dense, depth), (au.Portrait(dense.root_perm, sparse), depth)]
+    deep = tr.address_from_index(params, cap - 1, int(rng.integers(tr.n_addresses(params, cap - 1))))
+    lone = au.Portrait(tuple(range(1, q + 2)), {deep: tuple(range(q, 0, -1))})
+    portraits.append((lone, cap))
+    for portrait, depth in portraits:
+        gen = au.PortraitGen(portrait)
+        lengths = rng.integers(0, cap + 1, letters.shape[0])
+        lengths[:3] = (0, depth - 1, cap)
+        for inverted in (False, True):
+            out, out_lengths = gen.batch(letters, lengths, inverted)
+            assert (out_lengths == lengths).all()
+            for row, n in enumerate(lengths):
+                v = tuple(int(x) for x in letters[row, :n])
+                assert tuple(int(x) for x in out[row, :n]) == gen.apply(v, inverted)
+                assert (out[row, n:] == letters[row, n:]).all()  # past the end: untouched
+
+
+def test_sparse_deep_portrait_batch():
+    # one node at depth 11 at q=5: the tables hold it and the basepoint, not
+    # a row per depth-11 vertex
+    params = tr.TreeParams(5, 12)
+    node = (6,) + (5,) * 10
+    gen = au.PortraitGen(au.Portrait((1, 2, 3, 4, 5, 6), {node: (2, 1, 3, 4, 5)}))
+    letters = np.array([node + (1,), node + (3,), (6,) + (5,) * 9 + (4, 1)], dtype=np.int16)
+    lengths = np.array([12, 12, 12])
+    for inverted in (False, True):
+        out, _ = gen.batch(letters, lengths, inverted)
+        assert [tuple(int(x) for x in row) for row in out] == [
+            gen.apply(tuple(int(x) for x in row), inverted) for row in letters
+        ]
+    assert tuple(out[0]) == node + (2,) and tuple(out[1]) == node + (3,)
+    assert tuple(out[2]) == tuple(letters[2])
+    assert [(j, keys.size) for j, keys, _, _ in gen._levels] == [(0, 1), (11, 1)]
 
 
 def test_word_cost_bounds_depth_growth():
