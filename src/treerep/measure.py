@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .automorphism import TreeAutomorphism
 from .errors import (
     CylinderTooShallowError,
@@ -193,24 +195,30 @@ def cell_index_ranges(params: TreeParams, cell: EndCell, depth: int) -> list[tup
     return out
 
 
-def assert_partition(params: TreeParams, cells: list[EndCell], depth: int | None = None) -> None:
-    """Check the cells tile the boundary exactly once; raise PartitionError if not."""
+def assert_partition(
+    params: TreeParams, cells: list[EndCell], depth: int | None = None
+) -> np.ndarray:
+    """Label every depth-`depth` cylinder with the cell that contains it.
+
+    Returns an int64 array with one entry per depth-`depth` cylinder, in
+    lexicographic order; entry i is j when cylinder i lies in cells[j].
+    Raises PartitionError unless the cells tile the boundary exactly once.
+    `depth` defaults to the smallest depth that expresses every cell.
+    """
     if depth is None:
         depth = max((min_expressible_depth(params, c) for c in cells), default=0)
-    covered = 0
-    seen: list[tuple[int, int]] = []
-    for cell in cells:
-        for rng in cell_index_ranges(params, cell, depth):
-            seen.append(rng)
-            covered += rng[1] - rng[0]
-    seen.sort()
-    for (a, b), (c, d) in zip(seen, seen[1:]):
-        if c < b:
-            raise PartitionError(f"cells overlap on index range [{c}, {min(b, d)})")
-    if covered != n_addresses(params, depth):
+    labels = np.full(n_addresses(params, depth), -1, dtype=np.int64)
+    for j, cell in enumerate(cells):
+        for a, b in cell_index_ranges(params, cell, depth):
+            if (labels[a:b] >= 0).any():
+                raise PartitionError(f"cell {j} overlaps an earlier cell on index range [{a}, {b})")
+            labels[a:b] = j
+    covered = int(np.count_nonzero(labels >= 0))
+    if covered != labels.size:
         raise PartitionError(
-            f"cells cover {covered} of {n_addresses(params, depth)} depth-{depth} cylinders"
+            f"cells cover {covered} of {labels.size} depth-{depth} cylinders"
         )
+    return labels
 
 
 # -- stabilizer orbits --------------------------------------------------------

@@ -47,9 +47,9 @@ def spectral_norm(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise OperatorDomainError(f"expected a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise OperatorDomainError("matrix has non-finite entries")
-    return float(scipy.linalg.svdvals(a)[0])
+    return float(scipy.linalg.svdvals(a, check_finite=False)[0])
 
 
 def _sqrt_cut(w: complex) -> complex:
@@ -64,11 +64,6 @@ def _sqrt_cut(w: complex) -> complex:
 
 def phi_scalar(z: complex, q: int) -> complex:
     return (z + _sqrt_cut(z * z - 4 * q)) / 2.0
-
-
-def psi_scalar(z: complex, q: int) -> complex:
-    """The sibling root (z - sqrt(z^2 - 4q)) / (2q); equals 1/phi(z)."""
-    return (z - _sqrt_cut(z * z - 4 * q)) / (2.0 * q)
 
 
 @dataclass(eq=False)
@@ -90,8 +85,8 @@ class OperatorPair:
 
 
 def build_pair(alpha: np.ndarray, q: int, tol: float = 1e-9) -> OperatorPair:
-    """Construct tau = phi(alpha) and tau^{-1} = psi(alpha) from one matrix
-    square root, verify the defining residuals, and package the lot.
+    """Construct tau = phi(alpha) and its sibling root tau^{-1} from one
+    matrix square root, verify the defining residuals, and package the lot.
 
     Raises OperatorDomainError when alpha is outside the open disc of
     radius 2 sqrt(q) and IllConditionedError when the square root is not

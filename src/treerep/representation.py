@@ -21,7 +21,9 @@ cylinder, of depth at least m).  The homomorphism property suite is the
 empirical proof of this cylinder-level evaluation.
 
 Averages over compact stabilizers are finite measure-weighted sums over
-orbit cells (conditional means), never samples over group elements.
+orbit cells (conditional means), never samples over group elements.  An
+orbit partition is one integer label per cylinder (measure.assert_partition),
+and the average is the per-label mean gathered back by label.
 """
 from __future__ import annotations
 
@@ -93,10 +95,6 @@ class StepFunction:
     def integral(self) -> np.ndarray:
         """Measure-weighted integral; cells at one depth weigh equally."""
         return self.values.mean(axis=0)
-
-    def lp_norm(self, p: int) -> float:
-        cell_norms = np.linalg.norm(self.values, axis=1)
-        return float(np.mean(cell_norms**p) ** (1.0 / p))
 
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=1))) if self.values.size else 0.0
@@ -210,21 +208,21 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
 
     The output is the conditional mean of v on each stabilizer orbit,
     computed at whatever common resolution expresses all orbit cells.
+    Raises PartitionError if the orbit cells do not tile the boundary.
     """
     params = v.params
     if tree.params != params:
         raise ConfigError("subtree and step function use different tree parameters")
     cells = bm.orbit_cells(tree)
-    m = max([v.resolution] + [bm.min_expressible_depth(params, c) for c in cells])
+    k = max(bm.min_expressible_depth(params, c) for c in cells)
+    m = max(v.resolution, k)
+    labels = bm.assert_partition(params, cells, k)
+    labels = np.repeat(labels, n_addresses(params, m) // labels.size)
     vv = v.refine(m)
-    out = np.empty_like(vv.values)
-    for cell in cells:
-        ranges = bm.cell_index_ranges(params, cell, m)
-        count = sum(b - a for a, b in ranges)
-        mean = sum(vv.values[a:b].sum(axis=0) for a, b in ranges) / count
-        for a, b in ranges:
-            out[a:b] = mean
-    return StepFunction(params, m, out)
+    sums = np.zeros((len(cells), v.dim), dtype=np.complex128)
+    np.add.at(sums, labels, vv.values)
+    means = sums / np.bincount(labels, minlength=len(cells))[:, None]
+    return StepFunction(params, m, means[labels])
 
 
 def alpha_via_rep(params: TreeParams, w: np.ndarray, pair: OperatorPair) -> np.ndarray:
@@ -305,10 +303,7 @@ def fixed_space_report(tree: FiniteSubtree, d: int) -> FixedSpaceReport:
     params = tree.params
     cells = bm.orbit_cells(tree)
     m = max(bm.min_expressible_depth(params, c) for c in cells)
-    probe = np.zeros((n_addresses(params, m), 1), dtype=np.complex128)
-    for j, cell in enumerate(cells):
-        for a, b in bm.cell_index_ranges(params, cell, m):
-            probe[a:b] = j + 1
+    probe = (bm.assert_partition(params, cells, m) + 1)[:, None].astype(np.complex128)
     fn = StepFunction(params, m, probe)
     averaged = haar_average_fix(tree, fn)
     if averaged.resolution != m or not np.array_equal(averaged.values, probe):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from treerep import cli
+from treerep import cli, measure
 from treerep.errors import IllConditionedError
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
@@ -144,7 +144,14 @@ def test_reports_are_byte_identical_without_timestamp(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("verify", "--trials", "4"), ("spectrum",)], ids=["verify", "spectrum"]
+    "argv",
+    [
+        ("verify", "--trials", "4"),
+        ("spectrum",),
+        ("admissibility-table", "--depth", "10"),
+        ("replay-prune", "--dim", "3"),
+    ],
+    ids=["verify", "spectrum", "admissibility-table", "replay-prune"],
 )
 def test_reports_validate_against_the_schema(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--no-timestamp")
@@ -152,6 +159,20 @@ def test_reports_validate_against_the_schema(capsys, argv):
     jsonschema.Draft202012Validator.check_schema(SCHEMA)
     errors = [e.message for e in jsonschema.Draft202012Validator(SCHEMA).iter_errors(json.loads(out))]
     assert errors == []
+
+
+def test_failing_exact_suite_reports_a_finite_mismatch_count(capsys, monkeypatch):
+    exact = measure.rn_cocycle
+    monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: exact(g, cell) * g.params.q)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code, out, _ = run_cli(capsys, "suite", "measure_cocycle", "--trials", "4", "--no-timestamp")
+    assert code == 1
+    (suite,) = json.loads(out, parse_constant=reject)["suites"]
+    assert suite["failures"]
+    assert suite["max_residual"] == len(suite["failures"])
 
 
 def test_timestamp_present_by_default(capsys):

@@ -142,7 +142,31 @@ def test_assert_partition():
     with pytest.raises(PartitionError):
         me.assert_partition(P2, [me.Cylinder((1,)), me.Cylinder((1, 1))], 2)  # overlap
     with pytest.raises(PartitionError):
+        me.assert_partition(P2, [me.whole_boundary(), me.Cylinder((1,))])  # overlap, no gap
+    with pytest.raises(PartitionError):
         me.assert_partition(P2, [me.Cylinder((1,)), me.Cylinder((2,))], 2)  # gap
+
+
+def labels_by_refinement(params, cells, depth):
+    labels = [None] * tr.n_addresses(params, depth)
+    for j, cell in enumerate(cells):
+        for piece in me.refine_to_depth(params, cell, depth):
+            labels[tr.address_index(params, piece.base)] = j
+    return labels
+
+
+@pytest.mark.parametrize("params", [P2, P3], ids=["q2", "q3"])
+def test_assert_partition_labels_match_refinement(params):
+    balls = [tr.closed_neighborhood(tr.FiniteSubtree(params, [()]), r) for r in range(5)]
+    edge = tr.closed_neighborhood(tr.FiniteSubtree(params, [(), (1,)]), 1)
+    for tree in balls + [edge]:
+        cells = me.orbit_cells(tree)
+        k = max(me.min_expressible_depth(params, c) for c in cells)
+        default = me.assert_partition(params, cells)
+        assert default.dtype == np.int64
+        assert default.tolist() == labels_by_refinement(params, cells, k)
+        deeper = me.assert_partition(params, cells, k + 1)
+        assert deeper.tolist() == labels_by_refinement(params, cells, k + 1)
 
 
 # -- stabilizer orbits ---------------------------------------------------------

@@ -8,7 +8,7 @@ from treerep import measure as me
 from treerep import operators as op
 from treerep import representation as rp
 from treerep import tree as tr
-from treerep.errors import ConfigError, DepthBudgetError, SpectralGuardError
+from treerep.errors import ConfigError, DepthBudgetError, PartitionError, SpectralGuardError
 
 P2 = tr.TreeParams(2)
 P3 = tr.TreeParams(3)
@@ -105,7 +105,6 @@ def test_arithmetic_and_norms():
     assert abs(diff.sup_norm() - 1.0) < 1e-12
     scaled = 2.0 * w
     assert abs(scaled.sup_norm() - 2.0) < 1e-12
-    assert v.lp_norm(2) == pytest.approx(5.0)
     assert v.max_cell_distance(v) == 0.0
 
 
@@ -245,6 +244,35 @@ def test_haar_average_fix_is_cellwise_mean():
     assert np.allclose(out.integral(), v.integral())
     again = rp.haar_average_fix(edge, out)
     assert np.allclose(again.values, out.values)
+
+
+def test_haar_average_fix_repeats_labels_past_the_cells():
+    # data finer than the orbit cells, with non-integer values
+    rng = np.random.default_rng(52)
+    edge = tr.FiniteSubtree(P2, [(), (1,)])
+    ball = tr.closed_neighborhood(tr.FiniteSubtree(P3, [()]), 2)
+    for params, tree, m in ((P2, edge, 4), (P3, ball, 4)):
+        n = tr.n_addresses(params, m)
+        vals = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        out = rp.haar_average_fix(tree, rp.StepFunction(params, m, vals))
+        assert out.resolution == m
+        want = np.empty_like(vals)
+        for cell in me.orbit_cells(tree):
+            idx = np.concatenate(
+                [np.arange(lo, hi) for lo, hi in me.cell_index_ranges(params, cell, m)]
+            )
+            want[idx] = vals[idx].mean(axis=0)
+        assert np.allclose(out.values, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fault", ["overlap", "gap"])
+def test_haar_average_fix_rejects_cells_that_do_not_tile(monkeypatch, fault):
+    edge = tr.FiniteSubtree(P2, [(), (1,)])
+    cells = me.orbit_cells(edge)
+    bad = cells + [me.Cylinder((1, 1))] if fault == "overlap" else cells[:-1]
+    monkeypatch.setattr(me, "orbit_cells", lambda tree: bad)
+    with pytest.raises(PartitionError):
+        rp.haar_average_fix(edge, rp.constant_fn(P2, np.array([1.0])))
 
 
 def test_halftree_average_annihilates_balanced_sums():
