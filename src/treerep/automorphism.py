@@ -46,7 +46,6 @@ from .tree import (
     addresses_at_depth,
     check_address,
     format_address,
-    parse_address,
 )
 
 
@@ -410,28 +409,3 @@ def random_rooted(params: TreeParams, depth: int, seed: int) -> TreeAutomorphism
     """Seeded uniformly random basepoint-fixing automorphism to `depth`."""
     rng = np.random.default_rng(seed)
     return from_portrait(params, random_portrait(params, depth, rng))
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def word_from_json(params: TreeParams, obj: list[dict]) -> TreeAutomorphism:
-    word = []
-    for rec in obj:
-        kind = rec.get("kind")
-        flag = bool(rec.get("inverted", False))
-        if kind == "portrait":
-            portrait = Portrait(
-                tuple(rec["root"]),
-                {parse_address(a): tuple(p) for a, p in rec.get("nodes", {}).items()},
-            )
-            if portrait.q != params.q:
-                raise ConfigError("portrait arity does not match the tree")
-            word.append((PortraitGen(portrait), flag))
-        elif kind == "edge_inversion":
-            word.append((EdgeInversionGen(), flag))
-        elif kind == "step_translation":
-            word.append((StepTranslationGen(), flag))
-        else:
-            raise ConfigError(f"unknown generator kind {kind!r}")
-    return TreeAutomorphism(params, word)

@@ -53,7 +53,6 @@ from .tree import (
     is_complete,
     n_addresses,
     parent,
-    parse_address,
 )
 
 
@@ -79,15 +78,6 @@ class Halftree:
 
 
 EndCell = Cylinder | Halftree
-
-
-def cell_from_json_obj(obj: dict) -> EndCell:
-    kind = obj.get("kind")
-    if kind == "cylinder":
-        return Cylinder(parse_address(obj["base"]))
-    if kind == "halftree":
-        return Halftree(parse_address(obj["from"]), parse_address(obj["to"]))
-    raise MalformedAddressError(f"unknown cell kind {kind!r}")
 
 
 def whole_boundary() -> Cylinder:
@@ -355,8 +345,3 @@ def rn_cocycle(g: TreeAutomorphism, cell: EndCell) -> Fraction:
 
 def measure_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def measure_from_str(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)

@@ -185,9 +185,3 @@ def matrix_to_json_obj(a: np.ndarray) -> dict:
         "d": int(a.shape[0]),
         "entries": [[float(z.real), float(z.imag)] for z in np.asarray(a).ravel()],
     }
-
-
-def matrix_from_json_obj(obj: dict) -> np.ndarray:
-    d = int(obj["d"])
-    flat = np.array([complex(re, im) for re, im in obj["entries"]], dtype=np.complex128)
-    return flat.reshape(d, d)

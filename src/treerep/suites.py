@@ -1,15 +1,20 @@
 """Named verification suites with reproducible seeded trials.
 
-Each suite checks one family of identities and returns a SuiteReport:
-pass/fail, the worst residual seen, and a replayable counterexample
-record per failure (serialized generator words, cells, matrices, and the
-per-trial seed path).  Measure-level identities are asserted with exact
-rational (or exact float-integer) equality; operator-level identities
-with relative tolerances scaled by the operator norms involved.
+Each suite checks one family of identities through SuiteReport.check,
+which keeps the worst residual and appends one record per failed
+comparison: {stream, trial, kind, residual, bound} plus the suite's own
+context (serialized generator words, cells, measures).  Measure-level
+identities are asserted with exact rational (or exact float-integer)
+equality, recorded as residual 1 or 0 against bound 0; operator-level
+identities with relative tolerances scaled by the operator norms involved.
 
-Randomness discipline: every trial draws from
-default_rng([seed, crc32(suite_name), trial]), so suites are
-deterministic per configuration and independent of execution order.
+Randomness discipline: trial t of stream s (the suite name, or
+suite/part for a suite with several independent loops) draws from
+default_rng([seed, crc32(s), t]), so suites are deterministic per
+configuration and independent of execution order.  A failure's
+(stream, trial) is its seed path: rerunning the suite with the report's
+config, trials at least trial + 1, reproduces the record.  Structural
+checks draw nothing and record trial -1.
 """
 from __future__ import annotations
 
@@ -92,12 +97,45 @@ class SuiteConfig:
 
 @dataclass
 class SuiteReport:
+    """One suite's result, filled in one comparison at a time by `check`.
+
+    `max_residual` is the worst residual checked; an exact report, whose
+    comparisons are 1/0 mismatches against bound 0, counts its mismatches
+    there instead.  A report passes when no check failed."""
+
     suite_name: str
-    passed: bool
-    max_residual: float
     trial_count: int
-    failures: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
+    exact: bool = False
+    max_residual: float = 0.0
+    failures: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def check(
+        self, stream: str, trial: int, kind: str, residual: float, bound: float, **record
+    ) -> bool:
+        """Record one comparison and return whether it held.
+
+        `stream` and `trial` are the `trial_rng` key the compared values
+        were drawn from (trial -1: a structural check that draws nothing),
+        so a failure replays from the report's config alone.  A residual
+        above its bound appends {stream, trial, kind, residual, bound} plus
+        `record` to the failures."""
+        residual = float(residual)
+        if self.exact:
+            self.max_residual += residual
+        else:
+            self.max_residual = max(self.max_residual, residual)
+        if residual > bound:
+            self.failures.append(
+                dict(stream=stream, trial=trial, kind=kind, residual=residual,
+                     bound=float(bound), **record)
+            )
+            return False
+        return True
 
     def to_json_obj(self) -> dict:
         return {
@@ -110,8 +148,8 @@ class SuiteReport:
         }
 
 
-def trial_rng(cfg: SuiteConfig, suite_name: str, trial: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, zlib.crc32(suite_name.encode()), trial])
+def trial_rng(cfg: SuiteConfig, stream: str, trial: int) -> np.random.Generator:
+    return np.random.default_rng([cfg.seed, zlib.crc32(stream.encode()), trial])
 
 
 def _random_word(params: TreeParams, rng: np.random.Generator, max_factors: int) -> TreeAutomorphism:
@@ -146,7 +184,7 @@ def suite_measure_cocycle(cfg: SuiteConfig) -> SuiteReport:
     tolerance."""
     params = cfg.params
     name = "measure_cocycle"
-    failures = []
+    rep = SuiteReport(name, cfg.trials, {"comparison": "exact rational"}, exact=True)
     max_factors = min(3, max(1, (params.depth_cap - 1) // 2))
     for trial in range(cfg.trials):
         rng = trial_rng(cfg, name, trial)
@@ -156,40 +194,21 @@ def suite_measure_cocycle(cfg: SuiteConfig) -> SuiteReport:
         depth = min(params.depth_cap, lo + int(rng.integers(0, 2)))
         cell = _random_cylinder(params, rng, depth)
 
-        record = {
-            "trial": trial,
-            "g": g.to_json_obj(),
-            "h": h.to_json_obj(),
-            "cell": cell.to_json_obj(),
-        }
+        record = {"g": g.to_json_obj(), "h": h.to_json_obj(), "cell": cell.to_json_obj()}
         ratio = bm.rn_cocycle(g, cell)
         pulled = bm.map_cell(inverse(g), cell)
         lhs = bm.cell_measure(params, pulled)
         rhs = ratio * bm.cell_measure(params, cell)
-        if lhs != rhs:
-            failures.append(
-                dict(record, kind="change_of_variables",
-                     lhs=bm.measure_to_str(lhs), rhs=bm.measure_to_str(rhs))
-            )
+        if not rep.check(name, trial, "change_of_variables", lhs != rhs, 0,
+                         lhs=bm.measure_to_str(lhs), rhs=bm.measure_to_str(rhs), **record):
             continue
         law_lhs = bm.rn_cocycle(compose(g, h), cell)
         law_rhs = ratio * bm.rn_cocycle(h, pulled)
-        if law_lhs != law_rhs:
-            failures.append(
-                dict(record, kind="cocycle_law",
-                     lhs=bm.measure_to_str(law_lhs), rhs=bm.measure_to_str(law_rhs))
-            )
-    ident_ok = bm.rn_cocycle(identity(params), bm.whole_boundary()) == 1
-    if not ident_ok:
-        failures.append({"kind": "identity_element", "trial": -1})
-    return SuiteReport(
-        suite_name=name,
-        passed=not failures,
-        max_residual=float(len(failures)),
-        trial_count=cfg.trials,
-        failures=failures,
-        details={"comparison": "exact rational"},
-    )
+        rep.check(name, trial, "cocycle_law", law_lhs != law_rhs, 0,
+                  lhs=bm.measure_to_str(law_lhs), rhs=bm.measure_to_str(law_rhs), **record)
+    rep.check(name, -1, "identity_element",
+              bm.rn_cocycle(identity(params), bm.whole_boundary()) != 1, 0)
+    return rep
 
 
 # -- suite 2: the representation is multiplicative ----------------------------
@@ -200,8 +219,7 @@ def suite_homomorphism(cfg: SuiteConfig) -> SuiteReport:
     tolerance scales with the worst tau power the words can produce."""
     params = cfg.params
     name = "homomorphism"
-    failures = []
-    worst = 0.0
+    rep = SuiteReport(name, cfg.trials, {"tolerance_rule": "tol * norm(tau)^(D_g + D_h) * sup|v|"})
     max_factors = min(3, max(1, (params.depth_cap - 2) // 2))
     m_hi = min(2, max(0, params.depth_cap - 2 * max_factors))
     for trial in range(cfg.trials):
@@ -217,29 +235,11 @@ def suite_homomorphism(cfg: SuiteConfig) -> SuiteReport:
         v = StepFunction(params, m, vals)
         two_step = pi_apply(g, pi_apply(h, v, pair), pair)
         one_step = pi_apply(compose(g, h), v, pair)
-        residual = one_step.max_cell_distance(two_step)
         growth = spectral_norm(pair.tau) ** (g.displacement + h.displacement)
-        bound = cfg.tol * growth * max(v.sup_norm(), 1.0)
-        worst = max(worst, residual)
-        if residual > bound:
-            failures.append(
-                {
-                    "trial": trial,
-                    "g": g.to_json_obj(),
-                    "h": h.to_json_obj(),
-                    "resolution": m,
-                    "residual": residual,
-                    "bound": bound,
-                }
-            )
-    return SuiteReport(
-        suite_name=name,
-        passed=not failures,
-        max_residual=worst,
-        trial_count=cfg.trials,
-        failures=failures,
-        details={"tolerance_rule": "tol * norm(tau)^(D_g + D_h) * sup|v|"},
-    )
+        rep.check(name, trial, "multiplicativity", one_step.max_cell_distance(two_step),
+                  cfg.tol * growth * max(v.sup_norm(), 1.0),
+                  g=g.to_json_obj(), h=h.to_json_obj(), resolution=m)
+    return rep
 
 
 # -- suite 3: orbit pruning replay --------------------------------------------
@@ -263,7 +263,6 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     horofunction exponent -1, and the spectrum of tau avoids +-q."""
     params = cfg.params
     name = "prune_replay"
-    failures = []
     big, small = replay_pruning_pair(params)
     mapping = bm.orbit_merge_under_pruning(big, small)
     merged_cell = bm.Cylinder((1,))
@@ -271,17 +270,24 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
         (c for c, tgt in mapping.items() if tgt == merged_cell),
         key=lambda c: c.base,
     )
-    if len(sources) != params.q:
-        failures.append({"kind": "merge_count", "got": len(sources), "want": params.q})
-    if sources != [bm.Cylinder((1, i)) for i in range(1, params.q + 1)]:
-        failures.append({"kind": "merged_sources", "got": [c.to_json_obj() for c in sources]})
+    shift_back = inverse(step_translation(params))
+    exponent = busemann_on_cylinder(params, (1,), ROOT, shift_back.x0_image)
+    source_objs = [c.to_json_obj() for c in sources]
+    rep = SuiteReport(name, cfg.trials, exact=True, details={
+        "merged_cell": merged_cell.to_json_obj(),
+        "merged_sources": source_objs,
+        "replay_exponent": exponent,
+    })
+    rep.check(name, -1, "merge_count", len(sources) != params.q, 0,
+              got=len(sources), want=params.q)
+    rep.check(name, -1, "merged_sources",
+              sources != [bm.Cylinder((1, i)) for i in range(1, params.q + 1)], 0,
+              got=source_objs)
     kept = {c: t for c, t in mapping.items() if t != merged_cell}
-    if any(c != t for c, t in kept.items()):
-        failures.append({"kind": "kept_cells_moved"})
-    if any(
+    rep.check(name, -1, "kept_cells_moved", any(c != t for c, t in kept.items()), 0)
+    rep.check(name, -1, "kept_measure_changed", any(
         bm.cell_measure(params, c) != bm.cell_measure(params, t) for c, t in kept.items()
-    ):
-        failures.append({"kind": "kept_measure_changed"})
+    ), 0)
 
     # exact averaging: integer-valued data keeps every float op exact
     cells_big = bm.orbit_cells(big)
@@ -300,39 +306,22 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
         averaged = haar_average_fix(small, StepFunction(params, m, values))
         expected = values.copy()
         expected[lo:hi] = weights[src].sum(axis=0) / params.q
-        if averaged.resolution != m or not np.array_equal(averaged.values, expected):
-            failures.append({"trial": trial, "kind": "merged_average"})
+        rep.check(name, trial, "merged_average", averaged.resolution != m
+                  or not np.array_equal(averaged.values, expected), 0)
         weights[src[-1]] = -weights[src[:-1]].sum(axis=0)
         z_avg = haar_average_fix(small, StepFunction(params, m, weights[labels]))
-        if z_avg.values[lo:hi].any():
-            failures.append({"trial": trial, "kind": "zero_sum_not_annihilated"})
+        rep.check(name, trial, "zero_sum_not_annihilated", z_avg.values[lo:hi].any(), 0)
 
-    shift_back = inverse(step_translation(params))
-    exponent = busemann_on_cylinder(params, (1,), ROOT, shift_back.x0_image)
-    if exponent != -1:
-        failures.append({"kind": "replay_exponent", "got": exponent, "want": -1})
-    if bm.rn_cocycle(shift_back, merged_cell) != Fraction(1, params.q):
-        failures.append({"kind": "replay_cocycle_value"})
+    rep.check(name, -1, "replay_exponent", exponent != -1, 0, got=exponent, want=-1)
+    rep.check(name, -1, "replay_cocycle_value",
+              bm.rn_cocycle(shift_back, merged_cell) != Fraction(1, params.q), 0)
 
-    guard_trials = min(cfg.trials, 20)
-    for trial in range(guard_trials):
-        rng = trial_rng(cfg, name + "/guard", trial)
-        pair = build_pair(_complex_matrix_ball(cfg, rng), cfg.q)
-        report = guard_spectrum(pair)
-        if report["margin_to_pm_q"] <= 0:
-            failures.append({"trial": trial, "kind": "tau_sees_pm_q", "report": report})
-    return SuiteReport(
-        suite_name=name,
-        passed=not failures,
-        max_residual=float(len(failures)),
-        trial_count=cfg.trials,
-        failures=failures,
-        details={
-            "merged_cell": merged_cell.to_json_obj(),
-            "merged_sources": [c.to_json_obj() for c in sources],
-            "replay_exponent": exponent,
-        },
-    )
+    guard = name + "/guard"
+    for trial in range(min(cfg.trials, 20)):
+        rng = trial_rng(cfg, guard, trial)
+        report = guard_spectrum(build_pair(_complex_matrix_ball(cfg, rng), cfg.q))
+        rep.check(guard, trial, "tau_sees_pm_q", report["margin_to_pm_q"] <= 0, 0, report=report)
+    return rep
 
 
 # -- suite 4: operator recovered from the representation ----------------------
@@ -343,8 +332,9 @@ def suite_fixed_vector_transfer(cfg: SuiteConfig) -> SuiteReport:
     by q+1 reproduces alpha on every vector."""
     params = cfg.params
     name = "fixed_vector_transfer"
-    failures = []
-    worst = 0.0
+    rep = SuiteReport(name, cfg.trials, {
+        "tolerance_rule": "tol * norm(alpha) * norm(w), relative residual reported"
+    })
     for trial in range(cfg.trials):
         rng = trial_rng(cfg, name, trial)
         alpha = _complex_matrix_ball(cfg, rng)
@@ -353,17 +343,8 @@ def suite_fixed_vector_transfer(cfg: SuiteConfig) -> SuiteReport:
         got = alpha_via_rep(params, w, pair)
         residual = float(np.linalg.norm(got - alpha @ w))
         scale = spectral_norm(alpha) * float(np.linalg.norm(w))
-        worst = max(worst, residual / max(scale, 1e-300))
-        if residual > cfg.tol * scale:
-            failures.append({"trial": trial, "residual": residual, "scale": scale})
-    return SuiteReport(
-        suite_name=name,
-        passed=not failures,
-        max_residual=worst,
-        trial_count=cfg.trials,
-        failures=failures,
-        details={"tolerance_rule": "tol * norm(alpha) * norm(w), relative residual reported"},
-    )
+        rep.check(name, trial, "transfer", residual / max(scale, 1e-300), cfg.tol, scale=scale)
+    return rep
 
 
 # -- suite 5: half-tree indicators are reachable ------------------------------
@@ -377,8 +358,9 @@ def suite_halftree_reach(cfg: SuiteConfig) -> SuiteReport:
     by evaluating both sides independently."""
     params = cfg.params
     name = "halftree_reach"
-    failures = []
-    worst = 0.0
+    rep = SuiteReport(name, cfg.trials, {
+        "edge": "basepoint to each neighbour, all q+1 directions sampled"
+    })
     for trial in range(cfg.trials):
         rng = trial_rng(cfg, name, trial)
         alpha = _complex_matrix_ball(cfg, rng)
@@ -395,26 +377,11 @@ def suite_halftree_reach(cfg: SuiteConfig) -> SuiteReport:
             params, pair.tau_inv @ w_prime
         )
         rhs = halftree_element(params, w_prime, (ROOT, head), pair)
-        two_path = lhs.max_cell_distance(rhs)
         scale = max(1.0, float(np.linalg.norm(w_prime)))
-        worst = max(worst, max(solve_residual, two_path / scale))
-        if solve_residual > cfg.tol or two_path > cfg.tol * scale:
-            failures.append(
-                {
-                    "trial": trial,
-                    "head": head[0],
-                    "solve_residual": solve_residual,
-                    "two_path_residual": two_path,
-                }
-            )
-    return SuiteReport(
-        suite_name=name,
-        passed=not failures,
-        max_residual=worst,
-        trial_count=cfg.trials,
-        failures=failures,
-        details={"edge": "basepoint to each neighbour, all q+1 directions sampled"},
-    )
+        rep.check(name, trial, "solve", solve_residual, cfg.tol, head=head[0])
+        rep.check(name, trial, "two_path", lhs.max_cell_distance(rhs) / scale, cfg.tol,
+                  head=head[0])
+    return rep
 
 
 # -- suite 6: invariant subspaces upstairs and downstairs ----------------------
@@ -433,12 +400,12 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
     params = cfg.params
     name = "invariance_correspondence"
     d = max(cfg.dim, 2)
-    failures = []
-    worst_invariant = 0.0
-    worst_ratio = math.inf
     invariant_trials = min(cfg.trials, 40)
+    line_trials = 20
+    rep = SuiteReport(name, invariant_trials + line_trials)
+    stream = name + "/invariant"
     for trial in range(invariant_trials):
-        rng = trial_rng(cfg, name + "/invariant", trial)
+        rng = trial_rng(cfg, stream, trial)
         basis_mat, _ = np.linalg.qr(
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         )
@@ -450,13 +417,13 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
         k = int(rng.integers(1, d))
         basis = [basis_mat[:, j] for j in range(k)]
         report = invariant_lift_check(params, basis, pair, _generators(params, rng), 2, rng)
-        worst_invariant = max(worst_invariant, report["max_leakage"])
-        if report["max_leakage"] > 1e-9:
-            failures.append({"trial": trial, "kind": "invariant_leaks", "report": report})
+        rep.check(stream, trial, "invariant_leaks", report["max_leakage"], 1e-9, report=report)
+    rep.details["worst_invariant_leakage"] = rep.max_residual
 
-    line_trials = 20
+    ratios = []
+    stream = name + "/line"
     for trial in range(line_trials):
-        rng = trial_rng(cfg, name + "/line", trial)
+        rng = trial_rng(cfg, stream, trial)
         alpha = _complex_matrix_ball(cfg, rng, d)
         pair = build_pair(alpha, cfg.q)
         w = None
@@ -469,23 +436,12 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
             if direct > 1e-3 * spectral_norm(alpha):
                 break
         report = invariant_lift_check(params, [w], pair, _generators(params, rng), 1, rng)
-        ratio = report["max_leakage"] / direct
-        worst_ratio = min(worst_ratio, ratio)
-        if ratio < 0.5:
-            failures.append(
-                {"trial": trial, "kind": "line_leak_too_small", "ratio": ratio, "direct": direct}
-            )
-    return SuiteReport(
-        suite_name=name,
-        passed=not failures,
-        max_residual=worst_invariant,
-        trial_count=invariant_trials + line_trials,
-        failures=failures,
-        details={
-            "worst_invariant_leakage": worst_invariant,
-            "worst_line_ratio": worst_ratio,
-        },
-    )
+        ratios.append(report["max_leakage"] / direct)
+        # residual: how far the lift's leakage falls short of half of alpha's move
+        rep.check(stream, trial, "line_leak_too_small", 0.5 * direct - report["max_leakage"], 0,
+                  ratio=ratios[-1], direct=direct)
+    rep.details["worst_line_ratio"] = min(ratios)
+    return rep
 
 
 # -- suite 7: fixed-space growth table ----------------------------------------
@@ -497,40 +453,33 @@ def suite_admissibility_table(cfg: SuiteConfig) -> SuiteReport:
     and against explicit orbit enumeration."""
     params = cfg.params
     name = "admissibility_table"
-    failures = []
     dims = sorted({1, 2, 4, cfg.dim})
+    rep = SuiteReport(name, (params.depth_cap - 1) * len(dims), exact=True)
     rows = []
     prev = {dd: 0 for dd in dims}
     for r in range(1, params.depth_cap):
         ball = closed_neighborhood(FiniteSubtree(params, [ROOT]), r)
         report = fixed_space_report(ball, 1)
         closed_form = (params.q + 1) * params.q ** (r - 1)
-        if report.orbit_count != closed_form:
-            failures.append({"kind": "orbit_count", "r": r, "got": report.orbit_count})
+        rep.check(name, -1, "orbit_count", report.orbit_count != closed_form, 0,
+                  r=r, got=report.orbit_count)
         for dd in dims:
             fixed_dim = dd * report.orbit_count
             rows.append(
                 {"q": params.q, "r": r, "d": dd, "orbit_count": report.orbit_count,
                  "fixed_dim": fixed_dim}
             )
-            if fixed_dim != dd * closed_form:
-                failures.append({"kind": "fixed_dim", "r": r, "d": dd, "got": fixed_dim})
-            if fixed_dim <= prev[dd]:
-                failures.append({"kind": "growth_not_monotone", "r": r, "d": dd})
+            rep.check(name, -1, "fixed_dim", fixed_dim != dd * closed_form, 0,
+                      r=r, d=dd, got=fixed_dim)
+            rep.check(name, -1, "growth_not_monotone", fixed_dim <= prev[dd], 0, r=r, d=dd)
             prev[dd] = fixed_dim
     csv_lines = ["q,r,d,orbit_count,fixed_dim"]
     csv_lines += [
         f"{row['q']},{row['r']},{row['d']},{row['orbit_count']},{row['fixed_dim']}"
         for row in rows
     ]
-    return SuiteReport(
-        suite_name=name,
-        passed=not failures,
-        max_residual=float(len(failures)),
-        trial_count=len(rows),
-        failures=failures,
-        details={"rows": rows, "csv": "\n".join(csv_lines)},
-    )
+    rep.details = {"rows": rows, "csv": "\n".join(csv_lines)}
+    return rep
 
 
 SUITES = {

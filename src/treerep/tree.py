@@ -78,18 +78,6 @@ def check_address(params: TreeParams, addr: Address, *, allow_deep: bool = False
     return addr
 
 
-def parse_address(text: str) -> Address:
-    """Parse the dotted serialization; '-' denotes the basepoint."""
-    if text == "-":
-        return ROOT
-    if not text:
-        raise MalformedAddressError("empty address string (use '-' for the basepoint)")
-    try:
-        return tuple(int(part) for part in text.split("."))
-    except ValueError as exc:
-        raise MalformedAddressError(f"bad address string {text!r}") from exc
-
-
 def format_address(addr: Address) -> str:
     return "-" if not addr else ".".join(str(letter) for letter in addr)
 
@@ -320,10 +308,6 @@ class FiniteSubtree:
 
     def to_json_obj(self) -> list[str]:
         return [format_address(v) for v in sorted(self.vertices)]
-
-    @classmethod
-    def from_json_obj(cls, params: TreeParams, obj: list[str]) -> "FiniteSubtree":
-        return cls(params, [parse_address(s) for s in obj])
 
 
 def boundary_vertices(tree: FiniteSubtree) -> list[Address]:

@@ -229,20 +229,6 @@ def test_word_cost_bounds_depth_growth():
 # -- serialization ------------------------------------------------------------
 
 
-def test_word_json_round_trip():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        g = random_word(P3, rng)
-        g2 = au.word_from_json(P3, g.to_json_obj())
-        for v in oracles.ball_vertices(3, 3):
-            assert g.apply_vertex(v) == g2.apply_vertex(v)
-
-
-def test_word_json_rejects_unknown_kind():
-    with pytest.raises(ConfigError):
-        au.word_from_json(P2, [{"kind": "mystery"}])
-
-
 def test_random_rooted_is_seed_deterministic():
     a = au.random_rooted(P2, 3, seed=42)
     b = au.random_rooted(P2, 3, seed=42)

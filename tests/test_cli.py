@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from treerep import cli, measure
+from treerep import cli, measure, suites
 from treerep.errors import IllConditionedError
+from treerep.representation import FixedSpaceReport
 
-SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
+EXACT_SUITES = ("measure_cocycle", "prune_replay", "admissibility_table")
 
 
 def run_cli(capsys, *argv):
@@ -161,18 +166,73 @@ def test_reports_validate_against_the_schema(capsys, argv):
     assert errors == []
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_failing_exact_suite_reports_a_finite_mismatch_count(capsys, monkeypatch):
     exact = measure.rn_cocycle
     monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: exact(g, cell) * g.params.q)
-
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
     code, out, _ = run_cli(capsys, "suite", "measure_cocycle", "--trials", "4", "--no-timestamp")
     assert code == 1
-    (suite,) = json.loads(out, parse_constant=reject)["suites"]
+    (suite,) = json.loads(out, parse_constant=reject_constant)["suites"]
     assert suite["failures"]
     assert suite["max_residual"] == len(suite["failures"])
+
+
+def force_failures(monkeypatch):
+    """Make every suite fail once run with --tol 1e-30: the tolerance suites
+    fail on their own, the exact ones see rn_cocycle scaled by q, the lift
+    probe leaks 1e-3 and the fixed-space report finds no orbits."""
+    exact = measure.rn_cocycle
+    monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: exact(g, cell) * g.params.q)
+    monkeypatch.setattr(suites, "invariant_lift_check", lambda *args: {"max_leakage": 1e-3})
+    monkeypatch.setattr(
+        suites, "fixed_space_report", lambda ball, d: FixedSpaceReport(ball, 0, 0, ())
+    )
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_forced_failure_reports_validate_against_the_schema(capsys, monkeypatch, name):
+    force_failures(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "suite", name, "--trials", "4", "--tol", "1e-30", "--no-timestamp"
+    )
+    assert code == 1
+    payload = json.loads(out, parse_constant=reject_constant)
+    errors = [e.message for e in jsonschema.Draft202012Validator(SCHEMA).iter_errors(payload)]
+    assert errors == []
+    (suite,) = payload["suites"]
+    assert suite["passed"] is False and suite["failures"]
+    for failure in suite["failures"]:
+        assert math.isfinite(failure["residual"]) and failure["residual"] > failure["bound"]
+    if name in EXACT_SUITES:
+        assert suite["max_residual"] == len(suite["failures"])
+
+
+def test_every_failure_replays_from_its_seed_path(capsys, monkeypatch):
+    force_failures(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "verify", "--trials", "3", "--tol", "1e-30", "--seed", "4", "--no-timestamp"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    config = payload["config"]
+    replayed = {}
+    for suite in payload["suites"]:
+        assert suite["failures"], suite["suite"]
+        for failure in suite["failures"]:
+            # a structural check (trial -1) replays with the report's own trial count
+            trials = config["trials"] if failure["trial"] == -1 else failure["trial"] + 1
+            key = (suite["suite"], trials)
+            if key not in replayed:
+                cfg = suites.SuiteConfig(
+                    q=config["q"], depth_cap=config["depth"], dim=config["dim"],
+                    trials=trials, seed=config["seed"], tol=config["tol"],
+                )
+                report = suites.run_suite(cfg, suite["suite"])
+                replayed[key] = json.loads(json.dumps(report.failures))
+            assert failure in replayed[key]
 
 
 def test_timestamp_present_by_default(capsys):
@@ -200,11 +260,13 @@ def test_text_format(capsys):
 
 
 def test_console_script_entry_point():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "treerep.cli", "verify", "--trials", "2", "--no-timestamp"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True

@@ -67,10 +67,8 @@ def test_canonicalize_collapses_outward_halftrees():
         me.canonicalize(P2, me.Halftree((1,), (1,)))
 
 
-def test_cell_json_round_trip():
-    for cell in (me.Cylinder(()), me.Cylinder((2, 1)), me.Halftree((1,), ())):
-        obj = cell.to_json_obj()
-        assert me.cell_from_json_obj(obj) == cell
+def test_cell_json_shape():
+    assert me.Cylinder(()).to_json_obj() == {"kind": "cylinder", "base": "-"}
     assert me.Cylinder((2, 1)).to_json_obj() == {"kind": "cylinder", "base": "2.1"}
     assert me.Halftree((1,), ()).to_json_obj() == {
         "kind": "halftree",
@@ -80,9 +78,11 @@ def test_cell_json_round_trip():
 
 
 def test_measure_string_round_trip():
+    # the "p/q" form is the one fractions.Fraction parses back
+    for value in (Fraction(2, 3), Fraction(1), Fraction(-5, 4)):
+        assert Fraction(me.measure_to_str(value)) == value
     assert me.measure_to_str(Fraction(2, 3)) == "2/3"
-    assert me.measure_from_str("2/3") == Fraction(2, 3)
-    assert me.measure_from_str("1") == Fraction(1)
+    assert me.measure_to_str(Fraction(1)) == "1/1"
 
 
 # -- refinement ---------------------------------------------------------------

