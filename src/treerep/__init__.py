@@ -58,7 +58,6 @@ from .measure import (
     map_cell,
     orbit_cells,
     orbit_merge_under_pruning,
-    refine_to_depth,
     rn_cocycle,
 )
 from .operators import (

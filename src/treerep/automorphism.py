@@ -46,6 +46,7 @@ from .tree import (
     addresses_at_depth,
     check_address,
     format_address,
+    index_unchecked,
 )
 
 
@@ -61,14 +62,6 @@ def _tables(perms: list[tuple[int, ...]]) -> np.ndarray:
     t = np.zeros((len(perms), len(perms[0]) + 1), dtype=np.int16)
     t[:, 1:] = perms
     return t
-
-
-def _prefix_index(q: int, addr: Address) -> int:
-    # tree.address_index without the depth-cap check
-    idx = 0
-    for letter in addr:
-        idx = idx * q + (letter - 1)
-    return idx
 
 
 def _inv_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -136,7 +129,7 @@ class PortraitGen:
         self._levels = []
         for j in sorted(by_level):
             addrs = sorted(by_level[j])  # letters are in range: index order
-            keys = np.array([_prefix_index(portrait.q, a) for a in addrs], dtype=np.int64)
+            keys = np.array([index_unchecked(portrait.q, a) for a in addrs], dtype=np.int64)
             self._levels.append((
                 j,
                 keys,

@@ -118,7 +118,7 @@ def _render(args, reports: list[SuiteReport]) -> None:
                 "passed": all(r.passed for r in reports),
             },
         )
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _spectrum_report(args) -> dict:
@@ -162,7 +162,7 @@ def run(argv: list[str] | None = None) -> int:
         elif args.command == "spectrum":
             payload = _envelope(args, {"spectrum": _spectrum_report(args), "passed": True})
             if args.format == "json":
-                _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                _emit(args, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
             else:
                 guard = payload["spectrum"]["guard"]
                 _emit(

@@ -45,11 +45,11 @@ from .tree import (
     Address,
     FiniteSubtree,
     TreeParams,
-    address_index,
     boundary_vertices,
     busemann_on_cylinder,
     check_address,
     format_address,
+    index_unchecked,
     is_complete,
     n_addresses,
     parent,
@@ -134,49 +134,27 @@ def _complement_pieces(params: TreeParams, excluded: Address) -> list[Cylinder]:
     return pieces
 
 
-def refine_to_depth(params: TreeParams, cell: EndCell, depth: int) -> list[Cylinder]:
-    """The cell as a disjoint list of depth-`depth` cylinders, sorted."""
-    if depth > params.depth_cap:
-        raise DepthBudgetError(f"refinement depth {depth} exceeds cap {params.depth_cap}")
-    cell = canonicalize(params, cell)
-    need = min_expressible_depth(params, cell)
-    if depth < need:
-        raise RefinementError(
-            f"cell needs depth {need} but refinement to depth {depth} was requested"
-        )
-    if isinstance(cell, Cylinder):
-        bases = [cell.base]
-    else:
-        bases = [p.base for p in _complement_pieces(params, cell.tail)]
-    out = []
-    for base in bases:
-        stack = [base]
-        for pos in range(len(base), depth):
-            stack = [u + (letter,) for u in stack for letter in params.letter_range(pos)]
-        out.extend(Cylinder(u) for u in stack)
-    out.sort(key=lambda c: c.base)
-    return out
-
-
 def cell_index_ranges(params: TreeParams, cell: EndCell, depth: int) -> list[tuple[int, int]]:
     """The cell as index ranges into the lexicographic depth-`depth` grid.
 
     A cylinder is one contiguous block; a complement is at most two.
     """
     cell = canonicalize(params, cell)
-    need = min_expressible_depth(params, cell)
-    if depth < need:
+    u = cell.base if isinstance(cell, Cylinder) else cell.tail
+    if depth < len(u):
         raise RefinementError(
-            f"cell needs depth {need} but an index view at depth {depth} was requested"
+            f"cell needs depth {len(u)} but an index view at depth {depth} was requested"
         )
     total = n_addresses(params, depth)
+    if not u:
+        return [(0, total)]
+    if depth > params.depth_cap:
+        raise DepthBudgetError(f"address depth {depth} exceeds cap {params.depth_cap}")
+    size = params.q ** (depth - len(u))
+    start = index_unchecked(params.q, u) * size
+    stop = start + size
     if isinstance(cell, Cylinder):
-        u = cell.base
-        if not u:
-            return [(0, total)]
-        start = address_index(params, u + (1,) * (depth - len(u)))
-        return [(start, start + params.q ** (depth - len(u)))]
-    (start, stop), = cell_index_ranges(params, Cylinder(cell.tail), depth)
+        return [(start, stop)]
     out = []
     if start > 0:
         out.append((0, start))
@@ -194,21 +172,31 @@ def assert_partition(
     lexicographic order; entry i is j when cylinder i lies in cells[j].
     Raises PartitionError unless the cells tile the boundary exactly once.
     `depth` defaults to the smallest depth that expresses every cell.
+
+    Sorted by start, the index ranges of all cells tile the grid iff none
+    starts before its predecessor stops and their lengths add up to the
+    grid size; the labels are then each owner repeated over its range.
     """
     if depth is None:
         depth = max((min_expressible_depth(params, c) for c in cells), default=0)
-    labels = np.full(n_addresses(params, depth), -1, dtype=np.int64)
-    for j, cell in enumerate(cells):
-        for a, b in cell_index_ranges(params, cell, depth):
-            if (labels[a:b] >= 0).any():
-                raise PartitionError(f"cell {j} overlaps an earlier cell on index range [{a}, {b})")
-            labels[a:b] = j
-    covered = int(np.count_nonzero(labels >= 0))
-    if covered != labels.size:
+    ranges = np.array(
+        [(a, b, j) for j, c in enumerate(cells) for a, b in cell_index_ranges(params, c, depth)],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    starts, stops, owners = ranges[np.argsort(ranges[:, 0], kind="stable")].T
+    (clash,) = np.nonzero(starts[1:] < stops[:-1])
+    if clash.size:
+        i = clash[0] + 1
         raise PartitionError(
-            f"cells cover {covered} of {labels.size} depth-{depth} cylinders"
+            f"cell {owners[i]} overlaps cell {owners[i - 1]} on index range "
+            f"[{starts[i]}, {min(stops[i], stops[i - 1])})"
         )
-    return labels
+    lengths = stops - starts
+    total = n_addresses(params, depth)
+    covered = int(lengths.sum())
+    if covered != total:
+        raise PartitionError(f"cells cover {covered} of {total} depth-{depth} cylinders")
+    return np.repeat(owners, lengths)
 
 
 # -- stabilizer orbits --------------------------------------------------------
@@ -239,9 +227,13 @@ def orbit_cells(tree: FiniteSubtree) -> list[EndCell]:
         return [whole_boundary()]
     cells = []
     for b in boundary_vertices(tree):
-        # complete + more than one vertex: a leaf has exactly one neighbour inside
-        (s,) = _neighbors_in(tree, b)
-        cells.append(canonicalize(params, Halftree(s, b)))
+        # complete + more than one vertex: b is a leaf with one neighbour
+        # inside; when that is its parent the half-tree is the cylinder at b
+        if b and b[:-1] in tree:
+            cells.append(Cylinder(b))
+        else:
+            (s,) = _neighbors_in(tree, b)
+            cells.append(canonicalize(params, Halftree(s, b)))
     return cells
 
 

@@ -146,25 +146,31 @@ def power(pair: OperatorPair, k: int) -> np.ndarray:
     return cache[k]
 
 
-def guard_spectrum(pair: OperatorPair) -> dict:
-    """Check the two spectral safety conditions and report the margins.
+def spectral_margins(pair: OperatorPair) -> dict:
+    """Report the margins of the two spectral safety conditions:
 
-    (a) the spectrum of tau stays away from +q and -q, and
-    (b) tau - tau^{-1} is invertible, with its extreme singular values.
-    Violation raises SpectralGuardError; success returns the report.
+    (a) the distance from the spectrum of tau to +q and -q, and
+    (b) the extreme singular values of tau - tau^{-1}, whose smallest must
+        be positive; `cond_diff` is null when it is zero.
     """
     lam = np.linalg.eigvals(pair.tau)
     margin = float(np.min(np.minimum(np.abs(lam - pair.q), np.abs(lam + pair.q))))
     sing = scipy.linalg.svdvals(pair.tau - pair.tau_inv)
     smin, smax = float(sing[-1]), float(sing[0])
-    report = {
+    return {
         "margin_to_pm_q": margin,
         "sigma_min_diff": smin,
         "sigma_max_diff": smax,
-        "cond_diff": smax / smin if smin > 0 else math.inf,
+        "cond_diff": smax / smin if smin > 0 else None,
         "tau_spectrum": [[float(z.real), float(z.imag)] for z in lam],
     }
-    if margin <= 0.0 or smin <= 0.0:
+
+
+def guard_spectrum(pair: OperatorPair) -> dict:
+    """spectral_margins, raising SpectralGuardError unless both margins are
+    positive."""
+    report = spectral_margins(pair)
+    if not (report["margin_to_pm_q"] > 0.0 and report["sigma_min_diff"] > 0.0):
         raise SpectralGuardError(f"spectral guard violated: {report}")
     return report
 

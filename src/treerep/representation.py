@@ -46,7 +46,7 @@ from .errors import (
     RefinementError,
     SpectralGuardError,
 )
-from .operators import OperatorPair, power, spectral_norm
+from .operators import OperatorPair, power
 from .tree import (
     ROOT,
     Address,
@@ -367,11 +367,3 @@ def invariant_lift_check(
 
 def _word_kinds(g: TreeAutomorphism):
     return [(gen.kind, flag) for gen, flag in g.word]
-
-
-def operator_norm_bound(pair: OperatorPair, displacement: int) -> float:
-    """Upper bound for the representation norm of any element with the
-    given basepoint displacement: the worst power of tau in range."""
-    return max(
-        spectral_norm(power(pair, k)) for k in range(-displacement, displacement + 1)
-    )

@@ -42,8 +42,8 @@ from .automorphism import (
 from .errors import ConfigError
 from .operators import (
     build_pair,
-    guard_spectrum,
     random_in_disc,
+    spectral_margins,
     spectral_norm,
 )
 from .representation import (
@@ -121,21 +121,29 @@ class SuiteReport:
 
         `stream` and `trial` are the `trial_rng` key the compared values
         were drawn from (trial -1: a structural check that draws nothing),
-        so a failure replays from the report's config alone.  A residual
-        above its bound appends {stream, trial, kind, residual, bound} plus
-        `record` to the failures."""
+        so a failure replays from the report's config alone.  A check holds
+        only if its residual is at most its bound; otherwise
+        {stream, trial, kind, residual, bound} plus `record` joins the
+        failures.  A non-finite residual always fails: it is recorded as
+        residual null with `non_finite` naming it ("nan", "inf", "-inf"),
+        and it counts as one mismatch of an exact report but leaves the
+        worst residual of any other report alone, so the report stays
+        valid JSON."""
         residual = float(residual)
+        finite = math.isfinite(residual)
         if self.exact:
-            self.max_residual += residual
-        else:
+            self.max_residual += residual if finite else 1.0
+        elif finite:
             self.max_residual = max(self.max_residual, residual)
-        if residual > bound:
-            self.failures.append(
-                dict(stream=stream, trial=trial, kind=kind, residual=residual,
-                     bound=float(bound), **record)
-            )
-            return False
-        return True
+        if finite and residual <= bound:
+            return True
+        if not finite:
+            record["non_finite"] = "nan" if math.isnan(residual) else f"{residual:g}"
+        self.failures.append(
+            dict(stream=stream, trial=trial, kind=kind, residual=residual if finite else None,
+                 bound=float(bound), **record)
+        )
+        return False
 
     def to_json_obj(self) -> dict:
         return {
@@ -260,7 +268,8 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     the doubled ball merges exactly q cells, stabilizer averages take the
     plain arithmetic mean (w_1 + ... + w_q)/q on the merged cell and
     nothing else moves, the unit shift toward the merged side carries
-    horofunction exponent -1, and the spectrum of tau avoids +-q."""
+    horofunction exponent -1, the spectrum of tau avoids +-q and
+    tau - tau^{-1} is invertible."""
     params = cfg.params
     name = "prune_replay"
     big, small = replay_pruning_pair(params)
@@ -319,8 +328,11 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     guard = name + "/guard"
     for trial in range(min(cfg.trials, 20)):
         rng = trial_rng(cfg, guard, trial)
-        report = guard_spectrum(build_pair(_complex_matrix_ball(cfg, rng), cfg.q))
-        rep.check(guard, trial, "tau_sees_pm_q", report["margin_to_pm_q"] <= 0, 0, report=report)
+        margins = spectral_margins(build_pair(_complex_matrix_ball(cfg, rng), cfg.q))
+        rep.check(guard, trial, "tau_sees_pm_q", not margins["margin_to_pm_q"] > 0, 0,
+                  report=margins)
+        rep.check(guard, trial, "diff_singular", not margins["sigma_min_diff"] > 0, 0,
+                  report=margins)
     return rep
 
 

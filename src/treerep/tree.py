@@ -17,6 +17,13 @@ computes exactly; too-shallow cylinders raise instead of averaging.
 A depth cap (runtime parameter, default 8) bounds every enumeration.
 Operations that would have to enumerate or accept addresses deeper than
 the cap raise DepthBudgetError rather than truncating silently.
+
+Addresses of one depth are numbered in lexicographic order, and a finite
+subtree keeps, next to its vertex set, one sorted array of these numbers
+per depth (`FiniteSubtree.levels`).  Parent and children are index
+arithmetic on those arrays, so connectivity, valencies, boundary vertices
+and closed neighbourhoods cost one searchsorted per depth, not one Python
+step per vertex.
 """
 from __future__ import annotations
 
@@ -210,11 +217,14 @@ def addresses_at_depth(params: TreeParams, depth: int) -> list[Address]:
 def address_index(params: TreeParams, addr: Address) -> int:
     """Index of addr within the sorted enumeration of its own depth."""
     check_address(params, addr)
-    if not addr:
-        return 0
-    idx = addr[0] - 1
-    for letter in addr[1:]:
-        idx = idx * params.q + (letter - 1)
+    return index_unchecked(params.q, addr)
+
+
+def index_unchecked(q: int, addr: Address) -> int:
+    """address_index of an address already known to be valid, at any depth."""
+    idx = 0
+    for letter in addr:
+        idx = idx * q + (letter - 1)
     return idx
 
 
@@ -248,36 +258,146 @@ def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # finite subtrees
+#
+# In index terms the parent of i at depth k >= 2 is i // q, every depth-1
+# vertex hangs off the basepoint, and the children of i are i q + 0..q-1
+# (those of the basepoint 0..q).  Indices are int64 wherever a whole level
+# fits in it; deeper levels hold Python integers, which do not wrap.
 # ---------------------------------------------------------------------------
 
 
-class FiniteSubtree:
-    """A nonempty, connected (hence geodesically closed) finite vertex set."""
+def _index_dtype(params: TreeParams, depth: int):
+    return np.int64 if n_addresses(params, depth) <= np.iinfo(np.int64).max else object
 
-    __slots__ = ("params", "vertices")
+
+def _empty_level(params: TreeParams, depth: int) -> np.ndarray:
+    return np.zeros(0, dtype=_index_dtype(params, depth))
+
+
+def _parent_indices(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
+    """Index of the parent of every depth-`depth` vertex idx (depth >= 1)."""
+    if depth == 1:
+        return np.zeros(idx.size, dtype=_index_dtype(params, 0))
+    return (idx // params.q).astype(_index_dtype(params, depth - 1))
+
+
+def _child_indices(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
+    """Indices of all children of the depth-`depth` vertices idx."""
+    dtype = _index_dtype(params, depth + 1)
+    if depth == 0:
+        return np.arange(params.q + 1 if idx.size else 0).astype(dtype)
+    return (idx.astype(dtype)[:, None] * params.q + np.arange(params.q)).ravel()
+
+
+def _positions(level: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Position of every idx in the sorted array `level`, -1 where absent."""
+    pos = np.searchsorted(level, idx)
+    hit = pos < level.size
+    hit[hit] = level[pos[hit]] == idx[hit]
+    return np.where(hit, pos, -1)
+
+
+def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
+    """The (n, depth) letter rows of the depth-`depth` addresses idx."""
+    out = np.empty((idx.size, depth), dtype=np.int64)
+    rest = idx
+    for j in range(depth - 1, 0, -1):
+        out[:, j] = 1 + rest % params.q
+        rest = rest // params.q
+    if depth:
+        out[:, 0] = 1 + rest
+    return out
+
+
+def _index_levels(params: TreeParams, verts) -> tuple[np.ndarray, ...] | None:
+    """The sorted address indices of `verts`, one array per depth up to the
+    deepest vertex; None unless every vertex is an address within the cap
+    whose letters numpy types as integers."""
+    by_depth: dict[int, list] = {}
+    for v in verts:
+        by_depth.setdefault(len(v), []).append(v)
+    if max(by_depth) > params.depth_cap:
+        return None
+    levels = []
+    for k in range(max(by_depth) + 1):
+        rows = by_depth.get(k, [])
+        dtype = _index_dtype(params, k)
+        if k == 0 or not rows:
+            levels.append(np.zeros(len(rows), dtype=dtype))
+            continue
+        try:
+            letters = np.array(rows)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if letters.dtype.kind not in "iu" or letters.shape != (len(rows), k):
+            return None
+        hi = np.full(k, params.q)
+        hi[0] = params.q + 1
+        if not ((letters >= 1) & (letters <= hi)).all():
+            return None
+        letters = letters.astype(np.int64)
+        idx = letters[:, 0].astype(dtype) - 1
+        for j in range(1, k):
+            idx = idx * params.q + (letters[:, j] - 1)
+        idx.sort()
+        levels.append(idx)
+    return tuple(levels)
+
+
+class FiniteSubtree:
+    """A nonempty, connected (hence geodesically closed) finite vertex set.
+
+    `vertices` is the frozenset of addresses.  `levels[k]` holds the sorted
+    address indices of the depth-k vertices and `valencies[k]` the valency
+    within the set of each of them, in the same order.
+    """
+
+    __slots__ = ("params", "vertices", "levels", "valencies")
 
     def __init__(self, params: TreeParams, vertices: Iterable[Address]):
         verts = frozenset(tuple(v) for v in vertices)
         if not verts:
             raise SubtreeError("a subtree needs at least one vertex")
-        for v in verts:
-            check_address(params, v)
+        levels = _index_levels(params, verts)
+        if levels is None:
+            # name the offending vertex with the per-address error
+            for v in verts:
+                check_address(params, v)
+            # valid letters that numpy does not type as integers (bools)
+            levels = _index_levels(params, [tuple(int(x) for x in v) for v in verts])
         self.params = params
         self.vertices = verts
-        self._check_connected()
-
-    def _check_connected(self):
-        start = next(iter(self.vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in neighbors(self.params, v):
-                if w in self.vertices and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != self.vertices:
+        if self._set_levels(levels) != 1:
             raise SubtreeError("vertex set is not connected")
+
+    @classmethod
+    def _from_levels(cls, params: TreeParams, levels: tuple[np.ndarray, ...]) -> "FiniteSubtree":
+        """The subtree with these level arrays, which must be valid and connected."""
+        tree = cls.__new__(cls)
+        tree.params = params
+        tree.vertices = frozenset(
+            tuple(row) for k, idx in enumerate(levels) for row in _letters(params, k, idx).tolist()
+        )
+        tree._set_levels(levels)
+        return tree
+
+    def _set_levels(self, levels: tuple[np.ndarray, ...]) -> int:
+        """Store the levels and valencies; return the number of components.
+
+        Each component has exactly one vertex that is the basepoint or whose
+        parent lies outside the set, so counting those counts components.
+        """
+        params = self.params
+        ups = [np.full(levels[0].size, -1)]
+        for k in range(1, len(levels)):
+            ups.append(_positions(levels[k - 1], _parent_indices(params, k, levels[k])))
+        ups.append(np.zeros(0, dtype=np.int64))
+        self.levels = levels
+        self.valencies = tuple(
+            (ups[k] >= 0) + np.bincount(ups[k + 1][ups[k + 1] >= 0], minlength=levels[k].size)
+            for k in range(len(levels))
+        )
+        return sum(int(np.count_nonzero(up < 0)) for up in ups)
 
     def __contains__(self, addr: Address) -> bool:
         return addr in self.vertices
@@ -312,7 +432,13 @@ class FiniteSubtree:
 
 def boundary_vertices(tree: FiniteSubtree) -> list[Address]:
     """Vertices with tree-valency in S strictly below q+1, sorted."""
-    return [v for v in tree if tree.valency_in(v) < tree.params.q + 1]
+    params = tree.params
+    out = []
+    for k, (idx, val) in enumerate(zip(tree.levels, tree.valencies)):
+        out.extend(map(tuple, _letters(params, k, idx[val < params.q + 1]).tolist()))
+    # each depth is already in order; sorting merges those runs
+    out.sort()
+    return out
 
 
 def is_complete(tree: FiniteSubtree) -> bool:
@@ -322,27 +448,35 @@ def is_complete(tree: FiniteSubtree) -> bool:
     Single vertices, single edges, and balls are complete; a path of length
     two is not, since its middle vertex has valency 2.
     """
-    q = tree.params.q
-    return all(tree.valency_in(v) == q + 1 or tree.valency_in(v) <= 1 for v in tree)
+    full = tree.params.q + 1
+    return all(((val == full) | (val <= 1)).all() for val in tree.valencies)
 
 
 def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
-    """All vertices within the given distance of S.  Always complete."""
+    """All vertices within the given distance of S.  Always complete.
+
+    Grows S one shell at a time: the next shell is every neighbour of the
+    last one that is not yet in the set, found level by level.
+    """
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
     params = tree.params
-    current = set(tree.vertices)
-    frontier = set(current)
+    cap = params.depth_cap
+    current = list(tree.levels)
+    frontier = list(tree.levels)
     for _ in range(radius):
-        new = set()
-        for v in frontier:
-            for w in neighbors(params, v):
-                if w not in current:
-                    if len(w) > params.depth_cap:
-                        raise DepthBudgetError(
-                            f"{radius}-neighborhood would pass depth cap {params.depth_cap}"
-                        )
-                    new.add(w)
-        current |= new
-        frontier = new
-    return FiniteSubtree(params, current)
+        if len(frontier) > cap and frontier[cap].size:
+            raise DepthBudgetError(f"{radius}-neighborhood would pass depth cap {cap}")
+        reach: list[list[np.ndarray]] = [[] for _ in range(len(frontier) + 1)]
+        for k, idx in enumerate(frontier):
+            reach[k + 1].append(_child_indices(params, k, idx))
+            if k:
+                reach[k - 1].append(_parent_indices(params, k, idx))
+        current.append(_empty_level(params, len(current)))
+        frontier = []
+        for k, parts in enumerate(reach):
+            near = np.unique(np.concatenate(parts)) if parts else _empty_level(params, k)
+            new = near[_positions(current[k], near) < 0]
+            current[k] = np.sort(np.concatenate([current[k], new]))
+            frontier.append(new)
+    return FiniteSubtree._from_levels(params, tuple(current))

@@ -3,12 +3,18 @@
 Everything here works by explicit enumeration over a finite ball of the
 tree, independent of the package's formulas: adjacency comes from the
 parent relation alone, distances from breadth-first search, geodesics
-and medians from distance sums, boundary measures from counting.
+and medians from distance sums, boundary measures from counting,
+connectivity and neighbourhoods from breadth-first search, refinements
+from testing every address.  Only the cell types and `canonicalize` come
+from the package.
 """
 
 import itertools
 from collections import deque
 from fractions import Fraction
+
+from treerep.errors import DepthBudgetError, RefinementError
+from treerep.measure import Cylinder, Halftree, canonicalize, whole_boundary
 
 
 def ball_vertices(q: int, depth: int) -> list[tuple[int, ...]]:
@@ -105,3 +111,75 @@ def pushforward_measure(g, c_base: tuple[int, ...], depth: int) -> Fraction:
         if img[: len(c_base)] == c_base:
             total += uniform_cell_measure(q, depth)
     return total
+
+
+def tree_neighbors(q: int, v: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Neighbours in the infinite (q+1)-regular tree, from the word model."""
+    out = [v[:-1]] if v else []
+    out.extend(v + (letter,) for letter in range(1, (q if v else q + 1) + 1))
+    return out
+
+
+def component_count(q: int, verts) -> int:
+    """Connected components of the induced subgraph, by repeated BFS."""
+    verts = set(verts)
+    seen = set()
+    count = 0
+    for start in verts:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in tree_neighbors(q, v):
+                if w in verts and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return count
+
+
+def neighborhood(q: int, verts, radius: int) -> set[tuple[int, ...]]:
+    """Every vertex within `radius` of the set, by multi-source BFS."""
+    dist = {v: 0 for v in verts}
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        if dist[v] == radius:
+            continue
+        for w in tree_neighbors(q, v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return set(dist)
+
+
+def refine_to_depth(params, cell, depth: int):
+    """The cell as the sorted list of depth-`depth` cylinders inside it,
+    found by testing every depth-`depth` address for membership."""
+    if depth > params.depth_cap:
+        raise DepthBudgetError(f"refinement depth {depth} exceeds cap {params.depth_cap}")
+    cell = canonicalize(params, cell)
+    inside = isinstance(cell, Cylinder)
+    base = cell.base if inside else cell.tail
+    if depth < len(base):
+        raise RefinementError(f"cell needs depth {len(base)}, got {depth}")
+    level = [v for v in ball_vertices(params.q, depth) if len(v) == depth]
+    return [Cylinder(v) for v in sorted(level) if (v[: len(base)] == base) == inside]
+
+
+def orbit_cells_per_vertex(tree):
+    """Orbit cells vertex by vertex: for each vertex of valency below q+1
+    in tuple order, the half-tree leaving it away from its one neighbour
+    inside, canonicalized."""
+    q = tree.params.q
+    if len(tree) == 1:
+        return [whole_boundary()]
+    cells = []
+    for b in sorted(tree.vertices):
+        inside = [w for w in tree_neighbors(q, b) if w in tree.vertices]
+        if len(inside) < q + 1:
+            (s,) = inside
+            cells.append(canonicalize(tree.params, Halftree(s, b)))
+    return cells

@@ -235,6 +235,21 @@ def test_every_failure_replays_from_its_seed_path(capsys, monkeypatch):
             assert failure in replayed[key]
 
 
+def test_violated_spectral_guard_is_a_failure_record(capsys, monkeypatch):
+    # every eigenvalue of tau at +q: the guard margin is exactly zero
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), 2.0 + 0j))
+    code, out, _ = run_cli(capsys, "replay-prune", "--trials", "3", "--no-timestamp")
+    assert code == 1
+    payload = json.loads(out, parse_constant=reject_constant)
+    errors = [e.message for e in jsonschema.Draft202012Validator(SCHEMA).iter_errors(payload)]
+    assert errors == []
+    (suite,) = payload["suites"]
+    assert [f["kind"] for f in suite["failures"]] == ["tau_sees_pm_q"] * 3
+    assert [f["trial"] for f in suite["failures"]] == [0, 1, 2]
+    assert all(f["report"]["margin_to_pm_q"] == 0.0 for f in suite["failures"])
+    assert suite["max_residual"] == 3
+
+
 def test_timestamp_present_by_default(capsys):
     _, out, _ = run_cli(capsys, "verify", "--trials", "2")
     assert "timestamp" in json.loads(out)

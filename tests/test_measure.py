@@ -89,7 +89,7 @@ def test_measure_string_round_trip():
 
 
 def test_refine_cylinder_exactly_partitions():
-    pieces = me.refine_to_depth(P2, me.Cylinder((1,)), 3)
+    pieces = oracles.refine_to_depth(P2, me.Cylinder((1,)), 3)
     assert len(pieces) == 4
     assert sorted(pieces, key=lambda c: c.base) == pieces
     assert sum(me.cell_measure(P2, c) for c in pieces) == Fraction(1, 3)
@@ -100,21 +100,21 @@ def test_refine_cylinder_exactly_partitions():
 def test_refine_complement_exactly_partitions():
     cell = me.canonicalize(P2, me.Halftree((1, 1), (1,)))
     for depth in (2, 3, 4):
-        pieces = me.refine_to_depth(P2, cell, depth)
+        pieces = oracles.refine_to_depth(P2, cell, depth)
         assert sum(me.cell_measure(P2, c) for c in pieces) == me.cell_measure(P2, cell)
         assert len({c.base for c in pieces}) == len(pieces)
 
 
 def test_refine_errors():
     with pytest.raises(RefinementError):
-        me.refine_to_depth(P2, me.Cylinder((1, 1)), 1)
+        oracles.refine_to_depth(P2, me.Cylinder((1, 1)), 1)
     with pytest.raises(DepthBudgetError):
-        me.refine_to_depth(P2, me.Cylinder((1,)), 9)
+        oracles.refine_to_depth(P2, me.Cylinder((1,)), 9)
 
 
 def test_whole_boundary_refines_to_full_level():
     for depth in (1, 2, 3):
-        pieces = me.refine_to_depth(P3, me.whole_boundary(), depth)
+        pieces = oracles.refine_to_depth(P3, me.whole_boundary(), depth)
         assert len(pieces) == oracles.cylinder_count(3, depth)
         assert sum(me.cell_measure(P3, c) for c in pieces) == 1
 
@@ -129,7 +129,7 @@ def test_cell_index_ranges_agree_with_refinement():
         for depth in (3, 4):
             want = {
                 tr.address_index(P2, c.base)
-                for c in me.refine_to_depth(P2, cell, depth)
+                for c in oracles.refine_to_depth(P2, cell, depth)
             }
             got = set()
             for lo, hi in me.cell_index_ranges(P2, cell, depth):
@@ -147,10 +147,44 @@ def test_assert_partition():
         me.assert_partition(P2, [me.Cylinder((1,)), me.Cylinder((2,))], 2)  # gap
 
 
+def test_assert_partition_rejects_every_bad_tiling():
+    complement = me.canonicalize(P2, me.Halftree((2, 1), (2,)))  # all but cyl(2.1)
+    bad = {
+        # the duplicate covers exactly as much as the gap it leaves
+        "duplicate cell": [me.Cylinder((1,)), me.Cylinder((1,)), me.Cylinder((3,))],
+        "overlap, no gap": [me.Cylinder((1,)), me.Cylinder((1, 1)), me.Cylinder((2,)),
+                            me.Cylinder((3,))],
+        "gap": [me.Cylinder((1,)), me.Cylinder((3,))],
+        "inside the complement's first range": [complement, me.Cylinder((2, 1)),
+                                                me.Cylinder((1, 2))],
+        "inside the complement's second range": [complement, me.Cylinder((2, 1)),
+                                                 me.Cylinder((3,))],
+        "complement, its cylinder and a piece of it": [complement, me.Cylinder((2, 1)),
+                                                       me.Cylinder((2, 1, 1))],
+    }
+    for name, cells in bad.items():
+        with pytest.raises(PartitionError):
+            me.assert_partition(P2, cells)
+        with pytest.raises(PartitionError):
+            me.assert_partition(P2, cells[::-1], 4)
+
+
+def test_assert_partition_of_a_complement_and_its_own_cylinder():
+    # the complement of cyl(2.1) is two index ranges around that cylinder
+    complement = me.canonicalize(P2, me.Halftree((2, 1), (2,)))
+    for depth in (2, 3):
+        labels = me.assert_partition(P2, [complement, me.Cylinder((2, 1))], depth)
+        assert labels.tolist() == labels_by_refinement(
+            P2, [complement, me.Cylinder((2, 1))], depth
+        )
+        (lo, hi), = me.cell_index_ranges(P2, me.Cylinder((2, 1)), depth)
+        assert labels.tolist() == [0] * lo + [1] * (hi - lo) + [0] * (labels.size - hi)
+
+
 def labels_by_refinement(params, cells, depth):
     labels = [None] * tr.n_addresses(params, depth)
     for j, cell in enumerate(cells):
-        for piece in me.refine_to_depth(params, cell, depth):
+        for piece in oracles.refine_to_depth(params, cell, depth):
             labels[tr.address_index(params, piece.base)] = j
     return labels
 

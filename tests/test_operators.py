@@ -307,6 +307,21 @@ def test_guard_spectrum_flags_a_poisoned_pair():
         op.guard_spectrum(forged)
 
 
+def test_spectral_margins_report_a_singular_difference_without_raising():
+    pair = op.build_pair(np.zeros((2, 2), dtype=complex), 2)
+    forged = op.OperatorPair(
+        q=2, alpha=pair.alpha, tau=np.eye(2, dtype=complex), tau_inv=np.eye(2, dtype=complex),
+        residuals=pair.residuals, tol=pair.tol,
+    )
+    margins = op.spectral_margins(forged)
+    assert margins["sigma_min_diff"] == 0.0
+    assert margins["cond_diff"] is None  # not inf: the report stays valid JSON
+    assert margins["margin_to_pm_q"] == 1.0
+    with pytest.raises(SpectralGuardError):
+        op.guard_spectrum(forged)
+    assert op.guard_spectrum(pair) == op.spectral_margins(pair)
+
+
 # -- serialization ------------------------------------------------------------
 
 

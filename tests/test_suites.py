@@ -1,8 +1,17 @@
+import json
+import math
+from pathlib import Path
+
+import jsonschema
 import numpy as np
 import pytest
 
 from treerep import suites as su
 from treerep.errors import ConfigError
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text()
+)
 
 
 # -- configuration ------------------------------------------------------------
@@ -105,3 +114,31 @@ def test_run_all_order_and_determinism():
     assert [r.suite_name for r in first] == list(su.SUITES)
     again = su.run_all(cfg)
     assert [r.to_json_obj() for r in again] == [r.to_json_obj() for r in first]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["tolerance", "exact"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_residual_fails_with_a_valid_record(value, exact):
+    rep = su.SuiteReport("homomorphism", 1, exact=exact)
+    assert rep.check("homomorphism", 0, "fine", 0.5 if not exact else 0, 1.0)
+    assert not rep.check("homomorphism", 0, "broken", value, 1e-8)
+    assert not rep.passed
+    (failure,) = rep.failures
+    assert failure["residual"] is None
+    assert failure["non_finite"] == {math.inf: "inf", -math.inf: "-inf"}.get(value, "nan")
+    # the worst residual stays finite: the mismatch count, or the worst finite one
+    assert rep.max_residual == (1.0 if exact else 0.5)
+    payload = {
+        "command": "suite",
+        "config": {"q": 2, "depth": 8, "dim": 2, "trials": 1, "seed": 0, "tol": 1e-8},
+        "passed": rep.passed,
+        "suites": [rep.to_json_obj()],
+    }
+    text = json.dumps(payload, allow_nan=False)
+    validator = jsonschema.Draft202012Validator(SCHEMA)
+    assert [e.message for e in validator.iter_errors(json.loads(text))] == []
+    # a null residual without its non_finite tag, or the reverse, is invalid
+    failure.pop("non_finite")
+    assert list(validator.iter_errors(json.loads(json.dumps(payload))))
+    failure.update(residual=1.0, non_finite="nan")
+    assert list(validator.iter_errors(json.loads(json.dumps(payload))))

@@ -274,3 +274,171 @@ def test_incomplete_subtree_reported():
         from treerep import measure
 
         measure.orbit_cells(path)
+
+
+# -- the per-depth index arrays of a subtree ----------------------------------
+
+
+def ball_of(q, radius):
+    return oracles.ball_vertices(q, radius)
+
+
+def grown_set(q, rng, size, depth=4):
+    """A connected vertex set inside the radius-`depth` ball, grown from a
+    random start (usually not the basepoint) by adding random neighbours."""
+    ball = ball_of(q, depth)
+    verts = {ball[int(rng.integers(1, len(ball)))]}
+    while len(verts) < size:
+        v = sorted(verts)[int(rng.integers(0, len(verts)))]
+        near = [w for w in oracles.tree_neighbors(q, v) if len(w) <= depth]
+        verts.add(near[int(rng.integers(0, len(near)))])
+    return verts
+
+
+def scattered_set(q, rng, size, depth=4):
+    ball = ball_of(q, depth)
+    picks = rng.choice(len(ball), size=size, replace=False)
+    return {ball[int(i)] for i in picks}
+
+
+def assert_arrays_match_definitions(sub):
+    params, q = sub.params, sub.params.q
+    for k, (idx, val) in enumerate(zip(sub.levels, sub.valencies)):
+        at_k = sorted(v for v in sub.vertices if len(v) == k)
+        assert idx.tolist() == [tr.address_index(params, v) for v in at_k]
+        assert val.tolist() == [sub.valency_in(v) for v in at_k]
+    assert sum(idx.size for idx in sub.levels) == len(sub)
+    assert tr.boundary_vertices(sub) == sorted(
+        v for v in sub.vertices if sub.valency_in(v) < q + 1
+    )
+    assert tr.is_complete(sub) == all(
+        sub.valency_in(v) == q + 1 or sub.valency_in(v) <= 1 for v in sub.vertices
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_subtree_arrays_match_bfs_and_valency_in(q):
+    params = tr.TreeParams(q)
+    rng = np.random.default_rng(70 + q)
+    connected = disconnected = 0
+    for trial in range(120):
+        size = int(rng.integers(1, 25))
+        verts = grown_set(q, rng, size) if trial % 2 else scattered_set(q, rng, size)
+        if oracles.component_count(q, verts) != 1:
+            disconnected += 1
+            with pytest.raises(SubtreeError):
+                tr.FiniteSubtree(params, verts)
+            continue
+        connected += 1
+        assert_arrays_match_definitions(tr.FiniteSubtree(params, verts))
+    assert connected > 60 and disconnected > 20
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_closed_neighborhood_matches_bfs_union_and_cap(q):
+    params = tr.TreeParams(q, depth_cap=5)
+    rng = np.random.default_rng(80 + q)
+    raised = 0
+    for trial in range(60):
+        verts = grown_set(q, rng, int(rng.integers(1, 12)))
+        sub = tr.FiniteSubtree(params, verts)
+        for radius in range(4):
+            want = oracles.neighborhood(q, verts, radius)
+            if max(map(len, want)) > params.depth_cap:
+                raised += 1
+                with pytest.raises(DepthBudgetError):
+                    tr.closed_neighborhood(sub, radius)
+                continue
+            near = tr.closed_neighborhood(sub, radius)
+            assert near.vertices == frozenset(want)
+            assert_arrays_match_definitions(near)
+            if radius:
+                assert tr.is_complete(near)
+    assert raised > 10
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_orbit_cells_match_the_per_vertex_construction(q):
+    from treerep import measure
+
+    params = tr.TreeParams(q, depth_cap=6)
+    rng = np.random.default_rng(90 + q)
+    for _ in range(40):
+        sub = tr.FiniteSubtree(params, grown_set(q, rng, int(rng.integers(1, 10)), depth=3))
+        for radius in range(1, 4):
+            near = tr.closed_neighborhood(sub, radius)
+            assert measure.orbit_cells(near) == oracles.orbit_cells_per_vertex(near)
+    edge = tr.FiniteSubtree(params, [(), (2,)])
+    assert measure.orbit_cells(edge) == oracles.orbit_cells_per_vertex(edge)
+
+
+def expected_error(params, verts):
+    """The exception the per-address check raises first, or None."""
+    verts = frozenset(tuple(v) for v in verts)
+    try:
+        for v in verts:
+            tr.check_address(params, v)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [
+        [(), (True,)],
+        [(), (np.int64(2),), (np.int64(2), np.int64(1))],
+        [(), (np.uint8(3),)],
+        [(), (1.0,)],
+        [(), (1,), (1, 1.5)],
+        [(), ("1",)],
+        [(), (1,), (1, "a")],
+        [(), (None,)],
+        [(), (4,)],
+        [(), (1,), (1, 3)],
+        [(), (0,)],
+        [(), (1,), (1, -1)],
+        [(1,) * k for k in range(10)],
+        [(1,) * k for k in range(9)] + [(1,) * 8 + (3,)],
+        [(), (1,), (1, (1, 2))],
+        [(), (2**70,)],
+    ],
+    ids=[
+        "bool", "int64", "uint8", "float", "deeper-float", "str", "deeper-str", "none",
+        "first-letter-high", "later-letter-high", "zero", "negative", "too-deep",
+        "too-deep-with-a-bad-letter", "nested-tuple", "huge-int",
+    ],
+)
+def test_subtree_validation_raises_what_check_address_raises(verts):
+    want = expected_error(P2, verts)
+    if want is None:
+        sub = tr.FiniteSubtree(P2, verts)
+        assert sub.vertices == frozenset(tuple(v) for v in verts)
+        assert_arrays_match_definitions(sub)
+    else:
+        with pytest.raises(want):
+            tr.FiniteSubtree(P2, verts)
+
+
+def test_subtree_of_no_vertices_is_rejected():
+    with pytest.raises(SubtreeError):
+        tr.FiniteSubtree(P2, [])
+    with pytest.raises(SubtreeError):
+        tr.FiniteSubtree(P2, iter(()))
+
+
+def test_subtree_levels_past_int64_stay_exact():
+    # (q+1) q^(k-1) passes 2^63 at depth 19 for q = 10: those levels hold
+    # Python integers, and every answer still matches the definitions
+    params = tr.TreeParams(10, depth_cap=21)
+    path = [(10,) * k for k in range(20)] + [(11,) + (10,) * 19]
+    with pytest.raises(SubtreeError):
+        tr.FiniteSubtree(params, path)  # (11, 10, ...) hangs off nothing
+    sub = tr.FiniteSubtree(params, path[:20])
+    assert sub.levels[19].dtype == object
+    assert_arrays_match_definitions(sub)
+    near = tr.closed_neighborhood(sub, 1)
+    assert near.vertices == frozenset(oracles.neighborhood(10, path[:20], 1))
+    assert_arrays_match_definitions(near)
+    with pytest.raises(DepthBudgetError):
+        tr.closed_neighborhood(sub, 3)
