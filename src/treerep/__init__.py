@@ -41,13 +41,11 @@ from .tree import (
 from .automorphism import (
     Portrait,
     TreeAutomorphism,
-    apply_vertex,
     compose,
     edge_inversion,
     from_portrait,
     identity,
     inverse,
-    random_rooted,
     step_translation,
 )
 from .measure import (

@@ -101,10 +101,6 @@ class Portrait:
     def q(self) -> int:
         return len(self.root_perm) - 1
 
-    @classmethod
-    def identity(cls, params: TreeParams) -> "Portrait":
-        return cls(tuple(range(1, params.q + 2)), {})
-
     def __hash__(self):
         return hash((self.root_perm, tuple(sorted(self.node_perms.items()))))
 
@@ -373,17 +369,6 @@ def inverse(g: TreeAutomorphism) -> TreeAutomorphism:
     return g.inverse()
 
 
-def apply_vertex(g: TreeAutomorphism, addr: Address) -> Address:
-    return g.apply_vertex(addr)
-
-
-def line_vertex(k: int) -> Address:
-    """The standard line: x_k = 1^k for k >= 0, x_{-k} = 2 1^(k-1)."""
-    if k >= 0:
-        return (1,) * k
-    return (2,) + (1,) * (-k - 1)
-
-
 def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) -> Portrait:
     """Uniform portrait down to `depth`; identity below."""
     if depth < 1:
@@ -396,9 +381,3 @@ def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) ->
         for addr in addresses_at_depth(params, level):
             nodes[addr] = tuple(int(x) for x in rng.permutation(params.q) + 1)
     return Portrait(root, nodes)
-
-
-def random_rooted(params: TreeParams, depth: int, seed: int) -> TreeAutomorphism:
-    """Seeded uniformly random basepoint-fixing automorphism to `depth`."""
-    rng = np.random.default_rng(seed)
-    return from_portrait(params, random_portrait(params, depth, rng))

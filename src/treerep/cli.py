@@ -29,15 +29,13 @@ from .errors import (
 from .operators import build_pair, guard_spectrum, matrix_to_json_obj, random_in_disc
 from .suites import SUITES, SuiteConfig, SuiteReport, run_all, run_suite
 
-_SUBCOMMANDS = "{verify,suite,admissibility-table,spectrum,replay-prune}"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treerep",
         description="Verification suites for boundary representations of tree automorphism groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar=_SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--q", type=int, default=2, help="branching parameter, valency is q+1")
@@ -62,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_suite)
     common(sub.add_parser("admissibility-table", help="fixed-space growth table"))
     common(sub.add_parser("spectrum", help="guard report for a seeded operator pair"))
-    common(sub.add_parser("replay-prune", aliases=["replay-prop21"], help="orbit-pruning replay"))
+    common(sub.add_parser("replay-prune", help="orbit-pruning replay"))
     return parser
 
 
@@ -97,8 +95,11 @@ def _reports_text(reports: list[SuiteReport]) -> str:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -156,8 +157,7 @@ def run(argv: list[str] | None = None) -> int:
             reports = [run_suite(cfg, args.name)]
         elif args.command == "admissibility-table":
             reports = [run_suite(cfg, "admissibility_table")]
-        elif args.command in ("replay-prune", "replay-prop21"):
-            args.command = "replay-prune"
+        elif args.command == "replay-prune":
             reports = [run_suite(cfg, "prune_replay")]
         elif args.command == "spectrum":
             payload = _envelope(args, {"spectrum": _spectrum_report(args), "passed": True})

@@ -121,22 +121,6 @@ class StepFunction:
         diff = a.values - b.values
         return float(np.max(np.linalg.norm(diff, axis=1))) if diff.size else 0.0
 
-    def cells(self):
-        """Iterate (cylinder, value) pairs in lexicographic order."""
-        letters = letter_matrix(self.params, self.resolution)
-        for row, val in zip(letters, self.values):
-            yield bm.Cylinder(tuple(int(x) for x in row)), val
-
-    def to_json_obj(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "dim": self.dim,
-            "cells": [
-                {"cell": c.to_json_obj(), "value": [[float(z.real), float(z.imag)] for z in v]}
-                for c, v in self.cells()
-            ],
-        }
-
 
 def constant_fn(params: TreeParams, w: np.ndarray) -> StepFunction:
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
@@ -279,14 +263,6 @@ class FixedSpaceReport:
     orbit_count: int
     fixed_dim: int
     per_orbit_cells: tuple
-
-    def to_json_obj(self) -> dict:
-        return {
-            "subtree": self.subtree.to_json_obj(),
-            "orbit_count": self.orbit_count,
-            "fixed_dim": self.fixed_dim,
-            "cells": [c.to_json_obj() for c in self.per_orbit_cells],
-        }
 
 
 def fixed_space_report(tree: FiniteSubtree, d: int) -> FixedSpaceReport:

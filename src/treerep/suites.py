@@ -42,6 +42,7 @@ from .automorphism import (
 from .errors import ConfigError
 from .operators import (
     build_pair,
+    phi_scalar,
     random_in_disc,
     spectral_margins,
     spectral_norm,
@@ -87,8 +88,8 @@ class SuiteConfig:
             raise ConfigError(f"dimension must be >= 1, got {self.dim}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not self.tol > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
 
     @property
     def params(self) -> TreeParams:
@@ -408,7 +409,9 @@ def _generators(params: TreeParams, rng: np.random.Generator) -> list[TreeAutomo
 def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
     """Eigenvector spans of alpha lift to subspaces the boundary action
     leaks out of by at most numerical noise; non-invariant lines leak
-    upstairs at least half as much as alpha moves them downstairs."""
+    upstairs at least half as much as alpha moves them downstairs.  The
+    normal alpha = U diag(lam) U* also pins the branch: tau must be
+    U diag(phi(lam)) U*, not the other root q tau^{-1}."""
     params = cfg.params
     name = "invariance_correspondence"
     d = max(cfg.dim, 2)
@@ -416,6 +419,7 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
     line_trials = 20
     rep = SuiteReport(name, invariant_trials + line_trials)
     stream = name + "/invariant"
+    branch = []
     for trial in range(invariant_trials):
         rng = trial_rng(cfg, stream, trial)
         basis_mat, _ = np.linalg.qr(
@@ -426,11 +430,16 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
         )
         alpha = (basis_mat * lam) @ basis_mat.conj().T
         pair = build_pair(alpha, cfg.q)
+        tau_phi = (basis_mat * [phi_scalar(z, cfg.q) for z in lam]) @ basis_mat.conj().T
+        branch.append(spectral_norm(pair.tau - tau_phi) / (1.0 + spectral_norm(pair.tau)))
         k = int(rng.integers(1, d))
         basis = [basis_mat[:, j] for j in range(k)]
         report = invariant_lift_check(params, basis, pair, _generators(params, rng), 2, rng)
         rep.check(stream, trial, "invariant_leaks", report["max_leakage"], 1e-9, report=report)
     rep.details["worst_invariant_leakage"] = rep.max_residual
+    # checked after the leakage summary, which reports leakage alone
+    for trial, residual in enumerate(branch):
+        rep.check(stream, trial, "tau_branch", residual, cfg.tol)
 
     ratios = []
     stream = name + "/line"

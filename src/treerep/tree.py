@@ -217,7 +217,7 @@ def addresses_at_depth(params: TreeParams, depth: int) -> list[Address]:
 def address_index(params: TreeParams, addr: Address) -> int:
     """Index of addr within the sorted enumeration of its own depth."""
     check_address(params, addr)
-    return index_unchecked(params.q, addr)
+    return index_unchecked(params.q, map(int, addr))
 
 
 def index_unchecked(q: int, addr: Address) -> int:
@@ -263,6 +263,9 @@ def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray,
 # vertex hangs off the basepoint, and the children of i are i q + 0..q-1
 # (those of the basepoint 0..q).  Indices are int64 wherever a whole level
 # fits in it; deeper levels hold Python integers, which do not wrap.
+# Vertex lists are checked and indexed one vertex at a time (they are small:
+# a basepoint, an edge, a pruned ball); derived subtrees such as closed
+# neighbourhoods come from valid level arrays through `_from_levels`.
 # ---------------------------------------------------------------------------
 
 
@@ -309,41 +312,6 @@ def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _index_levels(params: TreeParams, verts) -> tuple[np.ndarray, ...] | None:
-    """The sorted address indices of `verts`, one array per depth up to the
-    deepest vertex; None unless every vertex is an address within the cap
-    whose letters numpy types as integers."""
-    by_depth: dict[int, list] = {}
-    for v in verts:
-        by_depth.setdefault(len(v), []).append(v)
-    if max(by_depth) > params.depth_cap:
-        return None
-    levels = []
-    for k in range(max(by_depth) + 1):
-        rows = by_depth.get(k, [])
-        dtype = _index_dtype(params, k)
-        if k == 0 or not rows:
-            levels.append(np.zeros(len(rows), dtype=dtype))
-            continue
-        try:
-            letters = np.array(rows)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if letters.dtype.kind not in "iu" or letters.shape != (len(rows), k):
-            return None
-        hi = np.full(k, params.q)
-        hi[0] = params.q + 1
-        if not ((letters >= 1) & (letters <= hi)).all():
-            return None
-        letters = letters.astype(np.int64)
-        idx = letters[:, 0].astype(dtype) - 1
-        for j in range(1, k):
-            idx = idx * params.q + (letters[:, j] - 1)
-        idx.sort()
-        levels.append(idx)
-    return tuple(levels)
-
-
 class FiniteSubtree:
     """A nonempty, connected (hence geodesically closed) finite vertex set.
 
@@ -358,15 +326,17 @@ class FiniteSubtree:
         verts = frozenset(tuple(v) for v in vertices)
         if not verts:
             raise SubtreeError("a subtree needs at least one vertex")
-        levels = _index_levels(params, verts)
-        if levels is None:
-            # name the offending vertex with the per-address error
-            for v in verts:
-                check_address(params, v)
-            # valid letters that numpy does not type as integers (bools)
-            levels = _index_levels(params, [tuple(int(x) for x in v) for v in verts])
+        by_depth: dict[int, list[int]] = {}
+        for v in verts:
+            check_address(params, v)
+            # int(): numpy letters would index in their own type and wrap
+            by_depth.setdefault(len(v), []).append(index_unchecked(params.q, map(int, v)))
         self.params = params
         self.vertices = verts
+        levels = tuple(
+            np.array(sorted(by_depth.get(k, ())), dtype=_index_dtype(params, k))
+            for k in range(max(by_depth) + 1)
+        )
         if self._set_levels(levels) != 1:
             raise SubtreeError("vertex set is not connected")
 
@@ -425,9 +395,6 @@ class FiniteSubtree:
         if addr not in self.vertices:
             raise SubtreeError(f"{format_address(addr)} is not a vertex of the subtree")
         return sum(1 for w in neighbors(self.params, addr) if w in self.vertices)
-
-    def to_json_obj(self) -> list[str]:
-        return [format_address(v) for v in sorted(self.vertices)]
 
 
 def boundary_vertices(tree: FiniteSubtree) -> list[Address]:

@@ -192,7 +192,7 @@ def test_criterion_8_invariance_correspondence():
     generators = [
         au.edge_inversion(params),
         au.step_translation(params),
-        au.random_rooted(params, 2, seed=8),
+        au.from_portrait(params, au.random_portrait(params, 2, np.random.default_rng(8))),
     ]
     rng = np.random.default_rng(88)
     # invariant eigenvector spans stay invariant after lifting

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from treerep import cli, measure, suites
+from treerep import cli, measure, representation, suites
 from treerep.errors import IllConditionedError
 from treerep.representation import FixedSpaceReport
 
@@ -54,6 +55,24 @@ def test_config_errors_give_exit_2(capsys):
     assert run_cli(capsys, "suite", "nonsense")[0] == 2
     assert run_cli(capsys, "verify", "--definitely-not-a-flag")[0] == 2
     assert run_cli(capsys, "verify", "--trials", "4", "--format", "csv")[0] == 2
+    # an infinite bound would pass every tolerance check
+    for argv in (("verify", "--format", "text"), ("verify",), ("spectrum",)):
+        for tol in ("inf", "nan", "-inf"):
+            code, out, err = run_cli(capsys, *argv, "--trials", "2", f"--tol={tol}")
+            assert (code, out) == (2, ""), (argv, tol)
+            assert err.startswith("configuration error: tolerance")
+
+
+def test_unwritable_out_path_gives_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--trials", "2", "--no-timestamp", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error:") and str(target) in err
+    assert len(err.strip().splitlines()) == 1
+    assert not target.parent.exists()
 
 
 def test_numeric_breakdown_gives_exit_3(capsys, monkeypatch):
@@ -134,9 +153,10 @@ def test_replay_subcommand_and_its_alias(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["suites"][0]["suite"] == "prune_replay"
+    # the old replay-prop21 alias is gone: a usage error, not a second name
     code2, out2, _ = run_cli(capsys, "replay-prop21", "--trials", "4", "--no-timestamp")
-    assert code2 == 0
-    assert json.loads(out2)["suites"] == payload["suites"]
+    assert code2 == 2
+    assert out2 == ""
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -235,6 +255,45 @@ def test_every_failure_replays_from_its_seed_path(capsys, monkeypatch):
             assert failure in replayed[key]
 
 
+def negate_the_square_root(monkeypatch):
+    # tau and q tau^{-1} swap: the other root of t^2 - alpha t + q
+    exact = scipy.linalg.sqrtm
+    monkeypatch.setattr(scipy.linalg, "sqrtm", lambda a: -exact(a))
+
+
+def scale_the_cocycle_by_q(monkeypatch):
+    exact = measure.rn_cocycle
+    monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: exact(g, cell) * g.params.q)
+
+
+def make_cell_distances_nan(monkeypatch):
+    monkeypatch.setattr(
+        representation.StepFunction, "max_cell_distance", lambda self, other: math.nan
+    )
+
+
+DEFECTS = {
+    "wrong_branch": negate_the_square_root,
+    "cocycle_times_q": scale_the_cocycle_by_q,
+    "nan_residual": make_cell_distances_nan,
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_verify_catches_every_catalogued_defect(capsys, monkeypatch, defect, q):
+    # each defect is a wrong program: verify must fail it with a valid
+    # report (exit 1), neither pass it (0) nor crash on it (2, 3)
+    DEFECTS[defect](monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--q", str(q), "--trials", "10", "--no-timestamp")
+    assert code == 1, err
+    payload = json.loads(out, parse_constant=reject_constant)
+    errors = [e.message for e in jsonschema.Draft202012Validator(SCHEMA).iter_errors(payload)]
+    assert errors == []
+    assert payload["passed"] is False
+    assert any(suite["failures"] for suite in payload["suites"])
+
+
 def test_violated_spectral_guard_is_a_failure_record(capsys, monkeypatch):
     # every eigenvalue of tau at +q: the guard margin is exactly zero
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), 2.0 + 0j))
@@ -248,6 +307,29 @@ def test_violated_spectral_guard_is_a_failure_record(capsys, monkeypatch):
     assert [f["trial"] for f in suite["failures"]] == [0, 1, 2]
     assert all(f["report"]["margin_to_pm_q"] == 0.0 for f in suite["failures"])
     assert suite["max_residual"] == 3
+
+
+def json_digest(obj):
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
+def test_exact_outputs_match_the_recorded_digests(capsys):
+    # the benchmark rejects a change whose exact outputs differ from these
+    # recorded digests, so the unit tests hold the same line
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    for q, seed in ((2, 5), (3, 2)):
+        code, out, _ = run_cli(
+            capsys, "verify", "--q", str(q), "--seed", str(seed), "--no-timestamp"
+        )
+        assert code == 0
+        exact = [s for s in json.loads(out)["suites"] if s["suite"] in EXACT_SUITES]
+        assert json_digest(exact) == recorded["verify"][str(q)][str(seed)], (q, seed)
+    code, out, _ = run_cli(capsys, "admissibility-table", "--q", "2", "--depth", "12", "--no-timestamp")
+    assert code == 0
+    (table,) = json.loads(out)["suites"]
+    assert json_digest(table["details"]["rows"]) == recorded["orbit_table"]["2"]
 
 
 def test_timestamp_present_by_default(capsys):

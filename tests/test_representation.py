@@ -20,6 +20,11 @@ def build_rng_pair(params, d, seed):
     return rng, alpha, op.build_pair(alpha, params.q)
 
 
+def cells(v):
+    """The (cylinder base, value) pairs of a step function, in index order."""
+    return zip(tr.addresses_at_depth(v.params, v.resolution), v.values)
+
+
 def seeded_word(params, rng, max_factors=2):
     word = []
     for _ in range(rng.integers(1, max_factors + 1)):
@@ -97,8 +102,8 @@ def test_refine_preserves_the_function():
     assert np.array_equal(fine.integral(), v.integral()) or np.allclose(
         fine.integral(), v.integral()
     )
-    for u, val in fine.cells():
-        coarse = tr.address_index(P2, u.base[:1])
+    for u, val in cells(fine):
+        coarse = tr.address_index(P2, u[:1])
         assert np.array_equal(val, vals[coarse])
     from treerep.errors import RefinementError
 
@@ -119,13 +124,6 @@ def test_arithmetic_and_norms():
     assert v.max_cell_distance(v) == 0.0
 
 
-def test_step_function_json():
-    v = rp.indicator_fn(P2, me.Cylinder((2,)), np.array([1.0 + 1j]))
-    obj = v.to_json_obj()
-    assert obj["resolution"] == 1
-    assert len(obj["cells"]) == 3
-
-
 # -- the boundary representation ----------------------------------------------
 
 
@@ -143,8 +141,8 @@ def test_pi_edge_inversion_on_constants():
     out = rp.pi_apply(au.edge_inversion(P2), rp.constant_fn(P2, w), pair)
     # a displacement-1 move resolves to depth 2 = max(m + 1, 2)
     assert out.resolution == 2
-    for cell, val in out.cells():
-        want = (pair.tau if cell.base[:1] == (1,) else pair.tau_inv) @ w
+    for base, val in cells(out):
+        want = (pair.tau if base[:1] == (1,) else pair.tau_inv) @ w
         assert np.linalg.norm(val - want) < 1e-10
 
 
@@ -158,8 +156,8 @@ def test_pi_swaps_halftree_values():
         P2, me.canonicalize(P2, me.Halftree((1,), ())), w2
     )
     out = rp.pi_apply(au.edge_inversion(P2), v, pair)
-    for cell, val in out.cells():
-        if cell.base[:1] == (1,):
+    for base, val in cells(out):
+        if base[:1] == (1,):
             assert np.linalg.norm(val - pair.tau @ w2) < 1e-10
         else:
             assert np.linalg.norm(val - pair.tau_inv @ w1) < 1e-10
@@ -378,13 +376,6 @@ def test_fixed_space_report_counts():
                 assert len(rep.per_orbit_cells) == rep.orbit_count
 
 
-def test_fixed_space_report_json():
-    ball = tr.closed_neighborhood(tr.FiniteSubtree(P2, [()]), 1)
-    obj = rp.fixed_space_report(ball, 2).to_json_obj()
-    assert obj["orbit_count"] == 3
-    assert obj["fixed_dim"] == 6
-
-
 # -- invariant subspace correspondence ----------------------------------------
 
 
@@ -392,7 +383,7 @@ def generators_for(params):
     return [
         au.edge_inversion(params),
         au.step_translation(params),
-        au.random_rooted(params, 2, seed=7),
+        au.from_portrait(params, au.random_portrait(params, 2, np.random.default_rng(7))),
     ]
 
 

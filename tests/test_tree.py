@@ -442,3 +442,14 @@ def test_subtree_levels_past_int64_stay_exact():
     assert_arrays_match_definitions(near)
     with pytest.raises(DepthBudgetError):
         tr.closed_neighborhood(sub, 3)
+
+
+def test_indices_of_narrow_numpy_letters_do_not_wrap():
+    # (3, 2, 2, 2, 2, 2, 2, 2) has index 383, more than a uint8 holds
+    path = [()] + [(3,) + (2,) * (k - 1) for k in range(1, 9)]
+    narrow = tr.FiniteSubtree(P2, [tuple(np.uint8(x) for x in v) for v in path])
+    wide = tr.FiniteSubtree(P2, path)
+    assert narrow == wide
+    assert [idx.tolist() for idx in narrow.levels] == [idx.tolist() for idx in wide.levels]
+    assert narrow.levels[8].tolist() == [383]
+    assert tr.address_index(P2, tuple(np.uint8(x) for x in path[8])) == 383
