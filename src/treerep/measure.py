@@ -105,12 +105,14 @@ def canonicalize(params: TreeParams, cell: EndCell) -> EndCell:
     )
 
 
+def _anchor(cell: EndCell) -> Address:
+    # a canonical cell is the cylinder at this vertex or its complement
+    return cell.base if isinstance(cell, Cylinder) else cell.tail
+
+
 def min_expressible_depth(params: TreeParams, cell: EndCell) -> int:
     """Smallest m at which the cell is a union of depth-m cylinders."""
-    cell = canonicalize(params, cell)
-    if isinstance(cell, Cylinder):
-        return len(cell.base)
-    return len(cell.tail)
+    return len(_anchor(canonicalize(params, cell)))
 
 
 def cell_measure(params: TreeParams, cell: EndCell) -> Fraction:
@@ -140,7 +142,7 @@ def cell_index_ranges(params: TreeParams, cell: EndCell, depth: int) -> list[tup
     A cylinder is one contiguous block; a complement is at most two.
     """
     cell = canonicalize(params, cell)
-    u = cell.base if isinstance(cell, Cylinder) else cell.tail
+    u = _anchor(cell)
     if depth < len(u):
         raise RefinementError(
             f"cell needs depth {len(u)} but an index view at depth {depth} was requested"
@@ -235,6 +237,26 @@ def orbit_cells(tree: FiniteSubtree) -> list[EndCell]:
             (s,) = _neighbors_in(tree, b)
             cells.append(canonicalize(params, Halftree(s, b)))
     return cells
+
+
+def orbit_partition(tree: FiniteSubtree) -> tuple[tuple[EndCell, ...], int, np.ndarray]:
+    """The orbit cells of a complete subtree as one labelled partition.
+
+    Returns (cells, depth, labels): the cells of `orbit_cells`, the
+    smallest depth that expresses all of them, and the read-only
+    `assert_partition` labels at that depth.  Computed once per subtree
+    instance and kept on it, so every stabilizer average over the same
+    subtree shares one enumeration and one validation of its cells.
+    """
+    memo = getattr(tree, "_orbit_partition", None)
+    if memo is None:
+        cells = tuple(orbit_cells(tree))
+        # orbit_cells returns canonical cells; assert_partition validates each
+        depth = max(len(_anchor(c)) for c in cells)
+        labels = assert_partition(tree.params, cells, depth)
+        labels.flags.writeable = False
+        memo = tree._orbit_partition = (cells, depth, labels)
+    return memo
 
 
 def orbit_merge_under_pruning(

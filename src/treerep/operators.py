@@ -49,7 +49,7 @@ def spectral_norm(a: np.ndarray) -> float:
         raise OperatorDomainError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise OperatorDomainError("matrix has non-finite entries")
-    return float(scipy.linalg.svdvals(a, check_finite=False)[0])
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _sqrt_cut(w: complex) -> complex:
@@ -107,15 +107,19 @@ def build_pair(alpha: np.ndarray, q: int, tol: float = 1e-9) -> OperatorPair:
         raise IllConditionedError("matrix square root has non-finite entries")
     tau = (alpha + root) / 2.0
     tau_inv = (alpha - root) / (2.0 * q)
-    residuals = {
-        "quad": spectral_norm(tau @ tau - alpha @ tau + q * eye),
-        "sum": spectral_norm(tau + q * tau_inv - alpha),
-        "inv": spectral_norm(tau @ tau_inv - eye),
-    }
+    # the three residuals, tau and tau^{-1}: five spectral norms, one SVD call
+    stack = np.stack(
+        [tau @ tau - alpha @ tau + q * eye, tau + q * tau_inv - alpha, tau @ tau_inv - eye,
+         tau, tau_inv]
+    )
+    if not np.isfinite(stack).all():
+        raise OperatorDomainError("matrix has non-finite entries")
+    quad, total, inv, norm_tau, norm_tau_inv = np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+    residuals = {"quad": quad, "sum": total, "inv": inv}
     bounds = {
         "quad": tol * (1.0 + norm_alpha**2),
         "sum": tol * (1.0 + norm_alpha),
-        "inv": tol * (1.0 + spectral_norm(tau) * spectral_norm(tau_inv)),
+        "inv": tol * (1.0 + norm_tau * norm_tau_inv),
     }
     bad = {k: v for k, v in residuals.items() if v > bounds[k]}
     if bad:

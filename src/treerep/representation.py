@@ -192,15 +192,15 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
 
     The output is the conditional mean of v on each stabilizer orbit,
     computed at whatever common resolution expresses all orbit cells.
+    The orbit partition comes from measure.orbit_partition, so every
+    average over the same subtree instance shares one enumeration.
     Raises PartitionError if the orbit cells do not tile the boundary.
     """
     params = v.params
     if tree.params != params:
         raise ConfigError("subtree and step function use different tree parameters")
-    cells = bm.orbit_cells(tree)
-    k = max(bm.min_expressible_depth(params, c) for c in cells)
+    cells, k, labels = bm.orbit_partition(tree)
     m = max(v.resolution, k)
-    labels = bm.assert_partition(params, cells, k)
     labels = np.repeat(labels, n_addresses(params, m) // labels.size)
     vv = v.refine(m)
     sums = np.zeros((len(cells), v.dim), dtype=np.complex128)
@@ -272,20 +272,20 @@ def fixed_space_report(tree: FiniteSubtree, d: int) -> FixedSpaceReport:
     Constructively verified: a step function with a distinct value on
     each orbit cell must survive haar_average_fix unchanged, which
     exercises the conditional mean on every cell; values split per
-    coordinate, so the scalar check covers all d coordinates.
+    coordinate, so the scalar check covers all d coordinates.  The probe
+    and the average share the subtree's one orbit_partition.
     """
     if d < 1:
         raise ConfigError(f"fiber dimension must be positive, got {d}")
     params = tree.params
-    cells = bm.orbit_cells(tree)
-    m = max(bm.min_expressible_depth(params, c) for c in cells)
-    probe = (bm.assert_partition(params, cells, m) + 1)[:, None].astype(np.complex128)
+    cells, m, labels = bm.orbit_partition(tree)
+    probe = (labels + 1)[:, None].astype(np.complex128)
     fn = StepFunction(params, m, probe)
     averaged = haar_average_fix(tree, fn)
     if averaged.resolution != m or not np.array_equal(averaged.values, probe):
         raise ConfigError("orbit cells are not stabilizer-average invariant")
     return FixedSpaceReport(
-        subtree=tree, orbit_count=len(cells), fixed_dim=d * len(cells), per_orbit_cells=tuple(cells)
+        subtree=tree, orbit_count=len(cells), fixed_dim=d * len(cells), per_orbit_cells=cells
     )
 
 

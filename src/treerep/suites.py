@@ -129,7 +129,8 @@ class SuiteReport:
         residual null with `non_finite` naming it ("nan", "inf", "-inf"),
         and it counts as one mismatch of an exact report but leaves the
         worst residual of any other report alone, so the report stays
-        valid JSON."""
+        valid JSON.  For the same reason a non-finite float anywhere in
+        `record` is stored as null."""
         residual = float(residual)
         finite = math.isfinite(residual)
         if self.exact:
@@ -142,19 +143,31 @@ class SuiteReport:
             record["non_finite"] = "nan" if math.isnan(residual) else f"{residual:g}"
         self.failures.append(
             dict(stream=stream, trial=trial, kind=kind, residual=residual if finite else None,
-                 bound=float(bound), **record)
+                 bound=float(bound), **_finite_or_null(record))
         )
         return False
 
     def to_json_obj(self) -> dict:
+        """The report as JSON data; a non-finite float in `details` becomes
+        null, so the report stays strict JSON."""
         return {
             "suite": self.suite_name,
             "passed": self.passed,
             "max_residual": self.max_residual,
             "trial_count": self.trial_count,
             "failures": self.failures,
-            "details": self.details,
+            "details": _finite_or_null(self.details),
         }
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def trial_rng(cfg: SuiteConfig, stream: str, trial: int) -> np.random.Generator:
@@ -300,9 +313,7 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     ), 0)
 
     # exact averaging: integer-valued data keeps every float op exact
-    cells_big = bm.orbit_cells(big)
-    m = max(bm.min_expressible_depth(params, c) for c in cells_big)
-    labels = bm.assert_partition(params, cells_big, m)
+    cells_big, m, labels = bm.orbit_partition(big)
     src = [cells_big.index(c) for c in sources]
     (lo, hi), = bm.cell_index_ranges(params, merged_cell, m)
     for trial in range(cfg.trials):

@@ -320,7 +320,8 @@ class FiniteSubtree:
     within the set of each of them, in the same order.
     """
 
-    __slots__ = ("params", "vertices", "levels", "valencies")
+    # _orbit_partition: measure.orbit_partition's memo, unset until first use
+    __slots__ = ("params", "vertices", "levels", "valencies", "_orbit_partition")
 
     def __init__(self, params: TreeParams, vertices: Iterable[Address]):
         verts = frozenset(tuple(v) for v in vertices)

@@ -272,10 +272,39 @@ def make_cell_distances_nan(monkeypatch):
     )
 
 
+def transpose_tau_powers(monkeypatch):
+    exact = representation.power
+    monkeypatch.setattr(representation, "power", lambda pair, k: exact(pair, k).T)
+
+
+def conjugate_tau_powers(monkeypatch):
+    exact = representation.power
+    monkeypatch.setattr(representation, "power", lambda pair, k: exact(pair, k).conj())
+
+
+def negate_the_cocycle_exponent(monkeypatch):
+    exact = measure.rn_cocycle
+    monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: 1 / exact(g, cell))
+
+
+def make_lift_leakage_nan(monkeypatch):
+    # the NaN also reaches the failure record's context and the details
+    exact = suites.invariant_lift_check
+
+    def leaky(*args):
+        return dict(exact(*args), max_leakage=math.nan)
+
+    monkeypatch.setattr(suites, "invariant_lift_check", leaky)
+
+
 DEFECTS = {
     "wrong_branch": negate_the_square_root,
     "cocycle_times_q": scale_the_cocycle_by_q,
     "nan_residual": make_cell_distances_nan,
+    "tau_power_transposed": transpose_tau_powers,
+    "tau_power_conjugated": conjugate_tau_powers,
+    "cocycle_exponent_negated": negate_the_cocycle_exponent,
+    "nan_leakage": make_lift_leakage_nan,
 }
 
 
@@ -326,10 +355,13 @@ def test_exact_outputs_match_the_recorded_digests(capsys):
         assert code == 0
         exact = [s for s in json.loads(out)["suites"] if s["suite"] in EXACT_SUITES]
         assert json_digest(exact) == recorded["verify"][str(q)][str(seed)], (q, seed)
-    code, out, _ = run_cli(capsys, "admissibility-table", "--q", "2", "--depth", "12", "--no-timestamp")
-    assert code == 0
-    (table,) = json.loads(out)["suites"]
-    assert json_digest(table["details"]["rows"]) == recorded["orbit_table"]["2"]
+    for q, depth in ((2, 12), (3, 9)):
+        code, out, _ = run_cli(
+            capsys, "admissibility-table", "--q", str(q), "--depth", str(depth), "--no-timestamp"
+        )
+        assert code == 0
+        (table,) = json.loads(out)["suites"]
+        assert json_digest(table["details"]["rows"]) == recorded["orbit_table"][str(q)], q
 
 
 def test_timestamp_present_by_default(capsys):

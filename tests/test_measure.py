@@ -16,6 +16,7 @@ from treerep.errors import (
     PruningError,
     RefinementError,
 )
+from treerep.suites import replay_pruning_pair
 
 P2 = tr.TreeParams(2)
 P3 = tr.TreeParams(3)
@@ -224,6 +225,32 @@ def test_orbit_cells_of_the_edge():
 
 def test_orbit_cells_singleton_is_whole_boundary():
     assert me.orbit_cells(tr.FiniteSubtree(P2, [()])) == [me.whole_boundary()]
+
+
+def labelled_orbit_cells(tree):
+    """orbit_cells, the depth that expresses them, and their labels there."""
+    cells = me.orbit_cells(tree)
+    depth = max(me.min_expressible_depth(tree.params, c) for c in cells)
+    return cells, depth, me.assert_partition(tree.params, cells, depth)
+
+
+@pytest.mark.parametrize("params", [P2, P3], ids=["q2", "q3"])
+def test_orbit_partition_is_the_labelled_orbit_cells_once_per_subtree(params):
+    root = tr.FiniteSubtree(params, [()])
+    subtrees = [tr.closed_neighborhood(root, r) for r in range(5)]
+    subtrees += [tr.FiniteSubtree(params, [(), (1,)]), *replay_pruning_pair(params)]
+    for tree in subtrees:
+        first = me.orbit_partition(tree)
+        cells, depth, labels = first
+        want_cells, want_depth, want_labels = labelled_orbit_cells(tree)
+        assert (list(cells), depth) == (want_cells, want_depth)
+        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+        assert me.orbit_partition(tree) is first
+        with pytest.raises(ValueError):
+            labels[0] = 1
+        # the memo belongs to the instance: an equal subtree computes its own
+        twin = tr.FiniteSubtree(params, tree.vertices)
+        assert twin == tree and me.orbit_partition(twin) is not first
 
 
 def test_orbit_merge_full_contract():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from treerep import automorphism as au
 from treerep import measure as me
 from treerep import operators as op
 from treerep import representation as rp
+from treerep import suites as su
 from treerep import tree as tr
 from treerep.errors import ConfigError, DepthBudgetError, PartitionError, SpectralGuardError
 
@@ -374,6 +377,35 @@ def test_fixed_space_report_counts():
                 assert rep.orbit_count == (q + 1) * q ** (r - 1)
                 assert rep.fixed_dim == d * rep.orbit_count
                 assert len(rep.per_orbit_cells) == rep.orbit_count
+
+
+def count_orbit_enumerations(monkeypatch) -> Counter:
+    calls = Counter()
+    enumerate_cells = me.orbit_cells
+
+    def counted(tree):
+        calls[tree] += 1
+        return enumerate_cells(tree)
+
+    monkeypatch.setattr(me, "orbit_cells", counted)
+    return calls
+
+
+@pytest.mark.parametrize("params", [P2, P3], ids=["q2", "q3"])
+def test_fixed_space_report_enumerates_the_orbits_once(monkeypatch, params):
+    calls = count_orbit_enumerations(monkeypatch)
+    ball = tr.closed_neighborhood(tr.FiniteSubtree(params, [()]), 3)
+    rep = rp.fixed_space_report(ball, 1)
+    assert rep.orbit_count == (params.q + 1) * params.q**2
+    assert calls == {ball: 1}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_prune_replay_enumerates_each_subtree_once(monkeypatch, q):
+    calls = count_orbit_enumerations(monkeypatch)
+    cfg = su.SuiteConfig(q=q, trials=5)
+    assert su.suite_prune_replay(cfg).passed
+    assert calls == dict.fromkeys(su.replay_pruning_pair(cfg.params), 1)
 
 
 # -- invariant subspace correspondence ----------------------------------------
