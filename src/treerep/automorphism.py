@@ -1,6 +1,6 @@
 """Tree automorphisms as words in explicit generators.
 
-Three generator kinds suffice for everything the verification suites need:
+Two generator kinds suffice for everything the verification suites need:
 
 * rooted portraits -- fix the basepoint and permute child letters, with a
   (sparse) permutation attached to each vertex: the word (a1, a2, ...) maps
@@ -13,9 +13,10 @@ Three generator kinds suffice for everything the verification suites need:
       h(1, a2, a3, ...) = (a2 + 1, a3, ...)
       h(a1, a2, ...)    = (1, a1 - 1, a2, ...)      for a1 >= 2
 
-* the step translation t -- shifts the standard line x_k = 1^k (k >= 0),
-  x_{-k} = 2 1^(k-1) (k >= 1) by one: t x_k = x_{k+1}.  Realized as the
-  edge inversion composed with the portrait swapping branches 1 and 2.
+The step translation t, which shifts the standard line x_k = 1^k (k >= 0),
+x_{-k} = 2 1^(k-1) (k >= 1) by one (t x_k = x_{k+1}), is not a third kind
+but the two-letter word: the portrait swapping branches 1 and 2, then the
+edge inversion.
 
 Letter matrices (one address per row, with a length per row) go through a
 portrait level by level: each depth that carries permutations (depth 0
@@ -218,48 +219,7 @@ class EdgeInversionGen:
         return {"kind": self.kind}
 
 
-class StepTranslationGen:
-    """Unit shift along the standard line; the branch swap then the inversion."""
-
-    kind = "step_translation"
-    grows = 1
-
-    def __init__(self):
-        self._edge = EdgeInversionGen()
-
-    @staticmethod
-    def _swap12(addr: Address) -> Address:
-        if not addr:
-            return addr
-        a0 = {1: 2, 2: 1}.get(addr[0], addr[0])
-        return (a0,) + addr[1:]
-
-    def apply(self, addr: Address, inverted: bool) -> Address:
-        if inverted:
-            return self._swap12(self._edge.apply(addr, False))
-        return self._edge.apply(self._swap12(addr), False)
-
-    def _swap_batch(self, letters: np.ndarray, lengths: np.ndarray):
-        out = letters.copy()
-        has0 = lengths >= 1
-        ones = has0 & (letters[:, 0] == 1)
-        twos = has0 & (letters[:, 0] == 2)
-        out[ones, 0] = 2
-        out[twos, 0] = 1
-        return out, lengths
-
-    def batch(self, letters: np.ndarray, lengths: np.ndarray, inverted: bool):
-        if inverted:
-            letters, lengths = self._edge.batch(letters, lengths, False)
-            return self._swap_batch(letters, lengths)
-        letters, lengths = self._swap_batch(letters, lengths)
-        return self._edge.batch(letters, lengths, False)
-
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind}
-
-
-Generator = PortraitGen | EdgeInversionGen | StepTranslationGen
+Generator = PortraitGen | EdgeInversionGen
 
 
 class TreeAutomorphism:
@@ -349,7 +309,9 @@ def edge_inversion(params: TreeParams) -> TreeAutomorphism:
 
 
 def step_translation(params: TreeParams) -> TreeAutomorphism:
-    return TreeAutomorphism(params, [(StepTranslationGen(), False)])
+    """The branch swap 1 <-> 2, then the edge inversion."""
+    swap = Portrait((2, 1) + tuple(range(3, params.q + 2)))
+    return TreeAutomorphism(params, [(PortraitGen(swap), False), (EdgeInversionGen(), False)])
 
 
 def compose(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
@@ -381,3 +343,22 @@ def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) ->
         for addr in addresses_at_depth(params, level):
             nodes[addr] = tuple(int(x) for x in rng.permutation(params.q) + 1)
     return Portrait(root, nodes)
+
+
+def random_word(params: TreeParams, rng: np.random.Generator, max_factors: int) -> TreeAutomorphism:
+    """Seeded word of 1..max_factors factors, each a depth-2 random portrait,
+    the edge inversion or the step translation, inverted or not.  The draw
+    order is part of the suites' seed paths: a failure record replays only
+    while a seed gives the same words."""
+    word = []
+    for _ in range(int(rng.integers(1, max_factors + 1))):
+        kind = int(rng.integers(0, 3))
+        inverted = bool(rng.integers(0, 2))
+        if kind == 0:
+            word.append((PortraitGen(random_portrait(params, 2, rng)), inverted))
+        elif kind == 1:
+            word.append((EdgeInversionGen(), inverted))
+        else:
+            t = step_translation(params)
+            word.extend((t.inverse() if inverted else t).word)
+    return TreeAutomorphism(params, word)

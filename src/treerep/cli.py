@@ -124,7 +124,7 @@ def _render(args, reports: list[SuiteReport]) -> None:
 
 def _spectrum_report(args) -> dict:
     rng = np.random.default_rng([args.seed, zlib.crc32(b"spectrum")])
-    alpha = random_in_disc(args.dim, args.q, rng, fraction=0.75)
+    alpha = random_in_disc(args.dim, args.q, rng)
     pair = build_pair(alpha, args.q)
     guard = guard_spectrum(pair)
     return {

@@ -132,21 +132,11 @@ def build_pair(alpha: np.ndarray, q: int, tol: float = 1e-9) -> OperatorPair:
 def power(pair: OperatorPair, k: int) -> np.ndarray:
     """tau^k, negative exponents through the sibling inverse; cached."""
     cache = pair._powers
-    if k in cache:
-        return cache[k]
     if not cache:
-        cache[0] = np.eye(pair.dim, dtype=np.complex128)
-        cache[1] = pair.tau
-        cache[-1] = pair.tau_inv
-        if k in cache:
-            return cache[k]
-    step = 1 if k > 0 else -1
-    nearest = max((j for j in list(cache) if j * step > 0 and abs(j) <= abs(k)), key=abs, default=0)
-    value = cache.get(nearest, cache[0])
-    base = cache[step] if step in cache else (pair.tau if step > 0 else pair.tau_inv)
-    for j in range(abs(nearest), abs(k)):
-        value = value @ base
-        cache[step * (j + 1)] = value
+        cache.update({0: np.eye(pair.dim, dtype=np.complex128), 1: pair.tau, -1: pair.tau_inv})
+    if k not in cache:
+        step = 1 if k > 0 else -1
+        cache[k] = power(pair, k - step) @ cache[step]
     return cache[k]
 
 
@@ -179,15 +169,16 @@ def guard_spectrum(pair: OperatorPair) -> dict:
     return report
 
 
-def random_in_disc(d: int, q: int, rng: np.random.Generator, fraction: float = 0.75) -> np.ndarray:
-    """Random d x d complex matrix rescaled to `fraction` of the disc radius."""
-    if not 0.0 < fraction < 1.0:
-        raise OperatorDomainError("fraction must lie strictly between 0 and 1")
+_DISC_FRACTION = 0.75  # of the disc radius 2 sqrt(q), for random_in_disc
+
+
+def random_in_disc(d: int, q: int, rng: np.random.Generator) -> np.ndarray:
+    """Random d x d complex matrix rescaled to three quarters of the disc radius."""
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     nrm = spectral_norm(a)
     if nrm == 0.0:
         return np.zeros((d, d), dtype=np.complex128)
-    return a * (fraction * 2.0 * math.sqrt(q) / nrm)
+    return a * (_DISC_FRACTION * 2.0 * math.sqrt(q) / nrm)
 
 
 def matrix_to_json_obj(a: np.ndarray) -> dict:

@@ -183,3 +183,21 @@ def orbit_cells_per_vertex(tree):
             (s,) = inside
             cells.append(canonicalize(tree.params, Halftree(s, b)))
     return cells
+
+
+def edge_inversion_image(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The edge inversion's rule: (1, a2, ...) -> (a2 + 1, ...), (1,) -> (),
+    and (a1, ...) -> (1, a1 - 1, ...) otherwise, () included."""
+    if v[:1] == (1,):
+        return (v[1] + 1,) + v[2:] if len(v) > 1 else ()
+    return (1, v[0] - 1) + v[1:] if v else (1,)
+
+
+def step_translation_image(v: tuple[int, ...], inverted: bool = False) -> tuple[int, ...]:
+    """The step translation's closed form: swap the first letter 1 <-> 2,
+    then invert the edge; the inverse inverts the edge first, then swaps."""
+
+    def swap(w):
+        return ({1: 2, 2: 1}.get(w[0], w[0]),) + w[1:] if w else w
+
+    return swap(edge_inversion_image(v)) if inverted else edge_inversion_image(swap(v))

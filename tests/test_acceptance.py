@@ -17,20 +17,6 @@ from treerep import suites as su
 from treerep import tree as tr
 
 
-def seeded_word(params, rng, max_factors=3):
-    word = []
-    for _ in range(rng.integers(1, max_factors + 1)):
-        kind = rng.integers(0, 3)
-        inverted = bool(rng.integers(0, 2))
-        if kind == 0:
-            word.append((au.PortraitGen(au.random_portrait(params, 2, rng)), inverted))
-        elif kind == 1:
-            word.append((au.EdgeInversionGen(), inverted))
-        else:
-            word.append((au.StepTranslationGen(), inverted))
-    return au.TreeAutomorphism(params, word)
-
-
 def random_cylinder(params, rng, depth):
     q = params.q
     base = tuple(
@@ -45,7 +31,7 @@ def test_criterion_1_measure_cocycle_exact():
         params = tr.TreeParams(q, depth_cap=8)
         rng = np.random.default_rng(q)
         for _ in range(100):
-            g = seeded_word(params, rng)
+            g = au.random_word(params, rng, 3)
             cell = random_cylinder(params, rng, g.displacement + 1)
             rn = me.rn_cocycle(g, cell)
             pulled = me.map_cell(g.inverse(), cell)
@@ -95,8 +81,8 @@ def test_criterion_4_representation_homomorphism():
     pair = op.build_pair(alpha, 2)
     norm_tau = op.spectral_norm(pair.tau)
     for _ in range(100):
-        g = seeded_word(params, rng, max_factors=2)
-        h = seeded_word(params, rng, max_factors=2)
+        g = au.random_word(params, rng, 2)
+        h = au.random_word(params, rng, 2)
         m = int(rng.integers(0, 2))
         vals = rng.standard_normal((tr.n_addresses(params, m), 2)) + 1j * rng.standard_normal(
             (tr.n_addresses(params, m), 2)

@@ -11,20 +11,6 @@ P2 = tr.TreeParams(2)
 P3 = tr.TreeParams(3)
 
 
-def random_word(params, rng, max_factors=3):
-    word = []
-    for _ in range(rng.integers(1, max_factors + 1)):
-        kind = rng.integers(0, 3)
-        inverted = bool(rng.integers(0, 2))
-        if kind == 0:
-            word.append((au.PortraitGen(au.random_portrait(params, 2, rng)), inverted))
-        elif kind == 1:
-            word.append((au.EdgeInversionGen(), inverted))
-        else:
-            word.append((au.StepTranslationGen(), inverted))
-    return au.TreeAutomorphism(params, word)
-
-
 def line_vertex(k):
     """The standard line: x_k = 1^k for k >= 0, x_{-k} = 2 1^(k-1)."""
     if k >= 0:
@@ -114,6 +100,47 @@ def test_step_translation_shifts_the_standard_line():
         assert back.apply_vertex(line_vertex(k)) == line_vertex(k - 1)
 
 
+@pytest.mark.parametrize("q,cap", [(2, 6), (3, 5), (5, 4)])
+def test_step_translation_matches_its_closed_form(q, cap):
+    # the word (branch swap, edge inversion) against the swap-then-invert
+    # formula, vertex by vertex and on letter matrices, in both directions
+    params = tr.TreeParams(q, cap)
+    t = au.step_translation(params)
+    assert [gen.kind for gen, _ in t.word] == ["portrait", "edge_inversion"]
+    letters = tr.letter_matrix(params, cap)
+    mixed = np.random.default_rng(q).integers(0, cap + 1, letters.shape[0])
+    mixed[:2] = (0, cap)
+    for g, inverted in ((t, False), (t.inverse(), True)):
+        for v in oracles.ball_vertices(q, 4):
+            assert g.apply_vertex(v) == oracles.step_translation_image(v, inverted)
+        for lengths in (np.full(letters.shape[0], cap), mixed):
+            out, out_lengths = g.apply_batch(letters, lengths)
+            for row, n in enumerate(lengths):
+                v = tuple(int(x) for x in letters[row, :n])
+                img = tuple(int(x) for x in out[row, : out_lengths[row]])
+                assert img == oracles.step_translation_image(v, inverted)
+
+
+def test_random_word_draws_and_spells_its_factors():
+    # draws per factor: kind, inverted flag, then a portrait's own draws; a
+    # step translation factor is spelled (swap, inversion) or its inverse
+    swap = au.Portrait((2, 1, 3, 4))
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(int(rng.integers(1, 4))):
+            kind, inverted = int(rng.integers(0, 3)), bool(rng.integers(0, 2))
+            if kind == 0:
+                expected.append((au.random_portrait(P3, 2, rng), inverted))
+            elif kind == 1:
+                expected.append(("edge_inversion", inverted))
+            else:
+                t = [(swap, inverted), ("edge_inversion", inverted)]
+                expected += t[::-1] if inverted else t
+        g = au.random_word(P3, np.random.default_rng(seed), 3)
+        assert [(getattr(gen, "portrait", gen.kind), flag) for gen, flag in g.word] == expected
+
+
 def test_line_vertex_layout():
     assert line_vertex(0) == ()
     assert line_vertex(2) == (1, 1)
@@ -147,7 +174,7 @@ def test_inverse_cancels_word():
     rng = np.random.default_rng(9)
     for params, q in ((P2, 2), (P3, 3)):
         for _ in range(15):
-            g = random_word(params, rng)
+            g = au.random_word(params, rng, 3)
             gi = g.inverse()
             for v in oracles.ball_vertices(q, 3):
                 assert gi.apply_vertex(g.apply_vertex(v)) == v
@@ -167,7 +194,7 @@ def test_batch_matches_scalar(seed):
     rng = np.random.default_rng(seed)
     params = P2 if seed % 2 else P3
     q = params.q
-    g = random_word(params, rng)
+    g = au.random_word(params, rng, 3)
     for depth in range(0, 4):
         letters = tr.letter_matrix(params, depth)
         lengths = np.full(letters.shape[0], depth)
@@ -227,7 +254,7 @@ def test_sparse_deep_portrait_batch():
 def test_word_cost_bounds_depth_growth():
     rng = np.random.default_rng(4)
     for _ in range(15):
-        g = random_word(P2, rng)
+        g = au.random_word(P2, rng, 3)
         cost = g.word_cost()
         for v in oracles.ball_vertices(2, 3):
             assert len(g.apply_vertex(v)) <= len(v) + cost

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from treerep import automorphism as au
 from treerep import cli, measure, representation, suites
+from treerep import tree as tr
 from treerep.errors import IllConditionedError
 from treerep.representation import FixedSpaceReport
 
@@ -321,6 +323,9 @@ def test_verify_catches_every_catalogued_defect(capsys, monkeypatch, defect, q):
     assert errors == []
     assert payload["passed"] is False
     assert any(suite["failures"] for suite in payload["suites"])
+    if defect == "nan_leakage":
+        (lift,) = [s for s in payload["suites"] if s["suite"] == "invariance_correspondence"]
+        assert lift["details"]["worst_invariant_leakage"] is None
 
 
 def test_violated_spectral_guard_is_a_failure_record(capsys, monkeypatch):
@@ -344,6 +349,21 @@ def json_digest(obj):
     ).hexdigest()
 
 
+def letters_digest(outputs, width):
+    # the benchmark's digest of apply_batch images: the rows' lengths, then
+    # their letters zero-padded to `width`, nothing past a row's length
+    h = hashlib.sha256()
+    for letters, lengths in outputs:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        canon = np.zeros((letters.shape[0], width), dtype=np.int64)
+        used = min(width, letters.shape[1])
+        canon[:, :used] = letters[:, :used]
+        canon[np.arange(width)[None, :] >= lengths[:, None]] = 0
+        h.update(lengths.tobytes())
+        h.update(canon.tobytes())
+    return h.hexdigest()
+
+
 def test_exact_outputs_match_the_recorded_digests(capsys):
     # the benchmark rejects a change whose exact outputs differ from these
     # recorded digests, so the unit tests hold the same line
@@ -362,6 +382,18 @@ def test_exact_outputs_match_the_recorded_digests(capsys):
         assert code == 0
         (table,) = json.loads(out)["suites"]
         assert json_digest(table["details"]["rows"]) == recorded["orbit_table"][str(q)], q
+    # boundary_action input set 0: a depth-5 random portrait and the step
+    # translation after the edge inversion, on the full letter matrix
+    for q, cap in ((2, 12), (3, 9), (5, 7)):
+        params = tr.TreeParams(q, cap)
+        rng = np.random.default_rng([0, q, cap])
+        portrait = au.from_portrait(params, au.random_portrait(params, 5, rng))
+        translation = au.compose(au.step_translation(params), au.edge_inversion(params))
+        letters = tr.letter_matrix(params, cap)
+        lengths = np.full(letters.shape[0], cap, dtype=np.int64)
+        images = [g.apply_batch(letters, lengths) for g in (portrait, translation)]
+        width = cap + translation.displacement
+        assert letters_digest(images, width) == recorded["boundary_action"][str(q)][0], q
 
 
 def test_timestamp_present_by_default(capsys):

@@ -22,20 +22,6 @@ P2 = tr.TreeParams(2)
 P3 = tr.TreeParams(3)
 
 
-def seeded_word(params, rng, max_factors=2):
-    word = []
-    for _ in range(rng.integers(1, max_factors + 1)):
-        kind = rng.integers(0, 3)
-        inverted = bool(rng.integers(0, 2))
-        if kind == 0:
-            word.append((au.PortraitGen(au.random_portrait(params, 2, rng)), inverted))
-        elif kind == 1:
-            word.append((au.EdgeInversionGen(), inverted))
-        else:
-            word.append((au.StepTranslationGen(), inverted))
-    return au.TreeAutomorphism(params, word)
-
-
 # -- cells and their measures -------------------------------------------------
 
 
@@ -315,8 +301,8 @@ def test_map_cell_is_functorial():
         me.canonicalize(P2, me.Halftree((3, 1, 1, 1), (3, 1, 1))),
     ]
     for _ in range(20):
-        g = seeded_word(P2, rng)
-        h = seeded_word(P2, rng)
+        g = au.random_word(P2, rng, 2)
+        h = au.random_word(P2, rng, 2)
         comp = au.compose(g, h)
         for c in cells:
             assert me.map_cell(comp, c) == me.map_cell(g, me.map_cell(h, c))
@@ -325,7 +311,7 @@ def test_map_cell_is_functorial():
 def test_map_cell_of_inverse_inverts():
     rng = np.random.default_rng(14)
     for _ in range(20):
-        g = seeded_word(P2, rng)
+        g = au.random_word(P2, rng, 2)
         for c in (me.Cylinder((1, 1, 1, 2)), me.Cylinder((3, 2, 1, 1))):
             assert me.map_cell(g.inverse(), me.map_cell(g, c)) == c
 
@@ -363,7 +349,7 @@ def test_rn_cocycle_matches_pushforward_enumeration():
     rng = np.random.default_rng(15)
     for params, q in ((P2, 2), (P3, 3)):
         for _ in range(15):
-            g = seeded_word(params, rng)
+            g = au.random_word(params, rng, 2)
             base_depth = g.displacement + 1
             letters = tuple(
                 int(rng.integers(1, (q + 2) if k == 0 else (q + 1)))
@@ -379,8 +365,8 @@ def test_rn_cocycle_matches_pushforward_enumeration():
 def test_rn_cocycle_composition_law():
     rng = np.random.default_rng(16)
     for _ in range(25):
-        g = seeded_word(P2, rng)
-        h = seeded_word(P2, rng)
+        g = au.random_word(P2, rng, 2)
+        h = au.random_word(P2, rng, 2)
         comp = au.compose(g, h)
         base = tuple(
             int(np.random.default_rng(trial).integers(1, 3))
@@ -396,7 +382,7 @@ def test_rn_cocycle_composition_law():
 @settings(max_examples=30)
 def test_rn_cocycle_values_are_powers_of_q(seed):
     rng = np.random.default_rng(seed)
-    g = seeded_word(P2, rng)
+    g = au.random_word(P2, rng, 2)
     cell = me.Cylinder(
         tuple(int(rng.integers(1, 3)) for _ in range(g.displacement + 1)) or (1,)
     )

@@ -28,20 +28,6 @@ def cells(v):
     return zip(tr.addresses_at_depth(v.params, v.resolution), v.values)
 
 
-def seeded_word(params, rng, max_factors=2):
-    word = []
-    for _ in range(rng.integers(1, max_factors + 1)):
-        kind = rng.integers(0, 3)
-        inverted = bool(rng.integers(0, 2))
-        if kind == 0:
-            word.append((au.PortraitGen(au.random_portrait(params, 2, rng)), inverted))
-        elif kind == 1:
-            word.append((au.EdgeInversionGen(), inverted))
-        else:
-            word.append((au.StepTranslationGen(), inverted))
-    return au.TreeAutomorphism(params, word)
-
-
 def norm_bound(pair, displacement):
     """Largest spectral norm of tau^k over |k| <= displacement: a bound on
     the representation norm of any element with that displacement."""
@@ -170,7 +156,7 @@ def test_pi_matches_per_cell_oracle():
     for params, seed in ((P2, 10), (P2, 11), (P3, 12)):
         rng, _, pair = build_rng_pair(params, 2, seed)
         for _ in range(6):
-            g = seeded_word(params, rng)
+            g = au.random_word(params, rng, 2)
             m = int(rng.integers(0, 3))
             vals = rng.standard_normal((tr.n_addresses(params, m), 2)) + 1j * rng.standard_normal(
                 (tr.n_addresses(params, m), 2)
@@ -186,8 +172,8 @@ def test_pi_matches_per_cell_oracle():
 def test_pi_is_a_homomorphism():
     rng, _, pair = build_rng_pair(P2, 2, 20)
     for _ in range(10):
-        g = seeded_word(P2, rng)
-        h = seeded_word(P2, rng)
+        g = au.random_word(P2, rng, 2)
+        h = au.random_word(P2, rng, 2)
         m = int(rng.integers(0, 2))
         vals = rng.standard_normal((tr.n_addresses(P2, m), 2)) + 0j
         v = rp.StepFunction(P2, m, vals)
@@ -200,7 +186,7 @@ def test_pi_is_a_homomorphism():
 def test_pi_respects_operator_norm_bound():
     rng, _, pair = build_rng_pair(P2, 3, 30)
     for _ in range(10):
-        g = seeded_word(P2, rng)
+        g = au.random_word(P2, rng, 2)
         vals = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         v = rp.StepFunction(P2, 1, vals)
         out = rp.pi_apply(g, v, pair)
