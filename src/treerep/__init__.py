@@ -1,7 +1,7 @@
 """Exact and numerical verification toolkit for boundary representations
 of regular-tree automorphism groups.
 
-Layers, bottom up: `tree` (word model, distances, horofunction values),
+Layers, bottom up: `tree` (word model, horofunction values),
 `automorphism` (generator words and their vertex action), `measure`
 (exact rational boundary measure and its distortion cocycle), `operators`
 (the phi functional calculus and spectral guards), `representation`
@@ -33,10 +33,7 @@ from .tree import (
     boundary_vertices,
     busemann_on_cylinder,
     closed_neighborhood,
-    distance,
-    geodesic,
     is_complete,
-    median,
 )
 from .automorphism import (
     Portrait,

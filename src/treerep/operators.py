@@ -140,33 +140,33 @@ def power(pair: OperatorPair, k: int) -> np.ndarray:
     return cache[k]
 
 
-def spectral_margins(pair: OperatorPair) -> dict:
+def guard_spectrum(pair: OperatorPair) -> dict:
     """Report the margins of the two spectral safety conditions:
 
     (a) the distance from the spectrum of tau to +q and -q, and
     (b) the extreme singular values of tau - tau^{-1}, whose smallest must
-        be positive; `cond_diff` is null when it is zero.
+        be positive,
+
+    raising SpectralGuardError unless both margins are positive.  For an
+    alpha that build_pair accepts both hold in exact arithmetic (+-q and
+    +-1 are phi(+-(q+1)), outside the disc), so the guard catches rounding
+    and forged pairs.
     """
     lam = np.linalg.eigvals(pair.tau)
     margin = float(np.min(np.minimum(np.abs(lam - pair.q), np.abs(lam + pair.q))))
     sing = scipy.linalg.svdvals(pair.tau - pair.tau_inv)
     smin, smax = float(sing[-1]), float(sing[0])
+    if not (margin > 0.0 and smin > 0.0):
+        raise SpectralGuardError(
+            f"spectral guard violated: margin_to_pm_q={margin}, sigma_min_diff={smin}"
+        )
     return {
         "margin_to_pm_q": margin,
         "sigma_min_diff": smin,
         "sigma_max_diff": smax,
-        "cond_diff": smax / smin if smin > 0 else None,
+        "cond_diff": smax / smin,
         "tau_spectrum": [[float(z.real), float(z.imag)] for z in lam],
     }
-
-
-def guard_spectrum(pair: OperatorPair) -> dict:
-    """spectral_margins, raising SpectralGuardError unless both margins are
-    positive."""
-    report = spectral_margins(pair)
-    if not (report["margin_to_pm_q"] > 0.0 and report["sigma_min_diff"] > 0.0):
-        raise SpectralGuardError(f"spectral guard violated: {report}")
-    return report
 
 
 _DISC_FRACTION = 0.75  # of the disc radius 2 sqrt(q), for random_in_disc

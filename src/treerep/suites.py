@@ -8,8 +8,8 @@ identities are asserted with exact rational (or exact float-integer)
 equality, recorded as residual 1 or 0 against bound 0; operator-level
 identities with relative tolerances scaled by the operator norms involved.
 
-Randomness discipline: trial t of stream s (the suite name, or
-suite/part for a suite with several independent loops) draws from
+Randomness discipline: trial t of stream s (the suite name, or a
+suite/part name such as invariance_correspondence/invariant) draws from
 default_rng([seed, crc32(s), t]), so suites are deterministic per
 configuration and independent of execution order.  A failure's
 (stream, trial) is its seed path: rerunning the suite with the report's
@@ -38,13 +38,7 @@ from .automorphism import (
     step_translation,
 )
 from .errors import ConfigError
-from .operators import (
-    build_pair,
-    phi_scalar,
-    random_in_disc,
-    spectral_margins,
-    spectral_norm,
-)
+from .operators import build_pair, phi_scalar, random_in_disc, spectral_norm
 from .representation import (
     StepFunction,
     alpha_via_rep,
@@ -177,10 +171,6 @@ def _random_cylinder(params: TreeParams, rng: np.random.Generator, depth: int) -
     return bm.Cylinder(address_from_index(params, depth, idx))
 
 
-def _complex_matrix_ball(cfg: SuiteConfig, rng: np.random.Generator, d: int | None = None):
-    return random_in_disc(d or cfg.dim, cfg.q, rng)
-
-
 # -- suite 1: exact measure distortion ---------------------------------------
 
 
@@ -230,7 +220,7 @@ def suite_homomorphism(cfg: SuiteConfig) -> SuiteReport:
     m_hi = min(2, max(0, params.depth_cap - 2 * max_factors))
     for trial in range(cfg.trials):
         rng = trial_rng(cfg, name, trial)
-        alpha = _complex_matrix_ball(cfg, rng)
+        alpha = random_in_disc(cfg.dim, cfg.q, rng)
         pair = build_pair(alpha, cfg.q)
         g = random_word(params, rng, max_factors)
         h = random_word(params, rng, max_factors)
@@ -265,9 +255,16 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     """Replay of the orbit-merging argument: deleting the far leaves of
     the doubled ball merges exactly q cells, stabilizer averages take the
     plain arithmetic mean (w_1 + ... + w_q)/q on the merged cell and
-    nothing else moves, the unit shift toward the merged side carries
-    horofunction exponent -1, the spectrum of tau avoids +-q and
-    tau - tau^{-1} is invertible."""
+    nothing else moves, and the unit shift toward the merged side carries
+    horofunction exponent -1.
+
+    A kept cell keeps its measure because it is the same cell
+    (`kept_cells_moved`).  The spectral side of the argument needs no
+    check here: an eigenvalue of tau is phi(z) for an eigenvalue z of
+    alpha, and phi(z) = +-q or +-1 would need z = +-(q+1), while
+    |z| <= norm(alpha) < 2 sqrt(q) < q+1 for every alpha that build_pair
+    accepts.  halftree_reach still runs halftree_preimage's singularity
+    guard on tau - tau^{-1}."""
     params = cfg.params
     name = "prune_replay"
     big, small = replay_pruning_pair(params)
@@ -292,9 +289,6 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
               got=source_objs)
     kept = {c: t for c, t in mapping.items() if t != merged_cell}
     rep.check(name, -1, "kept_cells_moved", any(c != t for c, t in kept.items()), 0)
-    rep.check(name, -1, "kept_measure_changed", any(
-        bm.cell_measure(params, c) != bm.cell_measure(params, t) for c, t in kept.items()
-    ), 0)
 
     # exact averaging: integer-valued data keeps every float op exact
     cells_big, m, labels = bm.orbit_partition(big)
@@ -320,15 +314,6 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     rep.check(name, -1, "replay_exponent", exponent != -1, 0, got=exponent, want=-1)
     rep.check(name, -1, "replay_cocycle_value",
               bm.rn_cocycle(shift_back, merged_cell) != Fraction(1, params.q), 0)
-
-    guard = name + "/guard"
-    for trial in range(min(cfg.trials, 20)):
-        rng = trial_rng(cfg, guard, trial)
-        margins = spectral_margins(build_pair(_complex_matrix_ball(cfg, rng), cfg.q))
-        rep.check(guard, trial, "tau_sees_pm_q", not margins["margin_to_pm_q"] > 0, 0,
-                  report=margins)
-        rep.check(guard, trial, "diff_singular", not margins["sigma_min_diff"] > 0, 0,
-                  report=margins)
     return rep
 
 
@@ -345,7 +330,7 @@ def suite_fixed_vector_transfer(cfg: SuiteConfig) -> SuiteReport:
     })
     for trial in range(cfg.trials):
         rng = trial_rng(cfg, name, trial)
-        alpha = _complex_matrix_ball(cfg, rng)
+        alpha = random_in_disc(cfg.dim, cfg.q, rng)
         pair = build_pair(alpha, cfg.q)
         w = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
         got = alpha_via_rep(params, w, pair)
@@ -371,7 +356,7 @@ def suite_halftree_reach(cfg: SuiteConfig) -> SuiteReport:
     })
     for trial in range(cfg.trials):
         rng = trial_rng(cfg, name, trial)
-        alpha = _complex_matrix_ball(cfg, rng)
+        alpha = random_in_disc(cfg.dim, cfg.q, rng)
         pair = build_pair(alpha, cfg.q)
         w = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
         w = w / np.linalg.norm(w)
@@ -403,19 +388,23 @@ def _generators(params: TreeParams, rng: np.random.Generator) -> list[TreeAutomo
 
 def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
     """Eigenvector spans of alpha lift to subspaces the boundary action
-    leaks out of by at most numerical noise; non-invariant lines leak
-    upstairs at least half as much as alpha moves them downstairs.  The
-    normal alpha = U diag(lam) U* also pins the branch: tau must be
-    U diag(phi(lam)) U*, not the other root q tau^{-1}."""
+    leaks out of by at most numerical noise.  The normal
+    alpha = U diag(lam) U* also pins the branch: tau must be
+    U diag(phi(lam)) U*, not the other root q tau^{-1}.
+
+    The converse, that a non-invariant line leaks upstairs, needs no
+    trials of its own: the lift check's reconstruction probe rebuilds
+    alpha w through the representation, so a line leaks upstairs as much
+    as alpha moves it downstairs whenever fixed_vector_transfer holds.
+    That the lift check counts this probe is pinned by the unit tests."""
     params = cfg.params
     name = "invariance_correspondence"
     d = max(cfg.dim, 2)
-    invariant_trials = min(cfg.trials, 40)
-    line_trials = 20
-    rep = SuiteReport(name, invariant_trials + line_trials)
+    trials = min(cfg.trials, 40)
+    rep = SuiteReport(name, trials)
     stream = name + "/invariant"
     branch, leakages = [], []
-    for trial in range(invariant_trials):
+    for trial in range(trials):
         rng = trial_rng(cfg, stream, trial)
         basis_mat, _ = np.linalg.qr(
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -439,28 +428,6 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
     # recorded after every leakage check, so failure records keep their order
     for trial, residual in enumerate(branch):
         rep.check(stream, trial, "tau_branch", residual, cfg.tol)
-
-    ratios = []
-    stream = name + "/line"
-    for trial in range(line_trials):
-        rng = trial_rng(cfg, stream, trial)
-        alpha = _complex_matrix_ball(cfg, rng, d)
-        pair = build_pair(alpha, cfg.q)
-        w = None
-        direct = 0.0
-        for _ in range(8):
-            w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            w = w / np.linalg.norm(w)
-            aw = alpha @ w
-            direct = float(np.linalg.norm(aw - (np.vdot(w, aw)) * w))
-            if direct > 1e-3 * spectral_norm(alpha):
-                break
-        report = invariant_lift_check(params, [w], pair, _generators(params, rng), 1, rng)
-        ratios.append(report["max_leakage"] / direct)
-        # residual: how far the lift's leakage falls short of half of alpha's move
-        rep.check(stream, trial, "line_leak_too_small", 0.5 * direct - report["max_leakage"], 0,
-                  ratio=ratios[-1], direct=direct)
-    rep.details["worst_line_ratio"] = min(ratios)
     return rep
 
 
@@ -469,14 +436,15 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
 
 def suite_admissibility_table(cfg: SuiteConfig) -> SuiteReport:
     """Fixed-space dimensions under ball stabilizers: one row per radius
-    and fiber dimension, checked against the closed form d (q+1) q^(r-1)
-    and against explicit orbit enumeration."""
+    and fiber dimension.  The orbit count found by explicit enumeration
+    is checked against the closed form (q+1) q^(r-1).  The fixed
+    dimension is d per orbit cell, so whenever the orbit count passes it
+    equals d (q+1) q^(r-1), which grows strictly in r."""
     params = cfg.params
     name = "admissibility_table"
     dims = sorted({1, 2, 4, cfg.dim})
     rep = SuiteReport(name, (params.depth_cap - 1) * len(dims), exact=True)
     rows = []
-    prev = {dd: 0 for dd in dims}
     for r in range(1, params.depth_cap):
         ball = closed_neighborhood(FiniteSubtree(params, [ROOT]), r)
         report = fixed_space_report(ball, 1)
@@ -489,10 +457,6 @@ def suite_admissibility_table(cfg: SuiteConfig) -> SuiteReport:
                 {"q": params.q, "r": r, "d": dd, "orbit_count": report.orbit_count,
                  "fixed_dim": fixed_dim}
             )
-            rep.check(name, -1, "fixed_dim", fixed_dim != dd * closed_form, 0,
-                      r=r, d=dd, got=fixed_dim)
-            rep.check(name, -1, "growth_not_monotone", fixed_dim <= prev[dd], 0, r=r, d=dd)
-            prev[dd] = fixed_dim
     csv_lines = ["q,r,d,orbit_count,fixed_dim"]
     csv_lines += [
         f"{row['q']},{row['r']},{row['d']},{row['orbit_count']},{row['fixed_dim']}"

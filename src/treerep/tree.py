@@ -118,33 +118,6 @@ def is_proper_prefix(u: Address, v: Address) -> bool:
     return len(u) < len(v) and v[: len(u)] == u
 
 
-def distance(params: TreeParams, u: Address, v: Address) -> int:
-    check_address(params, u)
-    check_address(params, v)
-    return len(u) + len(v) - 2 * len(lcp(u, v))
-
-
-def median(params: TreeParams, u: Address, v: Address, w: Address) -> Address:
-    """The unique vertex lying on all three pairwise geodesics.
-
-    It is the deepest of the three pairwise longest common prefixes (the two
-    shallower ones always coincide).
-    """
-    for a in (u, v, w):
-        check_address(params, a)
-    return max(lcp(u, v), lcp(u, w), lcp(v, w), key=len)
-
-
-def geodesic(params: TreeParams, u: Address, v: Address) -> list[Address]:
-    """Vertex sequence from u to v, inclusive; length distance(u,v)+1."""
-    check_address(params, u)
-    check_address(params, v)
-    meet = lcp(u, v)
-    up = [u[:k] for k in range(len(u), len(meet) - 1, -1)]
-    down = [v[:k] for k in range(len(meet) + 1, len(v) + 1)]
-    return up + down
-
-
 def busemann_on_cylinder(params: TreeParams, u: Address, x: Address, y: Address) -> int:
     """Horofunction increment B_xi(x, y) for every end xi in the cylinder at u.
 

@@ -2,10 +2,9 @@
 
 Everything here works by explicit enumeration over a finite ball of the
 tree, independent of the package's formulas: adjacency comes from the
-parent relation alone, distances from breadth-first search, geodesics
-and medians from distance sums, boundary measures from counting,
-connectivity and neighbourhoods from breadth-first search, refinements
-from testing every address.  Only the cell types and `canonicalize` come
+parent relation alone, distances from breadth-first search, boundary
+measures from counting, connectivity and neighbourhoods from
+breadth-first search, refinements from testing every address.  Only the cell types and `canonicalize` come
 from the package.
 """
 
@@ -46,22 +45,6 @@ def bfs_distances(q: int, depth: int, src: tuple[int, ...]) -> dict[tuple[int, .
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
-
-
-def geodesic_vertices(q, depth, u, v):
-    du = bfs_distances(q, depth, u)
-    dv = bfs_distances(q, depth, v)
-    return sorted(w for w in du if du[w] + dv[w] == du[v])
-
-
-def median_oracle(q, depth, u, v, w):
-    on_all = (
-        set(geodesic_vertices(q, depth, u, v))
-        & set(geodesic_vertices(q, depth, v, w))
-        & set(geodesic_vertices(q, depth, u, w))
-    )
-    assert len(on_all) == 1, (u, v, w, on_all)
-    return next(iter(on_all))
 
 
 def deep_extensions(q: int, base: tuple[int, ...], levels: int):

@@ -299,14 +299,23 @@ def make_lift_leakage_nan(monkeypatch):
     monkeypatch.setattr(suites, "invariant_lift_check", leaky)
 
 
+# each wrong program, and the suites that must fail it: no more, no fewer
 DEFECTS = {
-    "wrong_branch": negate_the_square_root,
-    "cocycle_times_q": scale_the_cocycle_by_q,
-    "nan_residual": make_cell_distances_nan,
-    "tau_power_transposed": transpose_tau_powers,
-    "tau_power_conjugated": conjugate_tau_powers,
-    "cocycle_exponent_negated": negate_the_cocycle_exponent,
-    "nan_leakage": make_lift_leakage_nan,
+    "wrong_branch": (negate_the_square_root, {"invariance_correspondence"}),
+    "cocycle_times_q": (scale_the_cocycle_by_q, {"measure_cocycle", "prune_replay"}),
+    "nan_residual": (make_cell_distances_nan, {"homomorphism", "halftree_reach"}),
+    "tau_power_transposed": (
+        transpose_tau_powers,
+        {"fixed_vector_transfer", "halftree_reach", "invariance_correspondence"},
+    ),
+    "tau_power_conjugated": (
+        conjugate_tau_powers,
+        {"fixed_vector_transfer", "halftree_reach", "invariance_correspondence"},
+    ),
+    "cocycle_exponent_negated": (
+        negate_the_cocycle_exponent, {"measure_cocycle", "prune_replay"}
+    ),
+    "nan_leakage": (make_lift_leakage_nan, {"invariance_correspondence"}),
 }
 
 
@@ -314,33 +323,28 @@ DEFECTS = {
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 def test_verify_catches_every_catalogued_defect(capsys, monkeypatch, defect, q):
     # each defect is a wrong program: verify must fail it with a valid
-    # report (exit 1), neither pass it (0) nor crash on it (2, 3)
-    DEFECTS[defect](monkeypatch)
+    # report (exit 1), neither pass it (0) nor crash on it (2, 3), and
+    # exactly the suites named in the catalogue must catch it
+    patch, catchers = DEFECTS[defect]
+    patch(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "--q", str(q), "--trials", "10", "--no-timestamp")
     assert code == 1, err
     payload = json.loads(out, parse_constant=reject_constant)
     errors = [e.message for e in jsonschema.Draft202012Validator(SCHEMA).iter_errors(payload)]
     assert errors == []
     assert payload["passed"] is False
-    assert any(suite["failures"] for suite in payload["suites"])
+    assert {s["suite"] for s in payload["suites"] if s["failures"]} == catchers
     if defect == "nan_leakage":
         (lift,) = [s for s in payload["suites"] if s["suite"] == "invariance_correspondence"]
         assert lift["details"]["worst_invariant_leakage"] is None
 
 
-def test_violated_spectral_guard_is_a_failure_record(capsys, monkeypatch):
+def test_violated_spectral_guard_gives_exit_3(capsys, monkeypatch):
     # every eigenvalue of tau at +q: the guard margin is exactly zero
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), 2.0 + 0j))
-    code, out, _ = run_cli(capsys, "replay-prune", "--trials", "3", "--no-timestamp")
-    assert code == 1
-    payload = json.loads(out, parse_constant=reject_constant)
-    errors = [e.message for e in jsonschema.Draft202012Validator(SCHEMA).iter_errors(payload)]
-    assert errors == []
-    (suite,) = payload["suites"]
-    assert [f["kind"] for f in suite["failures"]] == ["tau_sees_pm_q"] * 3
-    assert [f["trial"] for f in suite["failures"]] == [0, 1, 2]
-    assert all(f["report"]["margin_to_pm_q"] == 0.0 for f in suite["failures"])
-    assert suite["max_residual"] == 3
+    code, out, err = run_cli(capsys, "spectrum", "--q", "2", "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric breakdown: spectral guard violated")
 
 
 def json_digest(obj):

@@ -307,19 +307,15 @@ def test_guard_spectrum_flags_a_poisoned_pair():
         op.guard_spectrum(forged)
 
 
-def test_spectral_margins_report_a_singular_difference_without_raising():
+def test_guard_spectrum_rejects_a_singular_difference():
+    # tau - tau^{-1} = 0: a guard error, not a ZeroDivisionError from cond_diff
     pair = op.build_pair(np.zeros((2, 2), dtype=complex), 2)
     forged = op.OperatorPair(
         q=2, alpha=pair.alpha, tau=np.eye(2, dtype=complex), tau_inv=np.eye(2, dtype=complex),
         residuals=pair.residuals, tol=pair.tol,
     )
-    margins = op.spectral_margins(forged)
-    assert margins["sigma_min_diff"] == 0.0
-    assert margins["cond_diff"] is None  # not inf: the report stays valid JSON
-    assert margins["margin_to_pm_q"] == 1.0
-    with pytest.raises(SpectralGuardError):
+    with pytest.raises(SpectralGuardError, match="margin_to_pm_q=1.0, sigma_min_diff=0.0"):
         op.guard_spectrum(forged)
-    assert op.guard_spectrum(pair) == op.spectral_margins(pair)
 
 
 # -- serialization ------------------------------------------------------------
