@@ -45,7 +45,7 @@ from .tree import (
     Address,
     FiniteSubtree,
     TreeParams,
-    boundary_vertices,
+    address_from_index,
     busemann_on_cylinder,
     check_address,
     format_address,
@@ -174,10 +174,6 @@ def assert_partition(
     lexicographic order; entry i is j when cylinder i lies in cells[j].
     Raises PartitionError unless the cells tile the boundary exactly once.
     `depth` defaults to the smallest depth that expresses every cell.
-
-    Sorted by start, the index ranges of all cells tile the grid iff none
-    starts before its predecessor stops and their lengths add up to the
-    grid size; the labels are then each owner repeated over its range.
     """
     if depth is None:
         depth = max((min_expressible_depth(params, c) for c in cells), default=0)
@@ -185,6 +181,17 @@ def assert_partition(
         [(a, b, j) for j, c in enumerate(cells) for a, b in cell_index_ranges(params, c, depth)],
         dtype=np.int64,
     ).reshape(-1, 3)
+    return _tile_labels(params, ranges, depth)
+
+
+def _tile_labels(params: TreeParams, ranges: np.ndarray, depth: int) -> np.ndarray:
+    """Labels of the (start, stop, owner) rows of `ranges`, which must tile
+    the depth-`depth` grid exactly once; raises PartitionError otherwise.
+
+    Sorted by start, the ranges tile the grid iff none starts before its
+    predecessor stops and their lengths add up to the grid size; the
+    labels are then each owner repeated over its range.
+    """
     starts, stops, owners = ranges[np.argsort(ranges[:, 0], kind="stable")].T
     (clash,) = np.nonzero(starts[1:] < stops[:-1])
     if clash.size:
@@ -202,6 +209,15 @@ def assert_partition(
 
 
 # -- stabilizer orbits --------------------------------------------------------
+#
+# The pointwise stabilizer of a complete subtree has one boundary orbit per
+# vertex of valency below q+1: the ends leaving the subtree through it.  A
+# leaf whose parent lies inside gives the cylinder at the leaf.  The top
+# vertex (the basepoint, or the one vertex whose parent lies outside) is a
+# leaf unless it is a full basepoint; its one neighbour inside is then its
+# child, and its orbit is the complement of that child's cylinder.  So the
+# orbits are read off the levels as anchors, one (depth, index) vertex per
+# cell, and become index ranges or cell objects only on request.
 
 
 def _neighbors_in(sub: FiniteSubtree, b: Address) -> list[Address]:
@@ -212,50 +228,95 @@ def _neighbors_in(sub: FiniteSubtree, b: Address) -> list[Address]:
     return [v for v in near if v in sub]
 
 
+def _scan_orbit_anchors(tree: FiniteSubtree) -> tuple[int, np.ndarray, np.ndarray, bool]:
+    """The orbit cells of a complete subtree as anchors, from its levels.
+
+    Returns (depth, ks, idx, complement): cell j is the cylinder at the
+    depth-ks[j] vertex with index idx[j], except that cell 0 is the
+    complement of that cylinder when `complement` is set, and `depth` is
+    the smallest depth that expresses every cell.  The cells come in the
+    order of `orbit_cells`: the complement first, then the cylinders by
+    where their index ranges start.
+    """
+    if not is_complete(tree):
+        raise NotCompleteError(
+            "orbit cells exist only for complete subtrees (every vertex a leaf or full)"
+        )
+    levels, valencies, q = tree.levels, tree.valencies, tree.params.q
+    if len(tree) == 1:
+        return 0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), False
+    depth = len(levels) - 1
+    top = next(k for k, idx in enumerate(levels) if idx.size)
+    complement = bool(valencies[top][0] == 1)
+    # every leaf below the top is a cylinder; range starts at `depth` order them
+    dtype = levels[depth].dtype
+    leaves = [levels[k][valencies[k] < q + 1].astype(dtype) for k in range(top + 1, depth + 1)]
+    ks = np.repeat(np.arange(top + 1, depth + 1), [a.size for a in leaves])
+    idx = np.concatenate(leaves)
+    order = np.argsort(
+        np.concatenate([a * q ** (depth - k) for k, a in enumerate(leaves, top + 1)]),
+        kind="stable",
+    )
+    ks, idx = ks[order], idx[order]
+    if complement:
+        ks = np.concatenate([[top + 1], ks])
+        idx = np.concatenate([levels[top + 1][:1].astype(dtype), idx])
+    return depth, ks, idx, complement
+
+
+def _orbit_anchors(tree: FiniteSubtree) -> tuple[int, np.ndarray, np.ndarray, bool]:
+    """`_scan_orbit_anchors`, computed once per subtree instance and kept on it."""
+    memo = getattr(tree, "_orbit_anchors", None)
+    if memo is None:
+        memo = tree._orbit_anchors = _scan_orbit_anchors(tree)
+    return memo
+
+
 def orbit_cells(tree: FiniteSubtree) -> list[EndCell]:
     """Orbits on the boundary of the pointwise stabilizer of a complete subtree.
 
     Each orbit is the set of ends leaving the subtree through one of its
     boundary vertices: the half-tree at that vertex pointing away from
-    its unique neighbour inside.  A single-vertex subtree has the whole
-    boundary as its one orbit.
+    its unique neighbour inside, canonicalized.  A single-vertex subtree
+    has the whole boundary as its one orbit.  The list is in label order
+    (see `orbit_partition`).
     """
     params = tree.params
-    if not is_complete(tree):
-        raise NotCompleteError(
-            "orbit cells exist only for complete subtrees (every vertex a leaf or full)"
-        )
-    if len(tree) == 1:
-        return [whole_boundary()]
-    cells = []
-    for b in boundary_vertices(tree):
-        # complete + more than one vertex: b is a leaf with one neighbour
-        # inside; when that is its parent the half-tree is the cylinder at b
-        if b and b[:-1] in tree:
-            cells.append(Cylinder(b))
-        else:
-            (s,) = _neighbors_in(tree, b)
-            cells.append(canonicalize(params, Halftree(s, b)))
+    _, ks, idx, complement = _orbit_anchors(tree)
+    anchors = [address_from_index(params, k, i) for k, i in zip(ks.tolist(), idx.tolist())]
+    cells: list[EndCell] = [Cylinder(a) for a in anchors]
+    if complement:
+        cells[0] = Halftree(anchors[0], parent(anchors[0]))
     return cells
 
 
-def orbit_partition(tree: FiniteSubtree) -> tuple[tuple[EndCell, ...], int, np.ndarray]:
+def orbit_partition(tree: FiniteSubtree) -> tuple[int, int, np.ndarray]:
     """The orbit cells of a complete subtree as one labelled partition.
 
-    Returns (cells, depth, labels): the cells of `orbit_cells`, the
-    smallest depth that expresses all of them, and the read-only
-    `assert_partition` labels at that depth.  Computed once per subtree
-    instance and kept on it, so every stabilizer average over the same
-    subtree shares one enumeration and one validation of its cells.
+    Returns (count, depth, labels): the number of orbit cells, the
+    smallest depth that expresses all of them, and one read-only label
+    per depth-`depth` cylinder, j for the j-th cell of `orbit_cells`.
+    The labels come straight from the subtree's levels: a cylinder cell
+    is one index range and the complement at most two, and the ranges go
+    through `assert_partition`'s tiling check, so cells that overlap or
+    leave a gap raise PartitionError.  Computed once per subtree instance
+    and kept on it, so every stabilizer average over the same subtree
+    shares one scan and one validation; no cell object is built.
     """
     memo = getattr(tree, "_orbit_partition", None)
     if memo is None:
-        cells = tuple(orbit_cells(tree))
-        # orbit_cells returns canonical cells; assert_partition validates each
-        depth = max(len(_anchor(c)) for c in cells)
-        labels = assert_partition(tree.params, cells, depth)
+        params = tree.params
+        depth, ks, idx, complement = _orbit_anchors(tree)
+        size = params.q ** (depth - ks)
+        starts = idx.astype(np.int64) * size
+        ranges = np.stack([starts, starts + size, np.arange(ks.size)], axis=1)
+        if complement:
+            # the grid before and after the child's cylinder; an empty side tiles nothing
+            (a, b, _) = ranges[0]
+            ranges = np.concatenate([[(0, a, 0), (b, n_addresses(params, depth), 0)], ranges[1:]])
+        labels = _tile_labels(params, ranges, depth)
         labels.flags.writeable = False
-        memo = tree._orbit_partition = (cells, depth, labels)
+        memo = tree._orbit_partition = (ks.size, depth, labels)
     return memo
 
 
@@ -295,16 +356,19 @@ def orbit_merge_under_pruning(
     if tree.valency_in(v) != params.q + 1 or pruned.valency_in(v) != 1:
         raise PruningError("the pruning vertex must go from full valency to a leaf")
 
-    merged_target = canonicalize(params, Halftree(sole_neighbor(pruned, v), v))
-    mapping: dict[EndCell, EndCell] = {}
+    # every kept leaf of `tree` is a leaf of `pruned` with the same neighbour,
+    # so it keeps its cell; the cells at the deleted leaves go to the one at v
     removed_set = set(removed)
-    for b in boundary_vertices(tree):
-        cell = canonicalize(params, Halftree(sole_neighbor(tree, b), b))
-        if b in removed_set:
-            mapping[cell] = merged_target
-        else:
-            mapping[cell] = canonicalize(params, Halftree(sole_neighbor(pruned, b), b))
-    return mapping
+    after = {_exit_vertex(c): c for c in orbit_cells(pruned)}
+    return {
+        c: after[v if _exit_vertex(c) in removed_set else _exit_vertex(c)]
+        for c in orbit_cells(tree)
+    }
+
+
+def _exit_vertex(cell: EndCell) -> Address:
+    # the vertex an orbit cell's ends leave their subtree through
+    return cell.base if isinstance(cell, Cylinder) else cell.head
 
 
 # -- boundary action ----------------------------------------------------------

@@ -192,20 +192,22 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
 
     The output is the conditional mean of v on each stabilizer orbit,
     computed at whatever common resolution expresses all orbit cells.
-    The orbit partition comes from measure.orbit_partition, so every
-    average over the same subtree instance shares one enumeration.
-    Raises PartitionError if the orbit cells do not tile the boundary.
+    It needs only the orbit partition's cell count and labels, read from
+    the subtree's levels by measure.orbit_partition, so every average
+    over the same subtree instance shares one scan and no cell object is
+    built.  Raises PartitionError if the orbit cells do not tile the
+    boundary.
     """
     params = v.params
     if tree.params != params:
         raise ConfigError("subtree and step function use different tree parameters")
-    cells, k, labels = bm.orbit_partition(tree)
+    count, k, labels = bm.orbit_partition(tree)
     m = max(v.resolution, k)
     labels = np.repeat(labels, n_addresses(params, m) // labels.size)
     vv = v.refine(m)
-    sums = np.zeros((len(cells), v.dim), dtype=np.complex128)
+    sums = np.zeros((count, v.dim), dtype=np.complex128)
     np.add.at(sums, labels, vv.values)
-    means = sums / np.bincount(labels, minlength=len(cells))[:, None]
+    means = sums / np.bincount(labels, minlength=count)[:, None]
     return StepFunction(params, m, means[labels])
 
 
@@ -262,7 +264,6 @@ class FixedSpaceReport:
     subtree: FiniteSubtree
     orbit_count: int
     fixed_dim: int
-    per_orbit_cells: tuple
 
 
 def fixed_space_report(tree: FiniteSubtree, d: int) -> FixedSpaceReport:
@@ -273,20 +274,19 @@ def fixed_space_report(tree: FiniteSubtree, d: int) -> FixedSpaceReport:
     each orbit cell must survive haar_average_fix unchanged, which
     exercises the conditional mean on every cell; values split per
     coordinate, so the scalar check covers all d coordinates.  The probe
-    and the average share the subtree's one orbit_partition.
+    and the average share the subtree's one orbit_partition, and only
+    its cell count is reported.
     """
     if d < 1:
         raise ConfigError(f"fiber dimension must be positive, got {d}")
     params = tree.params
-    cells, m, labels = bm.orbit_partition(tree)
+    count, m, labels = bm.orbit_partition(tree)
     probe = (labels + 1)[:, None].astype(np.complex128)
     fn = StepFunction(params, m, probe)
     averaged = haar_average_fix(tree, fn)
     if averaged.resolution != m or not np.array_equal(averaged.values, probe):
         raise ConfigError("orbit cells are not stabilizer-average invariant")
-    return FixedSpaceReport(
-        subtree=tree, orbit_count=len(cells), fixed_dim=d * len(cells), per_orbit_cells=cells
-    )
+    return FixedSpaceReport(subtree=tree, orbit_count=count, fixed_dim=d * count)
 
 
 def invariant_lift_check(

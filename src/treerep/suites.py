@@ -259,7 +259,9 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     horofunction exponent -1.
 
     A kept cell keeps its measure because it is the same cell
-    (`kept_cells_moved`).  The spectral side of the argument needs no
+    (`kept_cells_moved`), and the orbit cells of each subtree tile the
+    boundary, so their measures must add up to exactly 1
+    (`cell_measures_sum`).  The spectral side of the argument needs no
     check here: an eigenvalue of tau is phi(z) for an eigenvalue z of
     alpha, and phi(z) = +-q or +-1 would need z = +-(q+1), while
     |z| <= norm(alpha) < 2 sqrt(q) < q+1 for every alpha that build_pair
@@ -289,9 +291,14 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
               got=source_objs)
     kept = {c: t for c, t in mapping.items() if t != merged_cell}
     rep.check(name, -1, "kept_cells_moved", any(c != t for c, t in kept.items()), 0)
+    for which, tree in (("big", big), ("small", small)):
+        total = sum(bm.cell_measure(params, c) for c in bm.orbit_cells(tree))
+        rep.check(name, -1, "cell_measures_sum", total != 1, 0,
+                  subtree=which, got=bm.measure_to_str(total))
 
     # exact averaging: integer-valued data keeps every float op exact
-    cells_big, m, labels = bm.orbit_partition(big)
+    count, m, labels = bm.orbit_partition(big)
+    cells_big = bm.orbit_cells(big)
     src = [cells_big.index(c) for c in sources]
     (lo, hi), = bm.cell_index_ranges(params, merged_cell, m)
     for trial in range(cfg.trials):
@@ -299,7 +306,7 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
         weights = np.array([
             rng.integers(-(2**20), 2**20, size=cfg.dim)
             + 1j * rng.integers(-(2**20), 2**20, size=cfg.dim)
-            for _ in cells_big
+            for _ in range(count)
         ])
         values = weights[labels]
         averaged = haar_average_fix(small, StepFunction(params, m, values))
@@ -439,18 +446,24 @@ def suite_admissibility_table(cfg: SuiteConfig) -> SuiteReport:
     and fiber dimension.  The orbit count found by explicit enumeration
     is checked against the closed form (q+1) q^(r-1).  The fixed
     dimension is d per orbit cell, so whenever the orbit count passes it
-    equals d (q+1) q^(r-1), which grows strictly in r."""
+    equals d (q+1) q^(r-1), which grows strictly in r.  The orbit cells
+    of the radius-r ball are its depth-r cylinders, so the orbit count
+    times the measure of one of them must be exactly 1.  Each ball is
+    the 1-neighbourhood of the one before."""
     params = cfg.params
     name = "admissibility_table"
     dims = sorted({1, 2, 4, cfg.dim})
     rep = SuiteReport(name, (params.depth_cap - 1) * len(dims), exact=True)
     rows = []
+    ball = FiniteSubtree(params, [ROOT])
     for r in range(1, params.depth_cap):
-        ball = closed_neighborhood(FiniteSubtree(params, [ROOT]), r)
+        ball = closed_neighborhood(ball, 1)
         report = fixed_space_report(ball, 1)
         closed_form = (params.q + 1) * params.q ** (r - 1)
         rep.check(name, -1, "orbit_count", report.orbit_count != closed_form, 0,
                   r=r, got=report.orbit_count)
+        mass = report.orbit_count * bm.cell_measure(params, bm.Cylinder((1,) * r))
+        rep.check(name, -1, "cell_measures_sum", mass != 1, 0, r=r, got=bm.measure_to_str(mass))
         for dd in dims:
             fixed_dim = dd * report.orbit_count
             rows.append(

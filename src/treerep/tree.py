@@ -19,11 +19,12 @@ Operations that would have to enumerate or accept addresses deeper than
 the cap raise DepthBudgetError rather than truncating silently.
 
 Addresses of one depth are numbered in lexicographic order, and a finite
-subtree keeps, next to its vertex set, one sorted array of these numbers
-per depth (`FiniteSubtree.levels`).  Parent and children are index
-arithmetic on those arrays, so connectivity, valencies, boundary vertices
-and closed neighbourhoods cost one searchsorted per depth, not one Python
-step per vertex.
+subtree is one sorted array of these numbers per depth
+(`FiniteSubtree.levels`).  Parent and children are index arithmetic on
+those arrays, so connectivity, valencies, boundary vertices and closed
+neighbourhoods cost one searchsorted per depth, not one Python step per
+vertex.  The set of address tuples is built from the levels only when a
+caller asks for it.
 """
 from __future__ import annotations
 
@@ -288,13 +289,17 @@ def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
 class FiniteSubtree:
     """A nonempty, connected (hence geodesically closed) finite vertex set.
 
-    `vertices` is the frozenset of addresses.  `levels[k]` holds the sorted
-    address indices of the depth-k vertices and `valencies[k]` the valency
-    within the set of each of them, in the same order.
+    `levels[k]` holds the sorted address indices of the depth-k vertices
+    and `valencies[k]` the valency within the set of each of them, in the
+    same order.  `vertices`, the frozenset of addresses, is the listed set
+    for a subtree built from vertices, and is built from `levels` on first
+    use for one built from level arrays.
     """
 
-    # _orbit_partition: measure.orbit_partition's memo, unset until first use
-    __slots__ = ("params", "vertices", "levels", "valencies", "_orbit_partition")
+    # _orbit_anchors, _orbit_partition: measure's memos, unset until first use
+    __slots__ = (
+        "params", "levels", "valencies", "_vertices", "_orbit_anchors", "_orbit_partition"
+    )
 
     def __init__(self, params: TreeParams, vertices: Iterable[Address]):
         verts = frozenset(tuple(v) for v in vertices)
@@ -306,7 +311,7 @@ class FiniteSubtree:
             # int(): numpy letters would index in their own type and wrap
             by_depth.setdefault(len(v), []).append(index_unchecked(params.q, map(int, v)))
         self.params = params
-        self.vertices = verts
+        self._vertices = verts
         levels = tuple(
             np.array(sorted(by_depth.get(k, ())), dtype=_index_dtype(params, k))
             for k in range(max(by_depth) + 1)
@@ -319,11 +324,19 @@ class FiniteSubtree:
         """The subtree with these level arrays, which must be valid and connected."""
         tree = cls.__new__(cls)
         tree.params = params
-        tree.vertices = frozenset(
-            tuple(row) for k, idx in enumerate(levels) for row in _letters(params, k, idx).tolist()
-        )
+        tree._vertices = None
         tree._set_levels(levels)
         return tree
+
+    @property
+    def vertices(self) -> frozenset[Address]:
+        if self._vertices is None:
+            self._vertices = frozenset(
+                tuple(row)
+                for k, idx in enumerate(self.levels)
+                for row in _letters(self.params, k, idx).tolist()
+            )
+        return self._vertices
 
     def _set_levels(self, levels: tuple[np.ndarray, ...]) -> int:
         """Store the levels and valencies; return the number of components.
@@ -347,7 +360,7 @@ class FiniteSubtree:
         return addr in self.vertices
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return sum(idx.size for idx in self.levels)
 
     def __iter__(self) -> Iterator[Address]:
         return iter(sorted(self.vertices))

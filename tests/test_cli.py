@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -210,7 +211,7 @@ def force_failures(monkeypatch):
     monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: exact(g, cell) * g.params.q)
     monkeypatch.setattr(suites, "invariant_lift_check", lambda *args: {"max_leakage": 1e-3})
     monkeypatch.setattr(
-        suites, "fixed_space_report", lambda ball, d: FixedSpaceReport(ball, 0, 0, ())
+        suites, "fixed_space_report", lambda ball, d: FixedSpaceReport(ball, 0, 0)
     )
 
 
@@ -289,6 +290,18 @@ def negate_the_cocycle_exponent(monkeypatch):
     monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: 1 / exact(g, cell))
 
 
+def mis_normalise_the_measure(monkeypatch):
+    # a depth-k cylinder weighs 1/q^k instead of 1/((q+1) q^(k-1)); every
+    # ratio of two measures stays right, only the total mass is wrong
+    def uniform_by_letter(params, cell):
+        cell = measure.canonicalize(params, cell)
+        if isinstance(cell, measure.Cylinder):
+            return Fraction(1, params.q ** len(cell.base))
+        return 1 - uniform_by_letter(params, measure.Cylinder(cell.tail))
+
+    monkeypatch.setattr(measure, "cell_measure", uniform_by_letter)
+
+
 def make_lift_leakage_nan(monkeypatch):
     # the NaN also reaches the failure record's context and the details
     exact = suites.invariant_lift_check
@@ -316,6 +329,9 @@ DEFECTS = {
         negate_the_cocycle_exponent, {"measure_cocycle", "prune_replay"}
     ),
     "nan_leakage": (make_lift_leakage_nan, {"invariance_correspondence"}),
+    "measure_mis_normalised": (
+        mis_normalise_the_measure, {"prune_replay", "admissibility_table"}
+    ),
 }
 
 

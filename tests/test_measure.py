@@ -214,10 +214,23 @@ def test_orbit_cells_singleton_is_whole_boundary():
 
 
 def labelled_orbit_cells(tree):
-    """orbit_cells, the depth that expresses them, and their labels there."""
-    cells = me.orbit_cells(tree)
+    """The per-vertex orbit cells, the depth that expresses them, and
+    their assert_partition labels there."""
+    cells = oracles.orbit_cells_per_vertex(tree)
     depth = max(me.min_expressible_depth(tree.params, c) for c in cells)
     return cells, depth, me.assert_partition(tree.params, cells, depth)
+
+
+def assert_orbits_match_the_oracle(tree):
+    """orbit_partition and orbit_cells, read off the levels, against the
+    per-vertex construction; returns orbit_partition's result."""
+    found = me.orbit_partition(tree)
+    count, depth, labels = found
+    want_cells, want_depth, want_labels = labelled_orbit_cells(tree)
+    assert me.orbit_cells(tree) == want_cells
+    assert (count, depth) == (len(want_cells), want_depth)
+    assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+    return found
 
 
 @pytest.mark.parametrize("params", [P2, P3], ids=["q2", "q3"])
@@ -226,17 +239,60 @@ def test_orbit_partition_is_the_labelled_orbit_cells_once_per_subtree(params):
     subtrees = [tr.closed_neighborhood(root, r) for r in range(5)]
     subtrees += [tr.FiniteSubtree(params, [(), (1,)]), *replay_pruning_pair(params)]
     for tree in subtrees:
-        first = me.orbit_partition(tree)
-        cells, depth, labels = first
-        want_cells, want_depth, want_labels = labelled_orbit_cells(tree)
-        assert (list(cells), depth) == (want_cells, want_depth)
-        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+        first = assert_orbits_match_the_oracle(tree)
+        labels = first[2]
         assert me.orbit_partition(tree) is first
         with pytest.raises(ValueError):
             labels[0] = 1
         # the memo belongs to the instance: an equal subtree computes its own
         twin = tr.FiniteSubtree(params, tree.vertices)
         assert twin == tree and me.orbit_partition(twin) is not first
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_orbits_below_a_leaf_top_vertex_match_the_oracle(q):
+    # the top vertex is a leaf that is not the basepoint, so its orbit is
+    # the complement of its child's cylinder: two index ranges
+    params = tr.TreeParams(q, depth_cap=6)
+    hanging = tr.FiniteSubtree(
+        params, [(3,), (3, 1)] + [(3, 1, letter) for letter in range(1, q + 1)]
+    )
+    twig = tr.FiniteSubtree(params, [(2, 1), (2, 1, 1)])
+    for tree in [hanging] + [tr.closed_neighborhood(twig, r) for r in (1, 2)]:
+        _, depth, labels = assert_orbits_match_the_oracle(tree)
+        complement = me.orbit_cells(tree)[0]
+        assert isinstance(complement, me.Halftree)
+        # label 0 on both sides of one run of cylinder labels
+        inside = np.flatnonzero(labels)
+        assert inside.size == inside[-1] - inside[0] + 1
+        assert me.cell_index_ranges(params, complement, depth) == [
+            (0, int(inside[0])), (int(inside[-1]) + 1, labels.size)
+        ]
+        assert sum(me.cell_measure(params, c) for c in me.orbit_cells(tree)) == 1
+
+
+@st.composite
+def connected_sets(draw, max_depth=3):
+    """(q, a connected vertex set within depth max_depth), grown from a
+    vertex below the basepoint by adding neighbours."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    tail = draw(st.lists(st.integers(1, q), max_size=max_depth - 1))
+    verts = {(draw(st.integers(1, q + 1)), *tail)}
+    for _ in range(draw(st.integers(0, 6))):
+        v = draw(st.sampled_from(sorted(verts)))
+        near = [w for w in oracles.tree_neighbors(q, v) if len(w) <= max_depth]
+        verts.add(draw(st.sampled_from(near)))
+    return q, verts
+
+
+@given(connected_sets(), st.integers(1, 2))
+@settings(max_examples=40)
+def test_orbits_of_closed_neighbourhoods_match_the_oracle(case, radius):
+    q, verts = case
+    params = tr.TreeParams(q, depth_cap=5)
+    near = tr.closed_neighborhood(tr.FiniteSubtree(params, verts), radius)
+    assert_orbits_match_the_oracle(near)
+    assert sum(me.cell_measure(params, c) for c in me.orbit_cells(near)) == 1
 
 
 def test_orbit_merge_full_contract():

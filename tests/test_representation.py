@@ -265,10 +265,19 @@ def test_haar_average_fix_repeats_labels_past_the_cells():
 
 @pytest.mark.parametrize("fault", ["overlap", "gap"])
 def test_haar_average_fix_rejects_cells_that_do_not_tile(monkeypatch, fault):
+    # the level scan forged to add the cylinder at (1, 1), inside the
+    # edge's cylinder at (1,), or to lose the edge's last cell
     edge = tr.FiniteSubtree(P2, [(), (1,)])
-    cells = me.orbit_cells(edge)
-    bad = cells + [me.Cylinder((1, 1))] if fault == "overlap" else cells[:-1]
-    monkeypatch.setattr(me, "orbit_cells", lambda tree: bad)
+    scan = me._scan_orbit_anchors
+
+    def forged(tree):
+        depth, ks, idx, complement = scan(tree)
+        if fault == "overlap":
+            extra = tr.address_index(P2, (1, 1))
+            return depth + 1, np.append(ks, 2), np.append(idx, extra), complement
+        return depth, ks[:-1], idx[:-1], complement
+
+    monkeypatch.setattr(me, "_scan_orbit_anchors", forged)
     with pytest.raises(PartitionError):
         rp.haar_average_fix(edge, rp.constant_fn(P2, np.array([1.0])))
 
@@ -362,18 +371,19 @@ def test_fixed_space_report_counts():
                 rep = rp.fixed_space_report(ball, d)
                 assert rep.orbit_count == (q + 1) * q ** (r - 1)
                 assert rep.fixed_dim == d * rep.orbit_count
-                assert len(rep.per_orbit_cells) == rep.orbit_count
+                assert len(oracles.orbit_cells_per_vertex(ball)) == rep.orbit_count
 
 
 def count_orbit_enumerations(monkeypatch) -> Counter:
+    """Count the level scans that find each subtree's orbit cells."""
     calls = Counter()
-    enumerate_cells = me.orbit_cells
+    scan = me._scan_orbit_anchors
 
     def counted(tree):
         calls[tree] += 1
-        return enumerate_cells(tree)
+        return scan(tree)
 
-    monkeypatch.setattr(me, "orbit_cells", counted)
+    monkeypatch.setattr(me, "_scan_orbit_anchors", counted)
     return calls
 
 

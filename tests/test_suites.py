@@ -1,12 +1,15 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from treerep import measure as me
 from treerep import suites as su
+from treerep import tree as tr
 from treerep.errors import ConfigError
 
 SCHEMA = json.loads(
@@ -95,6 +98,30 @@ def test_admissibility_details_table():
     header, *lines = rep.details["csv"].splitlines()
     assert header == "q,r,d,orbit_count,fixed_dim"
     assert len(lines) == len(rows)
+
+
+def test_admissibility_table_builds_no_vertex_sets_and_no_cells(monkeypatch):
+    # each ball's orbit count and labels come from its level arrays: no
+    # vertex tuples, and no cell objects but the one depth-r cylinder per
+    # ball whose measure the mass check reads
+    built = Counter()
+    vertices = tr.FiniteSubtree.vertices
+
+    def read_vertices(tree):
+        built["vertices"] += 1
+        return vertices.fget(tree)
+
+    monkeypatch.setattr(tr.FiniteSubtree, "vertices", property(read_vertices))
+    for cls in (me.Cylinder, me.Halftree):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    cfg = su.SuiteConfig(q=3, depth_cap=9, trials=1)
+    assert su.suite_admissibility_table(cfg).passed
+    assert built == {"Cylinder": cfg.depth_cap - 1}
 
 
 def test_forced_failure_records_counterexamples():
