@@ -21,9 +21,14 @@ edge inversion.
 Letter matrices (one address per row, with a length per row) go through a
 portrait level by level: each depth that carries permutations (depth 0
 carries the root permutation) holds the sorted prefix indices of its
-vertices and their stacked letter tables, so a level costs one searchsorted
-of the rows' running prefix index and one gather, and the tables grow with
-the portrait, not with the tree.
+vertices and their stacked letter tables, so the tables grow with the
+portrait, not with the tree.  A level that holds every vertex of its depth
+(every level of a random_portrait) costs one gather keyed by the rows'
+running prefix index itself; a sparser level first looks that index up
+with one searchsorted.  Levels above the shortest row read whole columns,
+deeper ones only the rows that reach them.  The edge inversion writes the
+image (1, a1 - 1, a2, ...) of every row and copies the image of the rows
+starting with 1 over it, with no per-row branch.
 
 An automorphism is a word of (generator, inverted) pairs applied left to
 right; composition concatenates words, inversion reverses the word and
@@ -147,10 +152,13 @@ class PortraitGen:
     def batch(self, letters: np.ndarray, lengths: np.ndarray, inverted: bool):
         # the keying rule of `apply`: the running prefix index reads the
         # original letters forward, the image letters written so far
-        # backward; levels past the deepest vertex are the identity
+        # backward; levels past the deepest vertex are the identity.  Above
+        # the shortest row every row takes part, and a level holding every
+        # vertex of its depth is keyed by the prefix index itself.
         out = letters.copy()
         ref = out if inverted else letters
         q = self.portrait.q
+        reach = int(lengths.min()) if lengths.size else 0
         idx = np.zeros(letters.shape[0], dtype=np.int64)
         done = 0  # columns folded into idx
         for j, keys, fwd, inv in self._levels:
@@ -159,13 +167,16 @@ class PortraitGen:
             for k in range(done, j):
                 idx = idx * q + (ref[:, k] - 1)
             done = j
-            rows = np.flatnonzero(lengths > j)
-            at = idx[rows]
-            pos = np.minimum(np.searchsorted(keys, at), len(keys) - 1)
-            hit = keys[pos] == at
-            rows = rows[hit]
             table = inv if inverted else fwd
-            out[rows, j] = table[pos[hit], letters[rows, j]]
+            rows = slice(None) if j < reach else np.flatnonzero(lengths > j)
+            pos = at = idx[rows]
+            if j and keys.size < (q + 1) * q ** (j - 1):  # not every vertex of depth j
+                pos = np.minimum(np.searchsorted(keys, at), len(keys) - 1)
+                hit = np.flatnonzero(keys[pos] == at)
+                rows = hit if j < reach else rows[hit]
+                pos = pos[hit]
+            # one flat gather: two index arrays into the 2-d table cost twice as much
+            out[rows, j] = table.reshape(-1)[pos * table.shape[1] + letters[rows, j]]
         return out, lengths
 
     def to_json_obj(self) -> dict:
@@ -194,25 +205,21 @@ class EdgeInversionGen:
         return (1, addr[0] - 1) + addr[1:]
 
     def batch(self, letters: np.ndarray, lengths: np.ndarray, inverted: bool):
-        n, width = letters.shape
-        out = np.zeros_like(letters)
-        new = lengths.copy()
-        at_root = lengths == 0
-        out[at_root, 0] = 1
-        new[at_root] = 1
-        m1 = (lengths >= 1) & (letters[:, 0] == 1)
-        out[np.ix_(m1, np.arange(width - 1))] = letters[np.ix_(m1, np.arange(1, width))]
-        new[m1] = lengths[m1] - 1
-        bump = m1 & (lengths >= 2)
-        out[bump, 0] += 1
-        m2 = (lengths >= 1) & (letters[:, 0] >= 2)
-        if width >= 2:
-            out[np.ix_(m2, np.arange(2, width))] = letters[np.ix_(m2, np.arange(1, width - 1))]
-            out[m2, 1] = letters[m2, 0] - 1
-        out[m2, 0] = 1
-        new[m2] = lengths[m2] + 1
-        if np.any(new > width):
+        # every row gets the down image (1, a1 - 1, a2, ...), then the rows
+        # starting with 1 take the up image (a2 + 1, a3, ...) over it and
+        # the basepoint rows (1)
+        up = (lengths >= 1) & (letters[:, 0] == 1)
+        new = lengths + 1 - 2 * up
+        if np.any(new > letters.shape[1]):
             raise MalformedAddressError("batch buffer too narrow for an inversion step")
+        out = np.empty(letters.shape, dtype=letters.dtype)
+        out.reshape(-1)[1:] = letters.reshape(-1)[:-1]  # each row one to the right
+        out[:, 0] = 1
+        out[:, 1:2] -= 1
+        np.copyto(out[:, :-1], letters[:, 1:], where=up[:, None])
+        np.copyto(out[:, -1], 0, where=up)
+        out[:, 0] += up & (lengths >= 2)
+        out[lengths == 0, 1:] = 0
         return out, new
 
     def to_json_obj(self) -> dict:

@@ -17,8 +17,11 @@ operator-calculus layer.  On each output cylinder u the increment is
 2 |lcp(u, g x0)| - D and the lookup vertex is the depth-m prefix of
 g^{-1} u; the resolution rule makes both well defined (every output
 cylinder is strictly deeper than g x0, so its preimage is again a
-cylinder, of depth at least m).  The homomorphism property suite is the
-empirical proof of this cylinder-level evaluation.
+cylinder, of depth at least m).  The cylinders with |lcp(u, g x0)| >= j
+are the ones below the depth-j prefix of g x0, one index range, so the
+D + 1 exponents sit on D + 1 nested ranges and each tau power multiplies
+one slice.  The homomorphism property suite is the empirical proof of this
+cylinder-level evaluation.
 
 Averages over compact stabilizers are finite measure-weighted sums over
 orbit cells (conditional means), never samples over group elements.  An
@@ -52,6 +55,7 @@ from .tree import (
     Address,
     FiniteSubtree,
     TreeParams,
+    index_unchecked,
     letter_matrix,
     n_addresses,
     prefix_indices,
@@ -140,7 +144,11 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
     """Apply the boundary representation of g to v.
 
     Output resolution is max(m + D, D + 1); exceeding the depth cap is a
-    DepthBudgetError rather than a truncation.
+    DepthBudgetError rather than a truncation.  Every output row first takes
+    tau^(-D); then, for j = 1..D, the range of rows below the depth-j prefix
+    of g x0 (q^(m_out - j) rows from that prefix's index times as many)
+    takes tau^(2j - D) over it, so each row ends with the exponent of its
+    longest common prefix with g x0.
     """
     params = v.params
     if g.params != params:
@@ -158,26 +166,21 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
         )
     letters = letter_matrix(params, m_out)
     n = letters.shape[0]
-
-    if d == 0:
-        exponents = np.zeros(n, dtype=np.int64)
-    else:
-        y = np.asarray(g.x0_image, dtype=letters.dtype)
-        matches = letters[:, : len(y)] == y
-        exponents = 2 * np.cumprod(matches, axis=1).sum(axis=1) - d
-
     if m == 0:
-        looked_up = np.broadcast_to(v.values[0], (n, v.dim))
+        looked_up = np.repeat(v.values, n, axis=0)
     else:
         inv_letters, inv_lengths = g.inverse().apply_batch(
             letters, np.full(n, m_out, dtype=np.int64)
         )
         looked_up = v.values[prefix_indices(params, inv_letters, inv_lengths, m)]
 
-    out = np.empty((n, v.dim), dtype=np.complex128)
-    for k in np.unique(exponents):
-        rows = exponents == k
-        out[rows] = looked_up[rows] @ power(pair, int(k)).T
+    out = looked_up @ power(pair, -d).T
+    q = params.q
+    for j in range(1, d + 1):
+        size = q ** (m_out - j)
+        start = index_unchecked(q, g.x0_image[:j]) * size
+        rows = slice(start, start + size)
+        out[rows] = looked_up[rows] @ power(pair, 2 * j - d).T
     return StepFunction(params, m_out, out)
 
 

@@ -8,6 +8,7 @@ breadth-first search, refinements from testing every address.  Only the cell typ
 from the package.
 """
 
+import functools
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -24,6 +25,7 @@ def ball_vertices(q: int, depth: int) -> list[tuple[int, ...]]:
     return out
 
 
+@functools.lru_cache(maxsize=8)  # cached results are shared: read them, never change them
 def adjacency(q: int, depth: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     verts = ball_vertices(q, depth)
     nbrs = {v: [] for v in verts}
@@ -34,6 +36,7 @@ def adjacency(q: int, depth: int) -> dict[tuple[int, ...], list[tuple[int, ...]]
     return nbrs
 
 
+@functools.lru_cache(maxsize=32)
 def bfs_distances(q: int, depth: int, src: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     nbrs = adjacency(q, depth)
     dist = {src: 0}

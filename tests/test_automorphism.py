@@ -233,6 +233,80 @@ def test_portrait_batch_matches_scalar_at_every_level(q, cap):
                 assert (out[row, n:] == letters[row, n:]).all()  # past the end: untouched
 
 
+@pytest.mark.parametrize("q,cap", [(2, 6), (3, 5), (5, 4)])
+def test_portrait_batch_shortcuts_match_scalar(monkeypatch, q, cap):
+    # rows that all reach past a level take it whole, and a level holding
+    # every vertex of its depth is a direct gather with no search: full
+    # rows, rows padded past their length as apply_batch pads them, and
+    # rows of mixed nonzero length, padded or not, against dense, sparse
+    # and mixed-density portraits
+    rng = np.random.default_rng(200 + q)
+    params = tr.TreeParams(q, cap)
+    full = tr.letter_matrix(params, cap)
+    n = full.shape[0]
+    padded = np.concatenate([full, np.zeros((n, 2), dtype=full.dtype)], axis=1)
+    short = rng.integers(cap // 2, cap + 1, n)
+    mixed = np.where(np.arange(cap + 2) < short[:, None], padded, 0).astype(full.dtype)
+    rows = [(full, np.full(n, cap)), (padded, np.full(n, cap)), (mixed, short), (full, short)]
+    dense = au.random_portrait(params, cap, rng)
+    nodes = dense.node_perms
+    portraits = [
+        dense,
+        au.Portrait(dense.root_perm, {a: p for a, p in nodes.items() if rng.random() < 0.3}),
+        au.Portrait(
+            dense.root_perm, {a: p for a, p in nodes.items() if len(a) % 2 or rng.random() < 0.5}
+        ),
+    ]
+    exact, searches = np.searchsorted, []
+    monkeypatch.setattr(np, "searchsorted", lambda *a: searches.append(a) or exact(*a))
+    for portrait in portraits:
+        gen = au.PortraitGen(portrait)
+        sparse = [j for j, keys, _, _ in gen._levels if keys.size < tr.n_addresses(params, j)]
+        for letters, lengths in rows:
+            for inverted in (False, True):
+                searches.clear()
+                out, _ = gen.batch(letters, lengths, inverted)
+                assert len(searches) == len(sparse)
+                for row, k in enumerate(lengths):
+                    v = tuple(int(x) for x in letters[row, :k])
+                    assert tuple(int(x) for x in out[row, :k]) == gen.apply(v, inverted)
+                    assert (out[row, k:] == letters[row, k:]).all()
+
+
+@pytest.mark.parametrize("q,cap", [(2, 8), (3, 6), (5, 4)])
+def test_edge_inversion_batch_on_padded_rows(q, cap):
+    # rows of length 0, 1 and cap, shuffled, in a buffer one column wider
+    # than the cap as apply_batch pads it: every image is the scalar one,
+    # and the buffer past its new length stays zero
+    params = tr.TreeParams(q, cap)
+    letters, lengths = [], []
+    for k in (0, 1, cap):
+        block = tr.letter_matrix(params, k)
+        letters.append(np.pad(block, ((0, 0), (0, cap + 1 - k))))
+        lengths.append(np.full(block.shape[0], k))
+    order = np.random.default_rng(q).permutation(sum(len(b) for b in lengths))
+    letters, lengths = np.concatenate(letters)[order], np.concatenate(lengths)[order]
+    gen = au.EdgeInversionGen()
+    for inverted in (False, True):
+        out, new = gen.batch(letters, lengths, inverted)
+        for row, k in enumerate(lengths):
+            img = gen.apply(tuple(int(x) for x in letters[row, :k]), inverted)
+            assert tuple(int(x) for x in out[row, : new[row]]) == img
+            assert not out[row, new[row] :].any()
+
+
+def test_edge_inversion_batch_rejects_a_narrow_buffer():
+    # a row whose first letter is not 1 gets one letter longer; a buffer
+    # exactly as wide as the rows has room only if every row starts with 1
+    letters = tr.letter_matrix(P2, 3)
+    lengths = np.full(letters.shape[0], 3)
+    with pytest.raises(MalformedAddressError, match="batch buffer too narrow"):
+        au.EdgeInversionGen().batch(letters, lengths, False)
+    ones = letters[letters[:, 0] == 1]
+    _, new = au.EdgeInversionGen().batch(ones, lengths[: ones.shape[0]], False)
+    assert (new == 2).all()
+
+
 def test_sparse_deep_portrait_batch():
     # one node at depth 11 at q=5: the tables hold it and the basepoint, not
     # a row per depth-11 vertex

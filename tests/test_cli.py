@@ -285,6 +285,18 @@ def conjugate_tau_powers(monkeypatch):
     monkeypatch.setattr(representation, "power", lambda pair, k: exact(pair, k).conj())
 
 
+def scale_tau_powers(monkeypatch):
+    # a relative error of 1e-7 on every tau^k: ten times the default --tol
+    exact = representation.power
+    monkeypatch.setattr(representation, "power", lambda pair, k: exact(pair, k) * (1 + 1e-7))
+
+
+def shift_tau_ranges(monkeypatch):
+    # every nested range of one tau-power starts one cylinder late
+    exact = representation.index_unchecked
+    monkeypatch.setattr(representation, "index_unchecked", lambda q, addr: exact(q, addr) + 1)
+
+
 def negate_the_cocycle_exponent(monkeypatch):
     exact = measure.rn_cocycle
     monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: 1 / exact(g, cell))
@@ -329,6 +341,10 @@ DEFECTS = {
         negate_the_cocycle_exponent, {"measure_cocycle", "prune_replay"}
     ),
     "nan_leakage": (make_lift_leakage_nan, {"invariance_correspondence"}),
+    "tau_power_scaled": (
+        scale_tau_powers, {"homomorphism", "fixed_vector_transfer", "halftree_reach"}
+    ),
+    "tau_ranges_shifted": (shift_tau_ranges, {"homomorphism", "halftree_reach"}),
     "measure_mis_normalised": (
         mis_normalise_the_measure, {"prune_replay", "admissibility_table"}
     ),

@@ -54,7 +54,9 @@ def pi_oracle(g, v, pair):
     for u in oracles.deep_extensions(q, (), m_out):
         b = oracles.busemann_oracle(q, u, (), g.x0_image)
         assert b is not None, "output cells must see a constant increment"
-        z = gi.apply_vertex(u + (1, 1))
+        z = u + (1, 1)  # a deep proxy, which may sit past the depth cap
+        for gen, flag in gi.word:
+            z = gen.apply(z, flag)
         w_cell = z[:m]
         base = pair.tau if b >= 0 else pair.tau_inv
         mat = np.linalg.matrix_power(base, abs(b))
@@ -167,6 +169,46 @@ def test_pi_matches_per_cell_oracle():
             assert got.resolution == want.resolution
             scale = max(1.0, want.sup_norm())
             assert got.max_cell_distance(want) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("q,cap", [(2, 6), (3, 5), (5, 4)])
+def test_pi_exponent_ranges_match_the_oracle(monkeypatch, q, cap):
+    # every displacement d the cap allows, with g x0 a random vertex, the
+    # first vertex (q+1, 1, ..., 1) of the last depth-1 range and the last
+    # vertex (q+1, q, ..., q) of its depth; tau^k is taken once for each
+    # exponent 2j - d, j = 0..d
+    params = tr.TreeParams(q, cap)
+    rng, _, pair = build_rng_pair(params, 2, 50 + q)
+    exact, taken = rp.power, []
+    monkeypatch.setattr(rp, "power", lambda pair, k: taken.append(k) or exact(pair, k))
+    t = au.step_translation(params)
+    swap = tuple(range(q + 1, 0, -1))  # 1 <-> q+1 at the root
+    flip = tuple(range(q, 0, -1))  # 1 <-> q below a vertex
+    shift = au.identity(params)  # t^d moves the basepoint to 1^d
+    for d in range(cap):
+        heads = {
+            "random": au.random_portrait(params, max(d, 1), rng),
+            (q + 1,) + (1,) * (d - 1): au.Portrait(swap),
+            (q + 1,) + (q,) * (d - 1): au.Portrait(swap, {(1,) * i: flip for i in range(1, d)}),
+        }
+        for image, portrait in heads.items():
+            g = au.compose(au.from_portrait(params, portrait), shift)
+            assert g.displacement == d
+            assert image == "random" or d == 0 or g.x0_image == image
+            for m in range(3):
+                if max(m + d, d + 1) > cap:
+                    continue
+                n = tr.n_addresses(params, m)
+                v = rp.StepFunction(
+                    params, m, rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+                )
+                taken.clear()
+                got = rp.pi_apply(g, v, pair)
+                assert taken == list(range(-d, d + 1, 2))
+                want = pi_oracle(g, v, pair)
+                assert got.resolution == want.resolution
+                assert got.max_cell_distance(want) < 1e-9 * max(1.0, want.sup_norm())
+        shift = au.compose(t, shift)
 
 
 def test_pi_is_a_homomorphism():
