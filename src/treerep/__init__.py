@@ -30,7 +30,6 @@ from .tree import (
     Address,
     FiniteSubtree,
     TreeParams,
-    boundary_vertices,
     busemann_on_cylinder,
     closed_neighborhood,
     is_complete,

@@ -22,7 +22,10 @@ Letter matrices (one address per row, with a length per row) go through a
 portrait level by level: each depth that carries permutations (depth 0
 carries the root permutation) holds the sorted prefix indices of its
 vertices and their stacked letter tables, so the tables grow with the
-portrait, not with the tree.  A level that holds every vertex of its depth
+portrait, not with the tree.  Level keys and the rows' running prefix
+index take `tree`'s index dtype for their depth: int64 while every index
+of the depth fits in it, Python integers past that, so a deep prefix never
+wraps onto a shallow key.  A level that holds every vertex of its depth
 (every level of a random_portrait) costs one gather keyed by the rows'
 running prefix index itself; a sparser level first looks that index up
 with one searchsorted.  Levels above the shortest row read whole columns,
@@ -49,6 +52,7 @@ from .tree import (
     ROOT,
     Address,
     TreeParams,
+    _index_dtype,
     addresses_at_depth,
     check_address,
     format_address,
@@ -131,7 +135,9 @@ class PortraitGen:
         self._levels = []
         for j in sorted(by_level):
             addrs = sorted(by_level[j])  # letters are in range: index order
-            keys = np.array([index_unchecked(portrait.q, a) for a in addrs], dtype=np.int64)
+            keys = np.array(
+                [index_unchecked(portrait.q, a) for a in addrs], dtype=_index_dtype(portrait.q, j)
+            )
             self._levels.append((
                 j,
                 keys,
@@ -164,8 +170,11 @@ class PortraitGen:
         for j, keys, fwd, inv in self._levels:
             if j >= letters.shape[1]:
                 break
+            idx = idx.astype(_index_dtype(q, j), copy=False)
             for k in range(done, j):
-                idx = idx * q + (ref[:, k] - 1)
+                idx *= q
+                idx += ref[:, k]
+                idx -= 1
             done = j
             table = inv if inverted else fwd
             rows = slice(None) if j < reach else np.flatnonzero(lengths > j)
@@ -256,12 +265,10 @@ class TreeAutomorphism:
 
     def apply_batch(self, letters: np.ndarray, lengths: np.ndarray):
         """Vectorized apply_vertex over rows of a letter matrix."""
-        growth = self.word_cost()
-        if growth:
-            pad = np.zeros((letters.shape[0], growth), dtype=letters.dtype)
-            letters = np.concatenate([letters, pad], axis=1)
-        else:
-            letters = letters.copy()
+        n, width = letters.shape
+        out = np.zeros((n, width + self.word_cost()), dtype=letters.dtype)
+        out[:, :width] = letters
+        letters = out
         lengths = np.asarray(lengths).copy()
         for gen, flag in self.word:
             letters, lengths = gen.batch(letters, lengths, flag)

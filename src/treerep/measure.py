@@ -52,6 +52,7 @@ from .tree import (
     index_unchecked,
     is_complete,
     n_addresses,
+    neighbors,
     parent,
 )
 
@@ -147,11 +148,11 @@ def cell_index_ranges(params: TreeParams, cell: EndCell, depth: int) -> list[tup
         raise RefinementError(
             f"cell needs depth {len(u)} but an index view at depth {depth} was requested"
         )
+    if depth > params.depth_cap:
+        raise DepthBudgetError(f"address depth {depth} exceeds cap {params.depth_cap}")
     total = n_addresses(params, depth)
     if not u:
         return [(0, total)]
-    if depth > params.depth_cap:
-        raise DepthBudgetError(f"address depth {depth} exceeds cap {params.depth_cap}")
     size = params.q ** (depth - len(u))
     start = index_unchecked(params.q, u) * size
     stop = start + size
@@ -221,11 +222,7 @@ def _tile_labels(params: TreeParams, ranges: np.ndarray, depth: int) -> np.ndarr
 
 
 def _neighbors_in(sub: FiniteSubtree, b: Address) -> list[Address]:
-    params = sub.params
-    near = list(b + (l,) for l in params.letter_range(len(b)))
-    if b:
-        near.append(parent(b))
-    return [v for v in near if v in sub]
+    return [v for v in neighbors(sub.params, b) if v in sub]
 
 
 def _scan_orbit_anchors(tree: FiniteSubtree) -> tuple[int, np.ndarray, np.ndarray, bool]:
@@ -264,11 +261,15 @@ def _scan_orbit_anchors(tree: FiniteSubtree) -> tuple[int, np.ndarray, np.ndarra
     return depth, ks, idx, complement
 
 
-def _orbit_anchors(tree: FiniteSubtree) -> tuple[int, np.ndarray, np.ndarray, bool]:
-    """`_scan_orbit_anchors`, computed once per subtree instance and kept on it."""
-    memo = getattr(tree, "_orbit_anchors", None)
+def _orbits(tree: FiniteSubtree) -> tuple[tuple, tuple | None]:
+    """(anchors, partition), kept on the subtree instance in one slot.
+
+    The anchors are `_scan_orbit_anchors`, run once per instance; the
+    partition is `orbit_partition`'s value, None until first asked for.
+    """
+    memo = getattr(tree, "_orbits", None)
     if memo is None:
-        memo = tree._orbit_anchors = _scan_orbit_anchors(tree)
+        memo = tree._orbits = (_scan_orbit_anchors(tree), None)
     return memo
 
 
@@ -282,7 +283,7 @@ def orbit_cells(tree: FiniteSubtree) -> list[EndCell]:
     (see `orbit_partition`).
     """
     params = tree.params
-    _, ks, idx, complement = _orbit_anchors(tree)
+    (_, ks, idx, complement), _ = _orbits(tree)
     anchors = [address_from_index(params, k, i) for k, i in zip(ks.tolist(), idx.tolist())]
     cells: list[EndCell] = [Cylinder(a) for a in anchors]
     if complement:
@@ -303,10 +304,10 @@ def orbit_partition(tree: FiniteSubtree) -> tuple[int, int, np.ndarray]:
     and kept on it, so every stabilizer average over the same subtree
     shares one scan and one validation; no cell object is built.
     """
-    memo = getattr(tree, "_orbit_partition", None)
-    if memo is None:
+    anchors, partition = _orbits(tree)
+    if partition is None:
         params = tree.params
-        depth, ks, idx, complement = _orbit_anchors(tree)
+        depth, ks, idx, complement = anchors
         size = params.q ** (depth - ks)
         starts = idx.astype(np.int64) * size
         ranges = np.stack([starts, starts + size, np.arange(ks.size)], axis=1)
@@ -316,8 +317,9 @@ def orbit_partition(tree: FiniteSubtree) -> tuple[int, int, np.ndarray]:
             ranges = np.concatenate([[(0, a, 0), (b, n_addresses(params, depth), 0)], ranges[1:]])
         labels = _tile_labels(params, ranges, depth)
         labels.flags.writeable = False
-        memo = tree._orbit_partition = (ks.size, depth, labels)
-    return memo
+        partition = ks.size, depth, labels
+        tree._orbits = (anchors, partition)
+    return partition
 
 
 def orbit_merge_under_pruning(
@@ -353,7 +355,7 @@ def orbit_merge_under_pruning(
             f"expected exactly q={params.q} deleted leaves around a kept vertex, "
             f"got {len(removed)}"
         )
-    if tree.valency_in(v) != params.q + 1 or pruned.valency_in(v) != 1:
+    if len(_neighbors_in(tree, v)) != params.q + 1 or len(_neighbors_in(pruned, v)) != 1:
         raise PruningError("the pruning vertex must go from full valency to a leaf")
 
     # every kept leaf of `tree` is a leaf of `pruned` with the same neighbour,

@@ -21,10 +21,13 @@ the cap raise DepthBudgetError rather than truncating silently.
 Addresses of one depth are numbered in lexicographic order, and a finite
 subtree is one sorted array of these numbers per depth
 (`FiniteSubtree.levels`).  Parent and children are index arithmetic on
-those arrays, so connectivity, valencies, boundary vertices and closed
-neighbourhoods cost one searchsorted per depth, not one Python step per
-vertex.  The set of address tuples is built from the levels only when a
-caller asks for it.
+those arrays, so connectivity, valencies and closed neighbourhoods cost
+one searchsorted per depth, not one Python step per vertex.  The set of
+address tuples is built from the levels only when a caller asks for it.
+Indices are int64 while every address of their depth fits in it and
+Python integers past that (`_index_dtype`); the index decoder
+(`_letters`) and the prefix fold follow that rule, and so do the portrait
+keys of the automorphism module.
 """
 from __future__ import annotations
 
@@ -96,13 +99,10 @@ def parent(addr: Address) -> Address:
     return addr[:-1]
 
 
-def children(params: TreeParams, addr: Address) -> list[Address]:
-    return [addr + (letter,) for letter in params.letter_range(len(addr))]
-
-
 def neighbors(params: TreeParams, addr: Address) -> list[Address]:
+    """The parent (unless addr is the basepoint), then the children in order."""
     out = [] if not addr else [addr[:-1]]
-    out.extend(children(params, addr))
+    out.extend(addr + (letter,) for letter in params.letter_range(len(addr)))
     return out
 
 
@@ -166,20 +166,32 @@ def n_addresses(params: TreeParams, depth: int) -> int:
     return (params.q + 1) * params.q ** (depth - 1)
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _index_dtype(q: int, depth: int):
+    """int64 while every depth-`depth` index fits in it, else object (Python integers)."""
+    return np.int64 if depth == 0 or (q + 1) * q ** (depth - 1) <= _INT64_MAX else object
+
+
+def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
+    """The (n, depth) letter rows of the depth-`depth` addresses idx."""
+    out = np.empty((idx.size, depth), dtype=np.int64)
+    rest = idx
+    for j in range(depth - 1, 0, -1):
+        out[:, j] = 1 + rest % params.q
+        rest = rest // params.q
+    if depth:
+        out[:, 0] = 1 + rest
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def letter_matrix(params: TreeParams, depth: int) -> np.ndarray:
     """All depth-`depth` addresses as an (n, depth) int16 matrix, sorted."""
     if depth > params.depth_cap:
         raise DepthBudgetError(f"depth {depth} exceeds cap {params.depth_cap}")
-    n = n_addresses(params, depth)
-    out = np.zeros((n, depth), dtype=np.int16)
-    if depth == 0:
-        return out
-    block = params.q ** (depth - 1)
-    out[:, 0] = 1 + np.arange(n) // block
-    for j in range(1, depth):
-        block = params.q ** (depth - 1 - j)
-        out[:, j] = 1 + (np.arange(n) // block) % params.q
+    out = _letters(params, depth, np.arange(n_addresses(params, depth))).astype(np.int16)
     out.setflags(write=False)
     return out
 
@@ -205,28 +217,24 @@ def index_unchecked(q: int, addr: Address) -> int:
 def address_from_index(params: TreeParams, depth: int, idx: int) -> Address:
     if not 0 <= idx < n_addresses(params, depth):
         raise MalformedAddressError(f"index {idx} out of range at depth {depth}")
-    if depth == 0:
-        return ROOT
-    letters = []
-    for _ in range(depth - 1):
-        letters.append(1 + idx % params.q)
-        idx //= params.q
-    letters.append(1 + idx)
-    return tuple(reversed(letters))
+    idx = np.array([idx], dtype=_index_dtype(params.q, depth))
+    return tuple(_letters(params, depth, idx)[0].tolist())
 
 
 def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
     """Vectorized address_index of the depth-m prefix of every row.
 
-    Rows must have length >= m.
+    Rows must have length >= m.  The result has `_index_dtype`'s dtype
+    for depth m: int64, or Python integers where the depth outgrows it.
     """
-    if m == 0:
-        return np.zeros(letters.shape[0], dtype=np.int64)
-    if np.any(lengths < m):
+    if m and np.any(lengths < m):
         raise MalformedAddressError(f"a row is shorter than the requested prefix length {m}")
-    idx = (letters[:, 0].astype(np.int64) - 1)
-    for j in range(1, m):
-        idx = idx * params.q + (letters[:, j].astype(np.int64) - 1)
+    dtype = _index_dtype(params.q, m)
+    idx = np.zeros(letters.shape[0], dtype=dtype)
+    for j in range(m):
+        idx *= params.q
+        idx += letters[:, j]
+        idx -= 1
     return idx
 
 
@@ -243,24 +251,20 @@ def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _index_dtype(params: TreeParams, depth: int):
-    return np.int64 if n_addresses(params, depth) <= np.iinfo(np.int64).max else object
-
-
 def _empty_level(params: TreeParams, depth: int) -> np.ndarray:
-    return np.zeros(0, dtype=_index_dtype(params, depth))
+    return np.zeros(0, dtype=_index_dtype(params.q, depth))
 
 
 def _parent_indices(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
     """Index of the parent of every depth-`depth` vertex idx (depth >= 1)."""
     if depth == 1:
-        return np.zeros(idx.size, dtype=_index_dtype(params, 0))
-    return (idx // params.q).astype(_index_dtype(params, depth - 1))
+        return np.zeros(idx.size, dtype=_index_dtype(params.q, 0))
+    return (idx // params.q).astype(_index_dtype(params.q, depth - 1))
 
 
 def _child_indices(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
     """Indices of all children of the depth-`depth` vertices idx."""
-    dtype = _index_dtype(params, depth + 1)
+    dtype = _index_dtype(params.q, depth + 1)
     if depth == 0:
         return np.arange(params.q + 1 if idx.size else 0).astype(dtype)
     return (idx.astype(dtype)[:, None] * params.q + np.arange(params.q)).ravel()
@@ -274,18 +278,6 @@ def _positions(level: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.where(hit, pos, -1)
 
 
-def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
-    """The (n, depth) letter rows of the depth-`depth` addresses idx."""
-    out = np.empty((idx.size, depth), dtype=np.int64)
-    rest = idx
-    for j in range(depth - 1, 0, -1):
-        out[:, j] = 1 + rest % params.q
-        rest = rest // params.q
-    if depth:
-        out[:, 0] = 1 + rest
-    return out
-
-
 class FiniteSubtree:
     """A nonempty, connected (hence geodesically closed) finite vertex set.
 
@@ -296,10 +288,8 @@ class FiniteSubtree:
     use for one built from level arrays.
     """
 
-    # _orbit_anchors, _orbit_partition: measure's memos, unset until first use
-    __slots__ = (
-        "params", "levels", "valencies", "_vertices", "_orbit_anchors", "_orbit_partition"
-    )
+    # _orbits: measure's orbit scan and partition, unset until first use
+    __slots__ = ("params", "levels", "valencies", "_vertices", "_orbits")
 
     def __init__(self, params: TreeParams, vertices: Iterable[Address]):
         verts = frozenset(tuple(v) for v in vertices)
@@ -313,7 +303,7 @@ class FiniteSubtree:
         self.params = params
         self._vertices = verts
         levels = tuple(
-            np.array(sorted(by_depth.get(k, ())), dtype=_index_dtype(params, k))
+            np.array(sorted(by_depth.get(k, ())), dtype=_index_dtype(params.q, k))
             for k in range(max(by_depth) + 1)
         )
         if self._set_levels(levels) != 1:
@@ -377,22 +367,6 @@ class FiniteSubtree:
 
     def __repr__(self) -> str:
         return f"FiniteSubtree({sorted(format_address(v) for v in self.vertices)})"
-
-    def valency_in(self, addr: Address) -> int:
-        if addr not in self.vertices:
-            raise SubtreeError(f"{format_address(addr)} is not a vertex of the subtree")
-        return sum(1 for w in neighbors(self.params, addr) if w in self.vertices)
-
-
-def boundary_vertices(tree: FiniteSubtree) -> list[Address]:
-    """Vertices with tree-valency in S strictly below q+1, sorted."""
-    params = tree.params
-    out = []
-    for k, (idx, val) in enumerate(zip(tree.levels, tree.valencies)):
-        out.extend(map(tuple, _letters(params, k, idx[val < params.q + 1]).tolist()))
-    # each depth is already in order; sorting merges those runs
-    out.sort()
-    return out
 
 
 def is_complete(tree: FiniteSubtree) -> bool:

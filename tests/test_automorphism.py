@@ -325,6 +325,43 @@ def test_sparse_deep_portrait_batch():
     assert [(j, keys.size) for j, keys, _, _ in gen._levels] == [(0, 1), (11, 1)]
 
 
+def assert_batch_is_scalar(gen, letters):
+    lengths = np.full(letters.shape[0], letters.shape[1])
+    for inverted in (False, True):
+        out, _ = gen.batch(letters, lengths, inverted)
+        assert [tuple(int(x) for x in row) for row in out] == [
+            gen.apply(tuple(int(x) for x in row), inverted) for row in letters
+        ]
+
+
+def test_portrait_batch_keys_past_int64_do_not_wrap():
+    # at q = 10 the depth-20 prefixes with indices 5 and 2^64 + 5 differ,
+    # but agree modulo 2^64: only the first may take the node's permutation
+    params = tr.TreeParams(10, depth_cap=25)
+    node = tr.address_from_index(params, 20, 5)
+    far = tr.address_from_index(params, 20, 2**64 + 5)
+    gen = au.PortraitGen(au.Portrait(tuple(range(1, 12)), {node: tuple(range(10, 0, -1))}))
+    letters = np.array([node + (3,), far + (3,)], dtype=np.int16)
+    assert_batch_is_scalar(gen, letters)
+    assert gen.apply(far + (3,), False) == far + (3,)
+    assert gen.apply(node + (3,), False) == node + (8,)
+
+
+def test_portrait_node_past_int64_builds_and_acts():
+    # (11, 10, ..., 10) at depth 19 has an index above 2^63 - 1
+    params = tr.TreeParams(10, depth_cap=25)
+    node = (11,) + (10,) * 18
+    assert tr.address_index(params, node) > 2**63
+    g = au.from_portrait(
+        params, au.Portrait(tuple(range(1, 12)), {node: (2, 1) + tuple(range(3, 11))})
+    )
+    (gen, _), = g.word
+    letters = np.array([node + (1,), node + (5,), (11,) + (10,) * 17 + (9, 1)], dtype=np.int16)
+    assert_batch_is_scalar(gen, letters)
+    out, _ = g.apply_batch(letters, np.full(3, 20))
+    assert tuple(out[0]) == node + (2,)
+
+
 def test_word_cost_bounds_depth_growth():
     rng = np.random.default_rng(4)
     for _ in range(15):

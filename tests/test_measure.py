@@ -122,6 +122,14 @@ def test_cell_index_ranges_agree_with_refinement():
             for lo, hi in me.cell_index_ranges(P2, cell, depth):
                 got.update(range(lo, hi))
             assert got == want
+    # past the cap the root cell fails like every other cell, not as one range
+    capped = tr.TreeParams(2, depth_cap=4)
+    assert me.cell_index_ranges(capped, me.whole_boundary(), 4) == [(0, 24)]
+    for cell in (me.whole_boundary(), me.Cylinder((1,))):
+        with pytest.raises(DepthBudgetError):
+            me.cell_index_ranges(capped, cell, 5)
+    with pytest.raises(DepthBudgetError):
+        me.assert_partition(capped, [me.whole_boundary()], 7)
 
 
 def test_assert_partition():

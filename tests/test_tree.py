@@ -52,10 +52,8 @@ def test_parent_children_neighbors():
     assert tr.parent((1, 2)) == (1,)
     with pytest.raises(MalformedAddressError):
         tr.parent(())
-    assert tr.children(P2, ()) == [(1,), (2,), (3,)]
-    assert tr.children(P2, (3,)) == [(3, 1), (3, 2)]
-    assert sorted(tr.neighbors(P2, (1,))) == [(), (1, 1), (1, 2)]
-    assert sorted(tr.neighbors(P2, ())) == [(1,), (2,), (3,)]
+    assert tr.neighbors(P2, ()) == [(1,), (2,), (3,)]
+    assert tr.neighbors(P2, (3,)) == [(), (3, 1), (3, 2)]
     for v in oracles.ball_vertices(2, 3):
         assert sorted(tr.neighbors(P2, v)) == sorted(oracles.adjacency(2, 4)[v])
 
@@ -144,6 +142,7 @@ def test_letter_matrix_lexicographic_and_round_trip():
         for m in range(4):
             mat = tr.letter_matrix(params, m)
             assert mat.shape == (tr.n_addresses(params, m), m)
+            assert mat.dtype == np.int16
             rows = [tuple(int(x) for x in row) for row in mat]
             assert rows == sorted(rows)
             for i, row in enumerate(rows):
@@ -151,6 +150,17 @@ def test_letter_matrix_lexicographic_and_round_trip():
                 assert tr.address_from_index(params, m, i) == row
     with pytest.raises(ValueError):
         tr.letter_matrix(P2, 2)[0, 0] = 9  # cached array is write-protected
+    # at q = 10 the depth-19 indices pass 2^63; both sides round-trip exactly
+    deep = tr.TreeParams(10, depth_cap=25)
+    for m in range(18, 22):
+        n = tr.n_addresses(deep, m)
+        picks = [0, 5, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 5, n - 1]
+        for i in (i for i in picks if i < n):
+            addr = tr.address_from_index(deep, m, i)
+            assert len(addr) == m and all(type(x) is int for x in addr)
+            assert tr.index_unchecked(10, addr) == i
+        with pytest.raises(MalformedAddressError):
+            tr.address_from_index(deep, m, n)
 
 
 def test_addresses_at_depth_agrees_with_matrix():
@@ -170,6 +180,16 @@ def test_prefix_indices_gathers_ancestors():
         assert idx[i] == tr.address_index(P2, prefix)
 
 
+def test_prefix_indices_past_int64_do_not_wrap():
+    # 2^64 + 5 is a valid depth-20 index at q = 10; int64 would fold it to 5
+    params = tr.TreeParams(10, depth_cap=25)
+    rows = [tr.address_from_index(params, 20, i) + (3,) for i in (5, 2**64 + 5)]
+    letters = np.array(rows, dtype=np.int16)
+    idx = tr.prefix_indices(params, letters, np.full(2, 21), 20)
+    assert idx.tolist() == [5, 2**64 + 5]
+    assert type(idx[1]) is int
+
+
 # -- finite subtrees ----------------------------------------------------------
 
 
@@ -184,15 +204,13 @@ def test_subtree_requires_connectivity_and_root_closure():
 def test_subtree_membership_and_valency():
     s = tr.FiniteSubtree(P2, [(), (1,), (2,), (3,), (1, 1), (1, 2)])
     assert (1, 1) in s and (2, 1) not in s
-    assert s.valency_in(()) == 3
-    assert s.valency_in((1,)) == 3
-    assert s.valency_in((2,)) == 1
+    # (), then (1,) (2,) (3,), then (1, 1) (1, 2)
+    assert [val.tolist() for val in s.valencies] == [[3], [3, 1, 1], [1, 1]]
 
 
 def test_boundary_and_completeness():
     ball = tr.closed_neighborhood(tr.FiniteSubtree(P2, [()]), 1)
     assert sorted(ball.vertices) == [(), (1,), (2,), (3,)]
-    assert tr.boundary_vertices(ball) == [(1,), (2,), (3,)]
     assert tr.is_complete(ball)
     edge = tr.FiniteSubtree(P2, [(), (1,)])
     assert tr.is_complete(edge)  # both vertices are leaves of the subtree
@@ -244,16 +262,17 @@ def scattered_set(q, rng, size, depth=4):
 
 def assert_arrays_match_definitions(sub):
     params, q = sub.params, sub.params.q
+
+    def valency(v):
+        return sum(w in sub.vertices for w in oracles.tree_neighbors(q, v))
+
     for k, (idx, val) in enumerate(zip(sub.levels, sub.valencies)):
         at_k = sorted(v for v in sub.vertices if len(v) == k)
         assert idx.tolist() == [tr.address_index(params, v) for v in at_k]
-        assert val.tolist() == [sub.valency_in(v) for v in at_k]
+        assert val.tolist() == [valency(v) for v in at_k]
     assert sum(idx.size for idx in sub.levels) == len(sub)
-    assert tr.boundary_vertices(sub) == sorted(
-        v for v in sub.vertices if sub.valency_in(v) < q + 1
-    )
     assert tr.is_complete(sub) == all(
-        sub.valency_in(v) == q + 1 or sub.valency_in(v) <= 1 for v in sub.vertices
+        valency(v) == q + 1 or valency(v) <= 1 for v in sub.vertices
     )
 
 
