@@ -50,7 +50,14 @@ class PartitionError(TreeRepError, ValueError):
 
 
 class OperatorDomainError(TreeRepError, ValueError):
-    """The contraction bound on the generator matrix is violated."""
+    """The contraction bound on the generator matrix is violated.
+
+    `index` is the stack index of the offending matrix when a stack was
+    checked, else None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class BranchCutError(TreeRepError, ValueError):
@@ -58,12 +65,16 @@ class BranchCutError(TreeRepError, ValueError):
 
 
 class IllConditionedError(TreeRepError):
-    """Functional-calculus residuals exceed tolerance; reported, never
-    silently accepted."""
+    """Functional-calculus residuals exceed tolerance, or a matrix square
+    root does not converge; reported, never silently accepted.
 
-    def __init__(self, message: str, residuals: dict | None = None):
+    `index` is the stack index of the offending matrix when a stack was
+    built, else None."""
+
+    def __init__(self, message: str, residuals: dict | None = None, index: int | None = None):
         super().__init__(message)
         self.residuals = dict(residuals or {})
+        self.index = index
 
 
 class SpectralGuardError(TreeRepError):

@@ -166,6 +166,21 @@ def cell_index_ranges(params: TreeParams, cell: EndCell, depth: int) -> list[tup
     return out
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _label_grid_size(params: TreeParams, depth: int) -> int:
+    """The number of depth-`depth` cylinders, refused (DepthBudgetError)
+    where int64 labels and index ranges cannot count them."""
+    total = n_addresses(params, depth)
+    if total > _INT64_MAX:
+        raise DepthBudgetError(
+            f"a label grid of the {total} depth-{depth} cylinders at q={params.q} "
+            f"outgrows int64 indices"
+        )
+    return total
+
+
 def assert_partition(
     params: TreeParams, cells: list[EndCell], depth: int | None = None
 ) -> np.ndarray:
@@ -174,10 +189,12 @@ def assert_partition(
     Returns an int64 array with one entry per depth-`depth` cylinder, in
     lexicographic order; entry i is j when cylinder i lies in cells[j].
     Raises PartitionError unless the cells tile the boundary exactly once.
-    `depth` defaults to the smallest depth that expresses every cell.
+    `depth` defaults to the smallest depth that expresses every cell; a
+    grid too large for int64 indices raises DepthBudgetError.
     """
     if depth is None:
         depth = max((min_expressible_depth(params, c) for c in cells), default=0)
+    _label_grid_size(params, depth)
     ranges = np.array(
         [(a, b, j) for j, c in enumerate(cells) for a, b in cell_index_ranges(params, c, depth)],
         dtype=np.int64,
@@ -302,19 +319,21 @@ def orbit_partition(tree: FiniteSubtree) -> tuple[int, int, np.ndarray]:
     through `assert_partition`'s tiling check, so cells that overlap or
     leave a gap raise PartitionError.  Computed once per subtree instance
     and kept on it, so every stabilizer average over the same subtree
-    shares one scan and one validation; no cell object is built.
+    shares one scan and one validation; no cell object is built.  A grid
+    too large for int64 indices raises DepthBudgetError.
     """
     anchors, partition = _orbits(tree)
     if partition is None:
         params = tree.params
         depth, ks, idx, complement = anchors
+        total = _label_grid_size(params, depth)
         size = params.q ** (depth - ks)
         starts = idx.astype(np.int64) * size
         ranges = np.stack([starts, starts + size, np.arange(ks.size)], axis=1)
         if complement:
             # the grid before and after the child's cylinder; an empty side tiles nothing
             (a, b, _) = ranges[0]
-            ranges = np.concatenate([[(0, a, 0), (b, n_addresses(params, depth), 0)], ranges[1:]])
+            ranges = np.concatenate([[(0, a, 0), (b, total, 0)], ranges[1:]])
         labels = _tile_labels(params, ranges, depth)
         labels.flags.writeable = False
         partition = ks.size, depth, labels

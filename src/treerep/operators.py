@@ -16,14 +16,23 @@ for |z| < 2 sqrt(q) the number 4q - z^2 lies in the open right half-plane.
 So for a matrix alpha of spectral norm < 2 sqrt(q) one principal matrix
 square root gives both
 
-    tau = (alpha + i sqrtm(4q - alpha^2)) / 2,
-    tau^{-1} = (alpha - i sqrtm(4q - alpha^2)) / (2q),
+    tau = (alpha + i sqrt(4q - alpha^2)) / 2,
+    tau^{-1} = (alpha - i sqrt(4q - alpha^2)) / (2q),
 
 with tau + q tau^{-1} = alpha.  tau^{-1} is never obtained by inverting
 tau, so the inversion residual is a real check and not a tautology.  The
 defining residuals are measured in the spectral norm, and a pair whose
 residuals exceed tolerance is rejected loudly (IllConditionedError)
 instead of returned quietly.
+
+The root is `principal_sqrt`: the product form of the Denman-Beavers
+iteration with determinantal scaling on its first step (N. J. Higham,
+Functions of Matrices, SIAM 2008, ch. 6; E. D. Denman and A. N. Beavers,
+Appl. Math. Comput. 2(1), 1976).  It converges quadratically for every
+matrix with no eigenvalue on the closed negative real axis, defective
+(Jordan) ones included, needs only inverses and determinants, and runs on
+a stack of matrices at once.  A matrix that does not converge raises
+IllConditionedError; no root is returned quietly.
 """
 from __future__ import annotations
 
@@ -32,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BranchCutError,
@@ -84,49 +92,156 @@ class OperatorPair:
         return self.alpha.shape[0]
 
 
-def build_pair(alpha: np.ndarray, q: int, tol: float = 1e-9) -> OperatorPair:
+_ROOT_TOL = 1e-14  # a matrix's root is done once max|M - I| falls below this
+_ROOT_MAX_STEPS = 50  # quadratic convergence needs about 5, 12 near the disc's rim
+
+
+def _inverse(m: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Inverses of a stack; a singular matrix raises IllConditionedError
+    naming its index in `active`."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        for k, mk in enumerate(m):
+            try:
+                np.linalg.inv(mk)
+            except np.linalg.LinAlgError:
+                raise IllConditionedError(
+                    f"square root iteration hit a singular matrix at stack index {active[k]}",
+                    index=int(active[k]),
+                ) from None
+        raise
+
+
+def principal_sqrt(a: np.ndarray) -> np.ndarray:
+    """Principal square roots of an (n, d, d) stack of complex matrices.
+
+    Product-form Denman-Beavers iteration (Higham 2008, eq. 6.17), with
+    determinantal scaling mu = |det A|^(-1/(2d)) on the first step:
+
+        X_1 = (mu A + I / mu) / 2,    M_1 = I/2 + (mu^2 A + A^{-1} / mu^2) / 4,
+        X_{k+1} = X_k (I + M_k^{-1}) / 2,    M_{k+1} = I/2 + (M_k + M_k^{-1}) / 4,
+
+    X_k -> A^{1/2} and M_k -> I.  Each matrix leaves the stack once its own
+    max|M_k - I| < 1e-14, so matrix i's root is bitwise the root of
+    a[i : i + 1] alone.  A singular or non-finite matrix, or one that has
+    not converged after 50 steps (an eigenvalue on the negative real axis,
+    where no principal root exists), raises IllConditionedError naming its
+    stack index.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise OperatorDomainError(f"expected an (n, d, d) stack, got shape {a.shape}")
+    d = a.shape[1]
+    with np.errstate(invalid="ignore"):  # NaN entries give a NaN logdet, refused below
+        _, logdet = np.linalg.slogdet(a)
+    (bad,) = np.nonzero(~np.isfinite(logdet))
+    if bad.size:
+        raise IllConditionedError(
+            f"matrix at stack index {bad[0]} is singular or not finite; it has no "
+            f"principal square root", index=int(bad[0])
+        )
+    eye = np.eye(d, dtype=np.complex128)
+    mu = np.exp(-logdet / (2 * d))[:, None, None]
+    active = np.arange(a.shape[0])
+    x = 0.5 * (mu * a + eye / mu)
+    m = 0.5 * eye + 0.25 * (mu**2 * a + _inverse(a, active) / mu**2)
+    out = np.empty_like(a)
+    for _ in range(_ROOT_MAX_STEPS):
+        done = np.abs(m - eye).max(axis=(1, 2)) < _ROOT_TOL
+        if done.any():
+            out[active[done]] = x[done]
+            active, x, m = active[~done], x[~done], m[~done]
+            if not active.size:
+                return out
+        m_inv = _inverse(m, active)
+        x = 0.5 * (x + x @ m_inv)
+        m = 0.5 * eye + 0.25 * (m + m_inv)
+    raise IllConditionedError(
+        f"square root iteration did not converge in {_ROOT_MAX_STEPS} steps at stack index "
+        f"{active[0]}: no principal square root is within reach", index=int(active[0])
+    )
+
+
+def build_pair(
+    alpha: np.ndarray, q: int, tol: float = 1e-9
+) -> OperatorPair | list[OperatorPair]:
     """Construct tau = phi(alpha) and its sibling root tau^{-1} from one
     matrix square root, verify the defining residuals, and package the lot.
 
-    Raises OperatorDomainError when alpha is outside the open disc of
-    radius 2 sqrt(q) and IllConditionedError when the square root is not
-    finite or the computed pair fails its own residual bounds.
+    `alpha` is one (d, d) matrix, giving one pair, or an (n, d, d) stack,
+    giving a list of n pairs built together; pair i is bitwise the pair of
+    alpha[i] built alone.
+
+    Raises OperatorDomainError when an alpha is not finite or is outside
+    the open disc of radius 2 sqrt(q), and IllConditionedError when its
+    square root does not converge or is not finite, or the computed pair
+    fails its own residual bounds.  For a stack the error names the index
+    of the first bad alpha, in its message and as `index`.
     """
     alpha = np.ascontiguousarray(alpha, dtype=np.complex128)
+    single = alpha.ndim == 2
+    stack = alpha[None] if single else alpha
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise OperatorDomainError(
+            f"expected a square matrix or a stack of them, got shape {alpha.shape}"
+        )
     if q < 2:
         raise OperatorDomainError(f"branching parameter must be >= 2, got {q}")
-    norm_alpha = spectral_norm(alpha)
-    if norm_alpha >= 2.0 * math.sqrt(q):
+
+    def where(i) -> str:
+        return "" if single else f"alpha at stack index {i}: "
+
+    (bad,) = np.nonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
         raise OperatorDomainError(
-            f"spectral norm {norm_alpha:.6g} is not inside the disc of radius "
-            f"{2.0 * math.sqrt(q):.6g}"
+            f"{where(bad[0])}matrix has non-finite entries", index=int(bad[0])
         )
-    eye = np.eye(alpha.shape[0], dtype=np.complex128)
-    root = 1j * scipy.linalg.sqrtm(4 * q * eye - alpha @ alpha)
-    if not np.all(np.isfinite(root)):
-        raise IllConditionedError("matrix square root has non-finite entries")
-    tau = (alpha + root) / 2.0
-    tau_inv = (alpha - root) / (2.0 * q)
-    # the three residuals, tau and tau^{-1}: five spectral norms, one SVD call
-    stack = np.stack(
-        [tau @ tau - alpha @ tau + q * eye, tau + q * tau_inv - alpha, tau @ tau_inv - eye,
-         tau, tau_inv]
+    norm_alpha = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    radius = 2.0 * math.sqrt(q)
+    (bad,) = np.nonzero(norm_alpha >= radius)
+    if bad.size:
+        raise OperatorDomainError(
+            f"{where(bad[0])}spectral norm {norm_alpha[bad[0]]:.6g} is not inside the disc of "
+            f"radius {radius:.6g}", index=int(bad[0])
+        )
+    d = stack.shape[1]
+    eye = np.eye(d, dtype=np.complex128)
+    root = 1j * principal_sqrt(4 * q * eye - stack @ stack)
+    tau = (stack + root) / 2.0
+    tau_inv = (stack - root) / (2.0 * q)
+    # per alpha: the three residuals, tau and tau^{-1}, five spectral norms from one SVD call
+    checks = np.stack(
+        [tau @ tau - stack @ tau + q * eye, tau + q * tau_inv - stack, tau @ tau_inv - eye,
+         tau, tau_inv], axis=1
     )
-    if not np.isfinite(stack).all():
-        raise OperatorDomainError("matrix has non-finite entries")
-    quad, total, inv, norm_tau, norm_tau_inv = np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
-    residuals = {"quad": quad, "sum": total, "inv": inv}
-    bounds = {
-        "quad": tol * (1.0 + norm_alpha**2),
-        "sum": tol * (1.0 + norm_alpha),
-        "inv": tol * (1.0 + norm_tau * norm_tau_inv),
-    }
-    bad = {k: v for k, v in residuals.items() if v > bounds[k]}
-    if bad:
+    (bad,) = np.nonzero(~np.isfinite(checks).all(axis=(1, 2, 3)))
+    if bad.size:
         raise IllConditionedError(
-            f"functional calculus residuals exceed tolerance: {bad}", residuals=residuals
+            f"{where(bad[0])}matrix square root has non-finite entries", index=int(bad[0])
         )
-    return OperatorPair(q=q, alpha=alpha, tau=tau, tau_inv=tau_inv, residuals=residuals, tol=tol)
+    quad, total, inv, norm_tau, norm_tau_inv = np.linalg.svd(checks, compute_uv=False)[..., 0].T
+    ok = (
+        (quad <= tol * (1.0 + norm_alpha**2))
+        & (total <= tol * (1.0 + norm_alpha))
+        & (inv <= tol * (1.0 + norm_tau * norm_tau_inv))
+    )
+    residuals = [
+        {"quad": a, "sum": b, "inv": c}
+        for a, b, c in zip(quad.tolist(), total.tolist(), inv.tolist())
+    ]
+    (bad,) = np.nonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        raise IllConditionedError(
+            f"{where(i)}functional calculus residuals exceed tolerance: {residuals[i]}",
+            residuals=residuals[i], index=i,
+        )
+    pairs = [
+        OperatorPair(q=q, alpha=a, tau=t, tau_inv=ti, residuals=r, tol=tol)
+        for a, t, ti, r in zip(stack, tau, tau_inv, residuals)
+    ]
+    return pairs[0] if single else pairs
 
 
 def power(pair: OperatorPair, k: int) -> np.ndarray:
@@ -154,7 +269,7 @@ def guard_spectrum(pair: OperatorPair) -> dict:
     """
     lam = np.linalg.eigvals(pair.tau)
     margin = float(np.min(np.minimum(np.abs(lam - pair.q), np.abs(lam + pair.q))))
-    sing = scipy.linalg.svdvals(pair.tau - pair.tau_inv)
+    sing = np.linalg.svd(pair.tau - pair.tau_inv, compute_uv=False)
     smin, smax = float(sing[-1]), float(sing[0])
     if not (margin > 0.0 and smin > 0.0):
         raise SpectralGuardError(

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import measure as bm
 from .automorphism import (
@@ -254,7 +253,7 @@ def halftree_element(
 def halftree_preimage(pair: OperatorPair, w: np.ndarray) -> np.ndarray:
     """Solve (tau - tau^{-1}) w' = w; the guard layer promises solvability."""
     diff = pair.tau - pair.tau_inv
-    sing = scipy.linalg.svdvals(diff)
+    sing = np.linalg.svd(diff, compute_uv=False)
     if sing[-1] <= 1e-14 * max(1.0, sing[0]):
         raise SpectralGuardError(
             f"tau - tau_inv is numerically singular (smallest singular value {sing[-1]:.3g})"
@@ -313,7 +312,7 @@ def invariant_lift_check(
         mat = np.asarray(basis, dtype=np.complex128)
     else:
         mat = np.column_stack([np.asarray(b, dtype=np.complex128) for b in basis])
-    sing = scipy.linalg.svdvals(mat)
+    sing = np.linalg.svd(mat, compute_uv=False)
     if sing[-1] <= 1e-10 * max(1.0, sing[0]):
         raise ConfigError("subspace basis is numerically dependent")
     ortho, _ = np.linalg.qr(mat)

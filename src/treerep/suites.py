@@ -14,7 +14,10 @@ default_rng([seed, crc32(s), t]), so suites are deterministic per
 configuration and independent of execution order.  A failure's
 (stream, trial) is its seed path: rerunning the suite with the report's
 config, trials at least trial + 1, reproduces the record.  Structural
-checks draw nothing and record trial -1.
+checks draw nothing and record trial -1.  A suite with an operator pair
+per trial draws every trial's alpha first and builds all the pairs in
+one stacked build_pair call; each trial then goes on drawing from its
+own generator, so the draws are those of one trial at a time.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .automorphism import (
     step_translation,
 )
 from .errors import ConfigError
-from .operators import build_pair, phi_scalar, random_in_disc, spectral_norm
+from .operators import OperatorPair, build_pair, phi_scalar, random_in_disc, spectral_norm
 from .representation import (
     StepFunction,
     alpha_via_rep,
@@ -166,6 +169,16 @@ def trial_rng(cfg: SuiteConfig, stream: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, zlib.crc32(stream.encode()), trial])
 
 
+def _trial_pairs(cfg: SuiteConfig, stream: str) -> list[tuple[np.random.Generator, OperatorPair]]:
+    """(rng, pair) per trial of `stream`: each trial's generator after it
+    drew its alpha, and the alphas' operator pairs, built in one stacked
+    build_pair call.  A bad alpha raises before any trial runs, and the
+    error's `index` is its trial."""
+    rngs = [trial_rng(cfg, stream, trial) for trial in range(cfg.trials)]
+    alphas = np.stack([random_in_disc(cfg.dim, cfg.q, rng) for rng in rngs])
+    return list(zip(rngs, build_pair(alphas, cfg.q)))
+
+
 def _random_cylinder(params: TreeParams, rng: np.random.Generator, depth: int) -> bm.Cylinder:
     idx = int(rng.integers(0, n_addresses(params, depth)))
     return bm.Cylinder(address_from_index(params, depth, idx))
@@ -218,10 +231,7 @@ def suite_homomorphism(cfg: SuiteConfig) -> SuiteReport:
     rep = SuiteReport(name, cfg.trials, {"tolerance_rule": "tol * norm(tau)^(D_g + D_h) * sup|v|"})
     max_factors = min(3, max(1, (params.depth_cap - 2) // 2))
     m_hi = min(2, max(0, params.depth_cap - 2 * max_factors))
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg, name, trial)
-        alpha = random_in_disc(cfg.dim, cfg.q, rng)
-        pair = build_pair(alpha, cfg.q)
+    for trial, (rng, pair) in enumerate(_trial_pairs(cfg, name)):
         g = random_word(params, rng, max_factors)
         h = random_word(params, rng, max_factors)
         m = int(rng.integers(0, m_hi + 1))
@@ -335,10 +345,8 @@ def suite_fixed_vector_transfer(cfg: SuiteConfig) -> SuiteReport:
     rep = SuiteReport(name, cfg.trials, {
         "tolerance_rule": "tol * norm(alpha) * norm(w), relative residual reported"
     })
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg, name, trial)
-        alpha = random_in_disc(cfg.dim, cfg.q, rng)
-        pair = build_pair(alpha, cfg.q)
+    for trial, (rng, pair) in enumerate(_trial_pairs(cfg, name)):
+        alpha = pair.alpha
         w = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
         got = alpha_via_rep(params, w, pair)
         residual = float(np.linalg.norm(got - alpha @ w))
@@ -361,10 +369,7 @@ def suite_halftree_reach(cfg: SuiteConfig) -> SuiteReport:
     rep = SuiteReport(name, cfg.trials, {
         "edge": "basepoint to each neighbour, all q+1 directions sampled"
     })
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg, name, trial)
-        alpha = random_in_disc(cfg.dim, cfg.q, rng)
-        pair = build_pair(alpha, cfg.q)
+    for trial, (rng, pair) in enumerate(_trial_pairs(cfg, name)):
         w = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
         w = w / np.linalg.norm(w)
         w_prime = halftree_preimage(pair, w)
@@ -410,7 +415,7 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
     trials = min(cfg.trials, 40)
     rep = SuiteReport(name, trials)
     stream = name + "/invariant"
-    branch, leakages = [], []
+    drawn = []
     for trial in range(trials):
         rng = trial_rng(cfg, stream, trial)
         basis_mat, _ = np.linalg.qr(
@@ -419,8 +424,10 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
         lam = (rng.uniform(0.1, 0.7, size=d) * 2 * math.sqrt(cfg.q)) * np.exp(
             2j * math.pi * rng.uniform(size=d)
         )
-        alpha = (basis_mat * lam) @ basis_mat.conj().T
-        pair = build_pair(alpha, cfg.q)
+        drawn.append((rng, basis_mat, lam))
+    pairs = build_pair(np.stack([(u * lam) @ u.conj().T for _, u, lam in drawn]), cfg.q)
+    branch, leakages = [], []
+    for trial, ((rng, basis_mat, lam), pair) in enumerate(zip(drawn, pairs)):
         tau_phi = (basis_mat * [phi_scalar(z, cfg.q) for z in lam]) @ basis_mat.conj().T
         branch.append(spectral_norm(pair.tau - tau_phi) / (1.0 + spectral_norm(pair.tau)))
         k = int(rng.integers(1, d))

@@ -10,10 +10,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-import scipy.linalg
 
 from treerep import automorphism as au
-from treerep import cli, measure, representation, suites
+from treerep import cli, measure, operators, representation, suites
 from treerep import tree as tr
 from treerep.errors import IllConditionedError
 from treerep.representation import FixedSpaceReport
@@ -90,16 +89,16 @@ def test_numeric_breakdown_gives_exit_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", ["perturbed", "nan"])
 def test_bad_square_root_gives_exit_3(capsys, monkeypatch, name):
-    exact = scipy.linalg.sqrtm
+    exact = operators.principal_sqrt
 
     def corrupt(a):
         root = exact(a)
         if name == "nan":
-            root[0, 0] = np.nan
+            root[..., 0, 0] = np.nan
             return root
-        return root + 1e-3 * np.eye(root.shape[0])
+        return root + 1e-3 * np.eye(root.shape[-1])
 
-    monkeypatch.setattr(scipy.linalg, "sqrtm", corrupt)
+    monkeypatch.setattr(operators, "principal_sqrt", corrupt)
     code, _, err = run_cli(capsys, "spectrum", "--no-timestamp")
     assert code == 3
     assert "breakdown" in err
@@ -260,8 +259,8 @@ def test_every_failure_replays_from_its_seed_path(capsys, monkeypatch):
 
 def negate_the_square_root(monkeypatch):
     # tau and q tau^{-1} swap: the other root of t^2 - alpha t + q
-    exact = scipy.linalg.sqrtm
-    monkeypatch.setattr(scipy.linalg, "sqrtm", lambda a: -exact(a))
+    exact = operators.principal_sqrt
+    monkeypatch.setattr(operators, "principal_sqrt", lambda a: -exact(a))
 
 
 def scale_the_cocycle_by_q(monkeypatch):
@@ -454,6 +453,22 @@ def test_text_format(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7
     assert all("PASS" in line for line in lines)
+
+
+def test_cli_import_loads_numpy_but_not_scipy():
+    # scipy's import costs about as much as numpy's; every command would pay it
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, treerep.cli; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split("'")[1::2]
+    assert "numpy" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 def test_console_script_entry_point():

@@ -221,6 +221,19 @@ def test_orbit_cells_singleton_is_whole_boundary():
     assert me.orbit_cells(tr.FiniteSubtree(P2, [()])) == [me.whole_boundary()]
 
 
+def test_label_grid_past_int64_is_a_typed_error():
+    # the edge's two cells are right, but their depth-20 grid has 1.1e20
+    # cylinders: no int64 label or index range can count them
+    params = tr.TreeParams(10, 21)
+    edge = tr.FiniteSubtree(params, [(11,) + (10,) * 18, (11,) + (10,) * 19])
+    cells = me.orbit_cells(edge)
+    assert sorted(map(type, cells), key=str) == [me.Cylinder, me.Halftree]
+    with pytest.raises(DepthBudgetError, match="outgrows int64"):
+        me.orbit_partition(edge)
+    with pytest.raises(DepthBudgetError, match="outgrows int64"):
+        me.assert_partition(params, cells)
+
+
 def labelled_orbit_cells(tree):
     """The per-vertex orbit cells, the depth that expresses them, and
     their assert_partition labels there."""

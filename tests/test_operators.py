@@ -180,9 +180,9 @@ def test_random_in_disc_stays_in_domain():
         assert op.spectral_norm(a) < 2 * math.sqrt(3)
 
 
-def test_jordan_block_falls_back_to_schur():
-    # defective matrix: no eigenvector basis exists, the Schur-based
-    # square root must still satisfy the residual contract
+def test_defective_jordan_block_meets_the_residual_contract():
+    # defective matrix: no eigenvector basis exists, and the square root
+    # must still satisfy the residual contract
     j = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
     pair = op.build_pair(j, 2)
     quad, lin, inv = residuals_direct(pair)
@@ -206,16 +206,16 @@ def test_jordan_blocks_meet_residual_bounds(size, q):
 
 @pytest.mark.parametrize("name", ["perturbed", "nan"])
 def test_bad_square_root_is_reported_not_silent(monkeypatch, name):
-    exact = scipy.linalg.sqrtm
+    exact = op.principal_sqrt
 
     def corrupt(a):
         root = exact(a)
         if name == "nan":
-            root[0, 0] = np.nan
+            root[..., 0, 0] = np.nan
             return root
-        return root + 1e-3 * np.eye(root.shape[0])
+        return root + 1e-3 * np.eye(root.shape[-1])
 
-    monkeypatch.setattr(scipy.linalg, "sqrtm", corrupt)
+    monkeypatch.setattr(op, "principal_sqrt", corrupt)
     alpha = op.random_in_disc(3, 2, np.random.default_rng(9))
     with pytest.raises(IllConditionedError):
         op.build_pair(alpha, 2)
@@ -230,6 +230,108 @@ def test_spectral_mapping_sanity():
         for lam in np.linalg.eigvals(pair.tau):
             back = lam + 2 / lam
             assert min(abs(back - mu) for mu in alpha_eigs) < 1e-7
+
+
+# -- the square root: scipy.linalg.sqrtm as the oracle --------------------------
+
+
+def assert_matches_sqrtm(b, rel=1e-12):
+    root = op.principal_sqrt(b)
+    for bi, ri in zip(b, root):
+        want = scipy.linalg.sqrtm(bi)
+        assert np.linalg.norm(ri - want, 2) <= rel * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 6, 16])
+def test_principal_sqrt_matches_sqrtm_on_random_alpha(q, d):
+    rng = np.random.default_rng([q, d])
+    alphas = np.stack([op.random_in_disc(d, q, rng) for _ in range(20)])
+    assert_matches_sqrtm(4 * q * np.eye(d) - alphas @ alphas)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("size", [2, 3, 5])
+def test_principal_sqrt_matches_sqrtm_on_jordan_alpha(q, size):
+    alphas = np.stack([
+        lam * np.eye(size, dtype=complex) + np.eye(size, k=1, dtype=complex)
+        for lam in (0.4, -0.7 + 0.3j, 0.2j, 0.9 * math.sqrt(q))
+    ])
+    assert_matches_sqrtm(4 * q * np.eye(size) - alphas @ alphas)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_principal_sqrt_near_the_rim_matches_sqrtm(q):
+    # a real eigenvalue at 0.999999 of the radius next to a non-normal
+    # block, in a random basis: 4q - alpha^2 has an eigenvalue near 8e-6 q
+    rng = np.random.default_rng(q)
+    r = 2 * math.sqrt(q)
+    for _ in range(5):
+        block = np.zeros((4, 4), dtype=complex)
+        block[0, 0] = 0.999999 * r
+        block[1:, 1:] = np.diag([0.5, -0.3j, 0.2]) + 0.5 * np.triu(rng.standard_normal((3, 3)), 1)
+        u = random_unitary(4, rng)
+        alpha = u @ block @ u.conj().T
+        b = (4 * q * np.eye(4) - alpha @ alpha)[None]
+        assert_matches_sqrtm(b, rel=1e-9)
+        root = op.principal_sqrt(b)[0]
+        assert np.linalg.norm(root @ root - b[0], 2) <= 1e-11 * np.linalg.norm(b[0], 2)
+        assert_residuals_within_bounds(op.build_pair(alpha, q))
+
+
+def test_stacked_build_is_bitwise_the_single_build():
+    rng = np.random.default_rng(12)
+    for q, d in ((2, 1), (2, 2), (3, 6), (5, 16)):
+        alphas = np.stack([op.random_in_disc(d, q, rng) for _ in range(9)])
+        pairs = op.build_pair(alphas, q)
+        assert len(pairs) == 9
+        for alpha, stacked in zip(alphas, pairs):
+            alone = op.build_pair(alpha, q)
+            assert stacked.tau.tobytes() == alone.tau.tobytes()
+            assert stacked.tau_inv.tobytes() == alone.tau_inv.tobytes()
+            assert stacked.residuals == alone.residuals
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_negative_real_eigenvalue_has_no_principal_root(d):
+    # no principal square root exists: the iteration must raise, never
+    # hand back NaN or a wrong root
+    rng = np.random.default_rng(d)
+    s = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for lam in (-1.0, -2.5, -1e-3):
+        a = s @ np.diag([lam] + [1.0 + 1j] * (d - 1)) @ np.linalg.inv(s)
+        with pytest.raises(IllConditionedError) as info:
+            op.principal_sqrt(np.stack([np.eye(d), a]))
+        assert info.value.index == 1
+
+
+def test_singular_or_non_finite_matrix_has_no_principal_root():
+    for bad in (np.zeros((2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]])):
+        with pytest.raises(IllConditionedError) as info:
+            op.principal_sqrt(np.stack([np.eye(2), np.eye(2), bad]))
+        assert info.value.index == 2
+
+
+def test_stacked_build_names_the_first_bad_alpha(monkeypatch):
+    rng = np.random.default_rng(13)
+    alphas = np.stack([op.random_in_disc(2, 2, rng) for _ in range(6)])
+    outside = alphas.copy()
+    outside[[2, 4]] *= 2
+    with pytest.raises(OperatorDomainError, match="stack index 2") as info:
+        op.build_pair(outside, 2)
+    assert info.value.index == 2
+    exact = op.principal_sqrt
+
+    def corrupt(a):
+        root = exact(a)
+        root[3:] += 1e-3 * np.eye(a.shape[-1])
+        return root
+
+    monkeypatch.setattr(op, "principal_sqrt", corrupt)
+    with pytest.raises(IllConditionedError, match="stack index 3") as info:
+        op.build_pair(alphas, 2)
+    assert info.value.index == 3
+    assert info.value.residuals["quad"] > 0
 
 
 # -- powers -------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from treerep import measure as me
 from treerep import suites as su
 from treerep import tree as tr
-from treerep.errors import ConfigError
+from treerep.errors import ConfigError, OperatorDomainError
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text()
@@ -133,6 +133,24 @@ def test_forced_failure_records_counterexamples():
     first = rep.failures[0]
     assert "trial" in first
     assert rep.max_residual > 0
+
+
+@pytest.mark.parametrize("name", ["homomorphism", "fixed_vector_transfer", "halftree_reach"])
+def test_a_bad_alpha_names_its_trial(monkeypatch, name):
+    # the suite's pairs are built in one stacked call; an alpha outside the
+    # disc at trial 3 stops the suite with an error that names trial 3
+    draws = []
+    exact = su.random_in_disc
+
+    def outside_at_trials_3_and_5(d, q, rng):
+        draws.append(rng)
+        alpha = exact(d, q, rng)
+        return alpha * 2 if len(draws) in (4, 6) else alpha
+
+    monkeypatch.setattr(su, "random_in_disc", outside_at_trials_3_and_5)
+    with pytest.raises(OperatorDomainError, match="stack index 3") as info:
+        su.run_suite(su.SuiteConfig(trials=8), name)
+    assert info.value.index == 3
 
 
 def test_run_all_order_and_determinism():
