@@ -45,6 +45,7 @@ from .tree import (
     Address,
     FiniteSubtree,
     TreeParams,
+    _index_dtype,
     address_from_index,
     busemann_on_cylinder,
     check_address,
@@ -126,17 +127,6 @@ def cell_measure(params: TreeParams, cell: EndCell) -> Fraction:
     return 1 - cell_measure(params, Cylinder(cell.tail))
 
 
-def _complement_pieces(params: TreeParams, excluded: Address) -> list[Cylinder]:
-    # maximal cylinders covering everything outside cyl(excluded): the
-    # siblings of each prefix
-    pieces = []
-    for k in range(len(excluded)):
-        for letter in params.letter_range(k):
-            if letter != excluded[k]:
-                pieces.append(Cylinder(excluded[:k] + (letter,)))
-    return pieces
-
-
 def cell_index_ranges(params: TreeParams, cell: EndCell, depth: int) -> list[tuple[int, int]]:
     """The cell as index ranges into the lexicographic depth-`depth` grid.
 
@@ -166,14 +156,11 @@ def cell_index_ranges(params: TreeParams, cell: EndCell, depth: int) -> list[tup
     return out
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 def _label_grid_size(params: TreeParams, depth: int) -> int:
     """The number of depth-`depth` cylinders, refused (DepthBudgetError)
     where int64 labels and index ranges cannot count them."""
     total = n_addresses(params, depth)
-    if total > _INT64_MAX:
+    if _index_dtype(params.q, depth) is object:
         raise DepthBudgetError(
             f"a label grid of the {total} depth-{depth} cylinders at q={params.q} "
             f"outgrows int64 indices"
@@ -410,8 +397,15 @@ def map_cell(g: TreeAutomorphism, cell: EndCell) -> EndCell:
 
 def rn_cocycle(g: TreeAutomorphism, cell: EndCell) -> Fraction:
     """Measure distortion of g on a cell: the exact power q^b with b the
-    horofunction increment from the basepoint to g(basepoint), constant
-    on the cell.
+    horofunction increment from the basepoint to y = g(basepoint),
+    constant on the cell.
+
+    On a cylinder b is `busemann_on_cylinder`.  On the complement of the
+    cylinder at t, b is constant only when y is the basepoint or t is the
+    first letter of y, and is then -|y|: every end of the complement
+    leaves the basepoint away from y.  Otherwise the complement holds ends
+    that leave the basepoint toward y and ends that leave it away from y,
+    and b differs between them.
 
     Defined only where that increment really is constant; a too-shallow
     cell raises CylinderTooShallowError and the caller should refine.
@@ -426,19 +420,14 @@ def rn_cocycle(g: TreeAutomorphism, cell: EndCell) -> Fraction:
     cell = canonicalize(params, cell)
     y = g.x0_image
     if isinstance(cell, Cylinder):
-        b = busemann_on_cylinder(params, cell.base, ROOT, y)
+        b = busemann_on_cylinder(params, cell.base, y)
+    elif y and cell.tail != y[:1]:
+        raise CylinderTooShallowError(
+            f"the increment toward {format_address(y)} is not constant on the complement "
+            f"of cylinder {format_address(cell.tail)}; refine it"
+        )
     else:
-        # a complement decomposes into finitely many maximal cylinders;
-        # the increment is defined on the whole cell iff it is defined
-        # and equal on each of them
-        values = set()
-        for piece in _complement_pieces(params, cell.tail):
-            values.add(busemann_on_cylinder(params, piece.base, ROOT, y))
-            if len(values) > 1:
-                raise CylinderTooShallowError(
-                    "the increment is not constant on the half-tree; refine it"
-                )
-        (b,) = values
+        b = -len(y)
     return Fraction(params.q) ** b
 
 

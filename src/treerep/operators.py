@@ -3,18 +3,19 @@
 Everything revolves around one scalar function.  On the disc |z| < 2 sqrt(q)
 define
 
-    phi(z) = (z + sqrt(z^2 - 4q)) / 2
+    phi(z) = (z + i sqrt(4q - z^2)) / 2
 
-with the square root cut along the nonnegative reals (argument taken in
-(0, 2pi)).  The cut never meets z^2 - 4q on the disc, phi is holomorphic
-there, and phi(z) together with q/phi(z) are the two roots of
-t^2 - z t + q = 0.  The principal branch would be wrong on real spectra,
-where both roots are complex of modulus sqrt(q).
+with the principal square root.  On the disc 4q - z^2 lies in the open
+right half-plane, away from that root's cut, so phi is holomorphic there,
+and phi(z) together with q/phi(z) are the two roots of t^2 - z t + q = 0.
+This is (z + sqrt(z^2 - 4q)) / 2 with the square root cut along the
+nonnegative reals; the principal branch of that form would be wrong on
+real spectra, where both roots are complex of modulus sqrt(q).
+`phi_scalar` is the formula for one number, and raises BranchCutError
+where 4q - z^2 is real and <= 0.
 
-That cut square root is i times the principal square root of 4q - z^2, and
-for |z| < 2 sqrt(q) the number 4q - z^2 lies in the open right half-plane.
-So for a matrix alpha of spectral norm < 2 sqrt(q) one principal matrix
-square root gives both
+For a matrix alpha of spectral norm < 2 sqrt(q) the same formula, with one
+principal matrix square root, gives both
 
     tau = (alpha + i sqrt(4q - alpha^2)) / 2,
     tau^{-1} = (alpha - i sqrt(4q - alpha^2)) / (2q),
@@ -60,31 +61,27 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def _sqrt_cut(w: complex) -> complex:
-    """sqrt with branch cut on the nonnegative real axis, argument in (0, 2pi)."""
-    if w.imag == 0.0 and w.real >= 0.0:
-        raise BranchCutError(f"argument {w} lies on the branch cut")
-    theta = math.atan2(w.imag, w.real)
-    if theta <= 0.0:
-        theta += 2.0 * math.pi
-    return math.sqrt(abs(w)) * cmath.exp(0.5j * theta)
-
-
 def phi_scalar(z: complex, q: int) -> complex:
-    return (z + _sqrt_cut(z * z - 4 * q)) / 2.0
+    """build_pair's tau for the 1 x 1 alpha z; BranchCutError on the cut."""
+    w = 4 * q - z * z
+    if w.imag == 0.0 and w.real <= 0.0:
+        raise BranchCutError(f"4q - z^2 = {w} lies on the branch cut")
+    return (z + 1j * cmath.sqrt(w)) / 2.0
 
 
 @dataclass(eq=False)
 class OperatorPair:
-    """alpha together with tau = phi(alpha), its sibling inverse, and the
-    measured residuals of the defining identities."""
+    """alpha together with tau = phi(alpha), its sibling inverse, the
+    measured residuals of the defining identities, and the spectral norms
+    of alpha and tau from build_pair's certificate."""
 
     q: int
     alpha: np.ndarray
     tau: np.ndarray
     tau_inv: np.ndarray
     residuals: dict
-    tol: float
+    norm_alpha: float
+    norm_tau: float
     _powers: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -92,6 +89,7 @@ class OperatorPair:
         return self.alpha.shape[0]
 
 
+_RESIDUAL_TOL = 1e-9  # relative bound on build_pair's three residuals
 _ROOT_TOL = 1e-14  # a matrix's root is done once max|M - I| falls below this
 _ROOT_MAX_STEPS = 50  # quadratic convergence needs about 5, 12 near the disc's rim
 
@@ -163,15 +161,14 @@ def principal_sqrt(a: np.ndarray) -> np.ndarray:
     )
 
 
-def build_pair(
-    alpha: np.ndarray, q: int, tol: float = 1e-9
-) -> OperatorPair | list[OperatorPair]:
+def build_pair(alpha: np.ndarray, q: int) -> OperatorPair | list[OperatorPair]:
     """Construct tau = phi(alpha) and its sibling root tau^{-1} from one
     matrix square root, verify the defining residuals, and package the lot.
 
     `alpha` is one (d, d) matrix, giving one pair, or an (n, d, d) stack,
     giving a list of n pairs built together; pair i is bitwise the pair of
-    alpha[i] built alone.
+    alpha[i] built alone.  The certificate's singular values give each
+    pair its `norm_alpha` and `norm_tau`.
 
     Raises OperatorDomainError when an alpha is not finite or is outside
     the open disc of radius 2 sqrt(q), and IllConditionedError when its
@@ -222,9 +219,9 @@ def build_pair(
         )
     quad, total, inv, norm_tau, norm_tau_inv = np.linalg.svd(checks, compute_uv=False)[..., 0].T
     ok = (
-        (quad <= tol * (1.0 + norm_alpha**2))
-        & (total <= tol * (1.0 + norm_alpha))
-        & (inv <= tol * (1.0 + norm_tau * norm_tau_inv))
+        (quad <= _RESIDUAL_TOL * (1.0 + norm_alpha**2))
+        & (total <= _RESIDUAL_TOL * (1.0 + norm_alpha))
+        & (inv <= _RESIDUAL_TOL * (1.0 + norm_tau * norm_tau_inv))
     )
     residuals = [
         {"quad": a, "sum": b, "inv": c}
@@ -238,8 +235,10 @@ def build_pair(
             residuals=residuals[i], index=i,
         )
     pairs = [
-        OperatorPair(q=q, alpha=a, tau=t, tau_inv=ti, residuals=r, tol=tol)
-        for a, t, ti, r in zip(stack, tau, tau_inv, residuals)
+        OperatorPair(q=q, alpha=a, tau=t, tau_inv=ti, residuals=r, norm_alpha=na, norm_tau=nt)
+        for a, t, ti, r, na, nt in zip(
+            stack, tau, tau_inv, residuals, norm_alpha.tolist(), norm_tau.tolist()
+        )
     ]
     return pairs[0] if single else pairs
 
@@ -255,23 +254,30 @@ def power(pair: OperatorPair, k: int) -> np.ndarray:
     return cache[k]
 
 
+def numerically_singular(sing: np.ndarray) -> bool:
+    """Whether singular values `sing`, largest first, are those of a
+    numerically singular matrix: the smallest is at most
+    1e-14 * max(1, largest), or not a number."""
+    return not sing[-1] > 1e-14 * max(1.0, sing[0])
+
+
 def guard_spectrum(pair: OperatorPair) -> dict:
     """Report the margins of the two spectral safety conditions:
 
     (a) the distance from the spectrum of tau to +q and -q, and
-    (b) the extreme singular values of tau - tau^{-1}, whose smallest must
-        be positive,
+    (b) the extreme singular values of tau - tau^{-1}, which must not be
+        `numerically_singular` (halftree_preimage solves under that rule),
 
-    raising SpectralGuardError unless both margins are positive.  For an
-    alpha that build_pair accepts both hold in exact arithmetic (+-q and
-    +-1 are phi(+-(q+1)), outside the disc), so the guard catches rounding
-    and forged pairs.
+    raising SpectralGuardError unless both hold.  For an alpha that
+    build_pair accepts both hold in exact arithmetic (+-q and +-1 are
+    phi(+-(q+1)), outside the disc), so the guard catches rounding and
+    forged pairs.
     """
     lam = np.linalg.eigvals(pair.tau)
     margin = float(np.min(np.minimum(np.abs(lam - pair.q), np.abs(lam + pair.q))))
     sing = np.linalg.svd(pair.tau - pair.tau_inv, compute_uv=False)
     smin, smax = float(sing[-1]), float(sing[0])
-    if not (margin > 0.0 and smin > 0.0):
+    if not margin > 0.0 or numerically_singular(sing):
         raise SpectralGuardError(
             f"spectral guard violated: margin_to_pm_q={margin}, sigma_min_diff={smin}"
         )

@@ -48,7 +48,7 @@ from .errors import (
     RefinementError,
     SpectralGuardError,
 )
-from .operators import OperatorPair, power
+from .operators import OperatorPair, numerically_singular, power
 from .tree import (
     ROOT,
     Address,
@@ -108,16 +108,9 @@ class StepFunction:
         m = max(self.resolution, other.resolution)
         return self.refine(m), other.refine(m)
 
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        a, b = self.common_refinement(other)
-        return StepFunction(a.params, a.resolution, a.values + b.values)
-
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         a, b = self.common_refinement(other)
         return StepFunction(a.params, a.resolution, a.values - b.values)
-
-    def __rmul__(self, scalar: complex) -> "StepFunction":
-        return StepFunction(self.params, self.resolution, scalar * self.values)
 
     def max_cell_distance(self, other: "StepFunction") -> float:
         a, b = self.common_refinement(other)
@@ -254,7 +247,7 @@ def halftree_preimage(pair: OperatorPair, w: np.ndarray) -> np.ndarray:
     """Solve (tau - tau^{-1}) w' = w; the guard layer promises solvability."""
     diff = pair.tau - pair.tau_inv
     sing = np.linalg.svd(diff, compute_uv=False)
-    if sing[-1] <= 1e-14 * max(1.0, sing[0]):
+    if numerically_singular(sing):
         raise SpectralGuardError(
             f"tau - tau_inv is numerically singular (smallest singular value {sing[-1]:.3g})"
         )

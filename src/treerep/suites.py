@@ -241,7 +241,7 @@ def suite_homomorphism(cfg: SuiteConfig) -> SuiteReport:
         v = StepFunction(params, m, vals)
         two_step = pi_apply(g, pi_apply(h, v, pair), pair)
         one_step = pi_apply(compose(g, h), v, pair)
-        growth = spectral_norm(pair.tau) ** (g.displacement + h.displacement)
+        growth = pair.norm_tau ** (g.displacement + h.displacement)
         rep.check(name, trial, "multiplicativity", one_step.max_cell_distance(two_step),
                   cfg.tol * growth * max(v.sup_norm(), 1.0),
                   g=g.to_json_obj(), h=h.to_json_obj(), resolution=m)
@@ -287,7 +287,7 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
         key=lambda c: c.base,
     )
     shift_back = inverse(step_translation(params))
-    exponent = busemann_on_cylinder(params, (1,), ROOT, shift_back.x0_image)
+    exponent = busemann_on_cylinder(params, (1,), shift_back.x0_image)
     source_objs = [c.to_json_obj() for c in sources]
     rep = SuiteReport(name, cfg.trials, exact=True, details={
         "merged_cell": merged_cell.to_json_obj(),
@@ -346,11 +346,10 @@ def suite_fixed_vector_transfer(cfg: SuiteConfig) -> SuiteReport:
         "tolerance_rule": "tol * norm(alpha) * norm(w), relative residual reported"
     })
     for trial, (rng, pair) in enumerate(_trial_pairs(cfg, name)):
-        alpha = pair.alpha
         w = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
         got = alpha_via_rep(params, w, pair)
-        residual = float(np.linalg.norm(got - alpha @ w))
-        scale = spectral_norm(alpha) * float(np.linalg.norm(w))
+        residual = float(np.linalg.norm(got - pair.alpha @ w))
+        scale = pair.norm_alpha * float(np.linalg.norm(w))
         rep.check(name, trial, "transfer", residual / max(scale, 1e-300), cfg.tol, scale=scale)
     return rep
 
@@ -429,7 +428,7 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
     branch, leakages = [], []
     for trial, ((rng, basis_mat, lam), pair) in enumerate(zip(drawn, pairs)):
         tau_phi = (basis_mat * [phi_scalar(z, cfg.q) for z in lam]) @ basis_mat.conj().T
-        branch.append(spectral_norm(pair.tau - tau_phi) / (1.0 + spectral_norm(pair.tau)))
+        branch.append(spectral_norm(pair.tau - tau_phi) / (1.0 + pair.norm_tau))
         k = int(rng.integers(1, d))
         basis = [basis_mat[:, j] for j in range(k)]
         report = invariant_lift_check(params, basis, pair, _generators(params, rng), 2, rng)

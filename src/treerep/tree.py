@@ -10,9 +10,10 @@ letter, and graph distance reduces to longest-common-prefix arithmetic:
 
 The boundary at infinity is the set of infinite words; the cylinder at a
 vertex u collects the ends whose word starts with u.  The horofunction
-(Busemann) increment between two vertices is constant on a cylinder as
-soon as the cylinder is deep enough, which is what `busemann_on_cylinder`
-computes exactly; too-shallow cylinders raise instead of averaging.
+(Busemann) increment from the basepoint to a vertex y is constant on the
+cylinder at u unless u is a proper prefix of y, and then equals
+2 |lcp(u, y)| - |y|; `busemann_on_cylinder` computes it exactly, and
+too-shallow cylinders raise instead of averaging.
 
 A depth cap (runtime parameter, default 8) bounds every enumeration.
 Operations that would have to enumerate or accept addresses deeper than
@@ -115,36 +116,29 @@ def lcp(u: Address, v: Address) -> Address:
     return u[:n]
 
 
-def is_proper_prefix(u: Address, v: Address) -> bool:
-    return len(u) < len(v) and v[: len(u)] == u
-
-
-def busemann_on_cylinder(params: TreeParams, u: Address, x: Address, y: Address) -> int:
-    """Horofunction increment B_xi(x, y) for every end xi in the cylinder at u.
+def busemann_on_cylinder(params: TreeParams, u: Address, y: Address) -> int:
+    """Horofunction increment B_xi(basepoint, y) for every end xi in the cylinder at u.
 
     For an end approached along vertices z_k the increment is
-    lim d(x, z_k) - d(y, z_k).  Every geodesic from x to a point deep in
-    the cylinder enters through the same vertex (the meet of x with u)
-    once u is a proper prefix of neither x nor y, so the limit is the
-    same for every end of the cell and equals d(x, u) - d(y, u).  If u
-    sits strictly above x or y the increment genuinely varies over the
-    cell, and the function raises CylinderTooShallowError so the caller
-    refines instead of receiving one value of many.
+    lim |z_k| - d(y, z_k) = 2 |lcp(y, z_k)| - |y|.  For every z deep in
+    the cylinder lcp(y, z) = lcp(y, u) unless u is a proper prefix of y,
+    so the value is 2 |lcp(u, y)| - |y| on the whole cell.  If u sits
+    strictly above y the increment genuinely varies over the cell, and
+    the function raises CylinderTooShallowError so the caller refines
+    instead of receiving one value of many.
 
-    The value is a closed formula, not an enumeration, so none of the
-    three addresses is held to the depth cap.
+    The value is a closed formula, not an enumeration, so neither address
+    is held to the depth cap.
     """
     check_address(params, u, allow_deep=True)
-    check_address(params, x, allow_deep=True)
     check_address(params, y, allow_deep=True)
-    if x == y:
-        return 0
-    if is_proper_prefix(u, x) or is_proper_prefix(u, y):
+    meet = len(lcp(u, y))
+    if meet == len(u) < len(y):
         raise CylinderTooShallowError(
-            f"cylinder {format_address(u)} lies strictly above {format_address(x)} or "
-            f"{format_address(y)}; the increment is not constant on it"
+            f"cylinder {format_address(u)} lies strictly above {format_address(y)}; "
+            "the increment is not constant on it"
         )
-    return (len(x) + len(u) - 2 * len(lcp(x, u))) - (len(y) + len(u) - 2 * len(lcp(y, u)))
+    return 2 * meet - len(y)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,21 @@ Everything here works by explicit enumeration over a finite ball of the
 tree, independent of the package's formulas: adjacency comes from the
 parent relation alone, distances from breadth-first search, boundary
 measures from counting, connectivity and neighbourhoods from
-breadth-first search, refinements from testing every address.  Only the cell types and `canonicalize` come
-from the package.
+breadth-first search, refinements from testing every address, a
+complement's horofunction increment from its maximal cylinders one by
+one.  Only the cell types and `canonicalize` come from the package.  The
+one non-enumeration is phi through an atan2 square root cut along the
+nonnegative reals, a second route to the package's principal root.
 """
 
+import cmath
 import functools
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
-from treerep.errors import DepthBudgetError, RefinementError
+from treerep.errors import BranchCutError, DepthBudgetError, RefinementError
 from treerep.measure import Cylinder, Halftree, canonicalize, whole_boundary
 
 
@@ -59,6 +64,7 @@ def deep_extensions(q: int, base: tuple[int, ...], levels: int):
     return [base + tuple(t) for t in itertools.product(*ranges)]
 
 
+@functools.lru_cache(maxsize=None)
 def busemann_oracle(q, base, x, y, levels=2):
     """Horofunction increment on cyl(base), or None if not constant there.
 
@@ -73,6 +79,43 @@ def busemann_oracle(q, base, x, y, levels=2):
     if len(vals) != 1:
         return None
     return next(iter(vals))
+
+
+def complement_pieces(q: int, excluded: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Bases of the maximal cylinders covering everything outside
+    cyl(excluded): the siblings of each of its prefixes."""
+    pieces = []
+    for k in range(len(excluded)):
+        for letter in range(1, (q + 1 if k == 0 else q) + 1):
+            if letter != excluded[k]:
+                pieces.append(excluded[:k] + (letter,))
+    return pieces
+
+
+def complement_busemann_oracle(q, excluded, y):
+    """Horofunction increment from the basepoint to y on the complement of
+    cyl(excluded), or None if not constant there: the increment must be
+    constant on every piece and the same on all of them."""
+    vals = {busemann_oracle(q, piece, (), y) for piece in complement_pieces(q, excluded)}
+    if len(vals) != 1 or None in vals:
+        return None
+    return next(iter(vals))
+
+
+def sqrt_cut(w: complex) -> complex:
+    """sqrt with branch cut on the nonnegative real axis, argument in
+    (0, 2pi), from atan2; BranchCutError on the cut."""
+    if w.imag == 0.0 and w.real >= 0.0:
+        raise BranchCutError(f"argument {w} lies on the branch cut")
+    theta = math.atan2(w.imag, w.real)
+    if theta <= 0.0:
+        theta += 2.0 * math.pi
+    return math.sqrt(abs(w)) * cmath.exp(0.5j * theta)
+
+
+def phi_cut_oracle(z: complex, q: int) -> complex:
+    """phi(z) = (z + sqrt(z^2 - 4q)) / 2 with the cut square root."""
+    return (z + sqrt_cut(z * z - 4 * q)) / 2.0
 
 
 def cylinder_count(q: int, depth: int) -> int:

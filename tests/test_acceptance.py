@@ -146,7 +146,7 @@ def test_criterion_6_orbit_merge_replay():
         # the replay translation pushes the basepoint away from cyl(1),
         # so the merged cell sees the horofunction increment -1 exactly
         replay = au.inverse(au.step_translation(params))
-        assert tr.busemann_on_cylinder(params, (1,), (), replay.x0_image) == -1
+        assert tr.busemann_on_cylinder(params, (1,), replay.x0_image) == -1
         assert me.rn_cocycle(replay, merged_target) == Fraction(1, q)
 
 

@@ -421,6 +421,48 @@ def test_rn_cocycle_shallow_cells_rejected():
         me.rn_cocycle(h, mixed)
 
 
+def carrying_basepoint_to(params, y):
+    """An automorphism with g(basepoint) = y: |y| step translations carry
+    the basepoint to 1^|y|, then a portrait turns 1^|y| into y."""
+    g = au.identity(params)
+    for _ in y:
+        g = au.compose(au.step_translation(params), g)
+    if not y:
+        return g
+
+    def swap_with_1(n, letter):
+        perm = list(range(1, n + 1))
+        perm[0], perm[letter - 1] = letter, 1
+        return tuple(perm)
+
+    q = params.q
+    portrait = au.Portrait(
+        swap_with_1(q + 1, y[0]),
+        {(1,) * j: swap_with_1(q, y[j]) for j in range(1, len(y))},
+    )
+    return au.compose(au.from_portrait(params, portrait), g)
+
+
+def test_rn_cocycle_on_complements_matches_enumeration():
+    # every complement of a depth-1..3 cylinder under automorphisms moving
+    # the basepoint to every vertex of depth 0..3, against the oracle that
+    # evaluates each maximal cylinder of the complement on its own
+    for q in (2, 3, 4):
+        params = tr.TreeParams(q)
+        verts = oracles.ball_vertices(q, 3)
+        for y in verts:
+            g = carrying_basepoint_to(params, y)
+            assert g.x0_image == y
+            for t in verts[1:]:
+                cell = me.Halftree(t, t[:-1])
+                want = oracles.complement_busemann_oracle(q, t, y)
+                if want is None:
+                    with pytest.raises(CylinderTooShallowError):
+                        me.rn_cocycle(g, cell)
+                else:
+                    assert me.rn_cocycle(g, cell) == Fraction(q) ** want
+
+
 def test_rn_cocycle_matches_pushforward_enumeration():
     # mu(g^{-1}.c) = rn(g, c) * mu(c), both sides exact rationals
     rng = np.random.default_rng(15)

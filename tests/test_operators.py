@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from treerep import operators as op
+from treerep import representation as rp
 from treerep.errors import (
     BranchCutError,
     IllConditionedError,
@@ -93,6 +95,32 @@ def test_branch_cut_is_the_nonnegative_reals():
     up = op.phi_scalar(3.0 + 1e-12j, 2)
     down = op.phi_scalar(3.0 - 1e-12j, 2)
     assert abs(up - down) > 0.1
+
+
+def phi_or_cut(phi, z, q):
+    try:
+        return phi(z, q)
+    except BranchCutError:
+        return None
+
+
+def test_phi_matches_the_cut_root_oracle():
+    # the principal root of 4q - z^2 against the atan2 root of z^2 - 4q:
+    # the same cut (the real axis outside the disc, its rim +-2 sqrt q,
+    # +-3 with either signed zero; at q = 4 the rim makes 4q - z^2 exactly
+    # 0) and values within 1e-13
+    rng = np.random.default_rng(22)
+    for q in (2, 3, 4, 5):
+        r = 2 * math.sqrt(q)
+        points = [complex(x, s) for x in (3.0, -3.0, r, -r) for s in (0.0, -0.0)]
+        points += [complex(x) for x in np.linspace(-2 * r, 2 * r, 41)]
+        points += [complex(x, s * 1e-300) for x in np.linspace(-2 * r, 2 * r, 9) for s in (1, -1)]
+        points += list(r * (rng.standard_normal(400) + 1j * rng.standard_normal(400)))
+        for z in points:
+            got, want = phi_or_cut(op.phi_scalar, z, q), phi_or_cut(oracles.phi_cut_oracle, z, q)
+            assert (got is None) == (want is None), z
+            if want is not None:
+                assert abs(got - want) <= 1e-13 * abs(want), z
 
 
 # -- pair construction --------------------------------------------------------
@@ -403,7 +431,8 @@ def test_guard_spectrum_flags_a_poisoned_pair():
         tau=np.diag([2.0 + 0j, 1j]),  # eigenvalue exactly at q
         tau_inv=np.diag([0.5 + 0j, -1j]),
         residuals=pair.residuals,
-        tol=pair.tol,
+        norm_alpha=pair.norm_alpha,
+        norm_tau=2.0,
     )
     with pytest.raises(SpectralGuardError):
         op.guard_spectrum(forged)
@@ -414,10 +443,34 @@ def test_guard_spectrum_rejects_a_singular_difference():
     pair = op.build_pair(np.zeros((2, 2), dtype=complex), 2)
     forged = op.OperatorPair(
         q=2, alpha=pair.alpha, tau=np.eye(2, dtype=complex), tau_inv=np.eye(2, dtype=complex),
-        residuals=pair.residuals, tol=pair.tol,
+        residuals=pair.residuals, norm_alpha=pair.norm_alpha, norm_tau=1.0,
     )
     with pytest.raises(SpectralGuardError, match="margin_to_pm_q=1.0, sigma_min_diff=0.0"):
         op.guard_spectrum(forged)
+
+
+def test_guard_spectrum_rejects_a_numerically_singular_difference():
+    # tau - tau^{-1} = diag(1, 1e-18): sigma_min is positive but 1e-18 of
+    # sigma_max, so the guard refuses the pair halftree_preimage refuses
+    pair = op.build_pair(np.zeros((2, 2), dtype=complex), 2)
+    forged = op.OperatorPair(
+        q=2, alpha=pair.alpha, tau=np.diag([1.5 + 0j, 1e-18]), tau_inv=np.diag([0.5 + 0j, 0]),
+        residuals=pair.residuals, norm_alpha=pair.norm_alpha, norm_tau=1.5,
+    )
+    with pytest.raises(SpectralGuardError, match="sigma_min_diff=1e-18"):
+        op.guard_spectrum(forged)
+    with pytest.raises(SpectralGuardError):
+        rp.halftree_preimage(forged, np.array([1.0, 0.0]))
+
+
+def test_pair_norms_are_the_spectral_norms():
+    rng = np.random.default_rng(102)
+    for q in (2, 3, 5):
+        for d in (1, 2, 6):
+            alphas = np.stack([op.random_in_disc(d, q, rng) for _ in range(5)])
+            for pair in op.build_pair(alphas, q):
+                assert pair.norm_alpha == op.spectral_norm(pair.alpha)
+                assert pair.norm_tau == op.spectral_norm(pair.tau)
 
 
 # -- serialization ------------------------------------------------------------

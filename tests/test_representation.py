@@ -76,7 +76,7 @@ def test_constant_and_indicator_basics():
     assert ind.resolution == 1
     assert np.allclose(ind.integral(), w / 3)
     comp = rp.indicator_fn(P2, me.canonicalize(P2, me.Halftree((1,), ())), w)
-    assert np.allclose((ind + comp).values, np.tile(w, (3, 1)))
+    assert np.allclose(ind.values + comp.values, np.tile(w, (3, 1)))
 
 
 def test_step_function_shape_validation():
@@ -105,13 +105,12 @@ def test_refine_preserves_the_function():
 def test_arithmetic_and_norms():
     v = rp.constant_fn(P2, np.array([3.0, 4.0]))
     w = rp.indicator_fn(P2, me.Cylinder((1,)), np.array([1.0, 0.0]))
-    s = v + w
-    assert s.resolution == 1
-    assert np.allclose(s.integral(), [3 + 1 / 3, 4.0])
-    diff = s - v
-    assert abs(diff.sup_norm() - 1.0) < 1e-12
-    scaled = 2.0 * w
-    assert abs(scaled.sup_norm() - 2.0) < 1e-12
+    diff = w - v  # on the common refinement: (-2, -4) on cyl(1), (-3, -4) elsewhere
+    assert diff.resolution == 1
+    assert np.allclose(diff.integral(), [1 / 3 - 3, -4.0])
+    assert abs(w.sup_norm() - 1.0) < 1e-12
+    assert abs(diff.sup_norm() - 5.0) < 1e-12
+    assert abs(v.max_cell_distance(w) - 5.0) < 1e-12
     assert v.max_cell_distance(v) == 0.0
 
 
@@ -143,9 +142,7 @@ def test_pi_swaps_halftree_values():
     rng, _, pair = build_rng_pair(P2, 2, 2)
     w1 = rng.standard_normal(2) + 0j
     w2 = rng.standard_normal(2) + 0j
-    v = rp.indicator_fn(P2, me.Cylinder((1,)), w1) + rp.indicator_fn(
-        P2, me.canonicalize(P2, me.Halftree((1,), ())), w2
-    )
+    v = rp.StepFunction(P2, 1, [w1 if base == (1,) else w2 for base in tr.addresses_at_depth(P2, 1)])
     out = rp.pi_apply(au.edge_inversion(P2), v, pair)
     for base, val in cells(out):
         if base[:1] == (1,):
@@ -329,9 +326,7 @@ def test_halftree_average_annihilates_balanced_sums():
     _, _, pair = build_rng_pair(P2, 2, 52)
     w2 = np.array([1.0, -2.0 + 1j])
     w1 = -P2.q * w2
-    v = rp.indicator_fn(P2, me.Cylinder((1,)), w1) + rp.indicator_fn(
-        P2, me.canonicalize(P2, me.Halftree((1,), ())), w2
-    )
+    v = rp.StepFunction(P2, 1, [w1 if base == (1,) else w2 for base in tr.addresses_at_depth(P2, 1)])
     avg = rp.haar_average_K(v)
     assert np.linalg.norm(avg.values[0]) < 1e-12
 
@@ -396,7 +391,8 @@ def test_halftree_preimage_guards_singularity():
         tau=np.eye(2, dtype=complex),  # tau - tau_inv = 0
         tau_inv=np.eye(2, dtype=complex),
         residuals=pair.residuals,
-        tol=pair.tol,
+        norm_alpha=pair.norm_alpha,
+        norm_tau=1.0,
     )
     with pytest.raises(SpectralGuardError):
         rp.halftree_preimage(forged, np.array([1.0, 0.0]))
