@@ -41,7 +41,6 @@ from .automorphism import (
     edge_inversion,
     from_portrait,
     identity,
-    inverse,
     step_translation,
 )
 from .measure import (
@@ -68,7 +67,6 @@ from .representation import (
     alpha_via_rep,
     constant_fn,
     fixed_space_report,
-    haar_average_K,
     haar_average_fix,
     halftree_element,
     halftree_preimage,

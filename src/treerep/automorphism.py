@@ -16,7 +16,10 @@ Two generator kinds suffice for everything the verification suites need:
 The step translation t, which shifts the standard line x_k = 1^k (k >= 0),
 x_{-k} = 2 1^(k-1) (k >= 1) by one (t x_k = x_{k+1}), is not a third kind
 but the two-letter word: the portrait swapping branches 1 and 2, then the
-edge inversion.
+edge inversion.  The basepoint shift onto a neighbour (j) is the edge
+inversion, then (for j >= 2) the portrait swapping branches 1 and j.  Both
+are constant words, built once per tree and shared; so are their
+generators' level tables, which are read-only.
 
 Letter matrices (one address per row, with a length per row) go through a
 portrait level by level: each depth that carries permutations (depth 0
@@ -42,6 +45,7 @@ from the basepoint (the displacement) are cached at construction.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -68,9 +72,11 @@ def _check_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:
 
 
 def _tables(perms: list[tuple[int, ...]]) -> np.ndarray:
-    # row i, column letter = image letter under perms[i]; column 0 unused
+    # row i, column letter = image letter under perms[i]; column 0 unused;
+    # read-only, as a shared word shares its tables
     t = np.zeros((len(perms), len(perms[0]) + 1), dtype=np.int16)
     t[:, 1:] = perms
+    t.setflags(write=False)
     return t
 
 
@@ -138,6 +144,7 @@ class PortraitGen:
             keys = np.array(
                 [index_unchecked(portrait.q, a) for a in addrs], dtype=_index_dtype(portrait.q, j)
             )
+            keys.setflags(write=False)
             self._levels.append((
                 j,
                 keys,
@@ -322,12 +329,6 @@ def edge_inversion(params: TreeParams) -> TreeAutomorphism:
     return TreeAutomorphism(params, [(EdgeInversionGen(), False)])
 
 
-def step_translation(params: TreeParams) -> TreeAutomorphism:
-    """The branch swap 1 <-> 2, then the edge inversion."""
-    swap = Portrait((2, 1) + tuple(range(3, params.q + 2)))
-    return TreeAutomorphism(params, [(PortraitGen(swap), False), (EdgeInversionGen(), False)])
-
-
 def compose(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
     """g after h (apply h first)."""
     if g.params != h.params:
@@ -341,8 +342,34 @@ def compose(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
     return out
 
 
-def inverse(g: TreeAutomorphism) -> TreeAutomorphism:
-    return g.inverse()
+def _root_swap(params: TreeParams, j: int) -> TreeAutomorphism:
+    """The portrait exchanging root branches 1 and j."""
+    perm = list(range(1, params.q + 2))
+    perm[0], perm[j - 1] = j, 1
+    return from_portrait(params, Portrait(tuple(perm)))
+
+
+@functools.lru_cache(maxsize=64)
+def step_translation(params: TreeParams) -> TreeAutomorphism:
+    """The branch swap 1 <-> 2, then the edge inversion; one shared word
+    per tree."""
+    return compose(edge_inversion(params), _root_swap(params, 2))
+
+
+def basepoint_shift(params: TreeParams, head: Address) -> TreeAutomorphism:
+    """An automorphism carrying the basepoint to the adjacent vertex `head`:
+    the edge inversion followed by the root transposition onto `head`; one
+    shared word per tree and head."""
+    check_address(params, head)
+    if len(head) != 1:
+        raise ConfigError(f"{head!r} is not adjacent to the basepoint")
+    return _basepoint_shift(params, int(head[0]))
+
+
+@functools.lru_cache(maxsize=64)
+def _basepoint_shift(params: TreeParams, j: int) -> TreeAutomorphism:
+    h = edge_inversion(params)
+    return h if j == 1 else compose(_root_swap(params, j), h)
 
 
 def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) -> Portrait:

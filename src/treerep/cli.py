@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=2, help="branching parameter, valency is q+1")
         p.add_argument("--depth", type=int, default=8, help="depth cap for all enumerations")
         p.add_argument("--dim", type=int, default=2, help="fiber dimension d")
@@ -53,14 +53,20 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="omit the timestamp for byte-identical reruns",
         )
+        return p
 
     common(sub.add_parser("verify", help="run every suite"))
     p_suite = sub.add_parser("suite", help="run one named suite")
     p_suite.add_argument("name", choices=sorted(SUITES), metavar="NAME")
     common(p_suite)
-    common(sub.add_parser("admissibility-table", help="fixed-space growth table"))
+    # the one-suite commands name their suite as `suite NAME` does
+    common(sub.add_parser("admissibility-table", help="fixed-space growth table")).set_defaults(
+        name="admissibility_table"
+    )
     common(sub.add_parser("spectrum", help="guard report for a seeded operator pair"))
-    common(sub.add_parser("replay-prune", help="orbit-pruning replay"))
+    common(sub.add_parser("replay-prune", help="orbit-pruning replay")).set_defaults(
+        name="prune_replay"
+    )
     return parser
 
 
@@ -104,21 +110,17 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render(args, reports: list[SuiteReport]) -> None:
+def _render(args, payload: dict, text: str, csv: str | None = None) -> None:
+    """Write one report in the chosen format: `payload` inside the JSON
+    envelope, the `text` lines, or the `csv` table of a tabular report."""
     if args.format == "csv":
-        if len(reports) != 1 or "csv" not in reports[0].details:
+        if csv is None:
             raise ConfigError("csv output is only available for tabular reports")
-        _emit(args, reports[0].details["csv"] + "\n")
+        _emit(args, csv + "\n")
     elif args.format == "text":
-        _emit(args, _reports_text(reports))
+        _emit(args, text)
     else:
-        payload = _envelope(
-            args,
-            {
-                "suites": [r.to_json_obj() for r in reports],
-                "passed": all(r.passed for r in reports),
-            },
-        )
+        payload = _envelope(args, payload)
         _emit(args, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -151,30 +153,25 @@ def run(argv: list[str] | None = None) -> int:
             seed=args.seed,
             tol=args.tol,
         )
-        if args.command == "verify":
-            reports = run_all(cfg)
-        elif args.command == "suite":
-            reports = [run_suite(cfg, args.name)]
-        elif args.command == "admissibility-table":
-            reports = [run_suite(cfg, "admissibility_table")]
-        elif args.command == "replay-prune":
-            reports = [run_suite(cfg, "prune_replay")]
-        elif args.command == "spectrum":
-            payload = _envelope(args, {"spectrum": _spectrum_report(args), "passed": True})
-            if args.format == "json":
-                _emit(args, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-            else:
-                guard = payload["spectrum"]["guard"]
-                _emit(
-                    args,
-                    f"margin_to_pm_q={guard['margin_to_pm_q']:.6e}  "
-                    f"sigma_min_diff={guard['sigma_min_diff']:.6e}\n",
-                )
+        if args.command == "spectrum":
+            spectrum = _spectrum_report(args)
+            guard = spectrum["guard"]
+            _render(
+                args,
+                {"spectrum": spectrum, "passed": True},
+                f"margin_to_pm_q={guard['margin_to_pm_q']:.6e}  "
+                f"sigma_min_diff={guard['sigma_min_diff']:.6e}\n",
+            )
             return 0
-        else:  # unreachable with required=True, kept for safety
-            raise ConfigError(f"unknown command {args.command!r}")
-        _render(args, reports)
-        return 0 if all(r.passed for r in reports) else 1
+        reports = run_all(cfg) if args.command == "verify" else [run_suite(cfg, args.name)]
+        passed = all(r.passed for r in reports)
+        _render(
+            args,
+            {"suites": [r.to_json_obj() for r in reports], "passed": passed},
+            _reports_text(reports),
+            reports[0].details.get("csv") if len(reports) == 1 else None,
+        )
+        return 0 if passed else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

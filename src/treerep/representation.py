@@ -26,7 +26,11 @@ cylinder-level evaluation.
 Averages over compact stabilizers are finite measure-weighted sums over
 orbit cells (conditional means), never samples over group elements.  An
 orbit partition is one integer label per cylinder (measure.assert_partition),
-and the average is the per-label mean gathered back by label.
+and the average is the per-label mean gathered back by label.  The
+basepoint stabilizer is the pointwise stabilizer of the one-vertex subtree:
+its one orbit is the whole boundary, and its average is the integral.
+The automorphisms acted with, the basepoint shifts included, are built in
+`automorphism`.
 """
 from __future__ import annotations
 
@@ -35,13 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure as bm
-from .automorphism import (
-    TreeAutomorphism,
-    Portrait,
-    compose,
-    edge_inversion,
-    from_portrait,
-)
+from .automorphism import TreeAutomorphism, edge_inversion
 from .errors import (
     ConfigError,
     DepthBudgetError,
@@ -113,9 +111,7 @@ class StepFunction:
         return StepFunction(a.params, a.resolution, a.values - b.values)
 
     def max_cell_distance(self, other: "StepFunction") -> float:
-        a, b = self.common_refinement(other)
-        diff = a.values - b.values
-        return float(np.max(np.linalg.norm(diff, axis=1))) if diff.size else 0.0
+        return (self - other).sup_norm()
 
 
 def constant_fn(params: TreeParams, w: np.ndarray) -> StepFunction:
@@ -176,12 +172,6 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
     return StepFunction(params, m_out, out)
 
 
-def haar_average_K(v: StepFunction) -> StepFunction:
-    """Average over the full basepoint stabilizer: the constant function
-    at the integral of v."""
-    return constant_fn(v.params, v.integral())
-
-
 def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
     """Average over the pointwise stabilizer of a complete subtree.
 
@@ -209,23 +199,10 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
 def alpha_via_rep(params: TreeParams, w: np.ndarray, pair: OperatorPair) -> np.ndarray:
     """Recover alpha . w from the representation alone: apply the edge
     inversion to the constant function at w, average over the basepoint
-    stabilizer, and rescale by the index q+1 of the cylinder partition."""
+    stabilizer (whose one orbit is the whole boundary, so the average is
+    the integral), and rescale by the index q+1 of the cylinder partition."""
     moved = pi_apply(edge_inversion(params), constant_fn(params, w), pair)
-    return (params.q + 1) * haar_average_K(moved).values[0]
-
-
-def basepoint_shift(params: TreeParams, head: Address) -> TreeAutomorphism:
-    """An automorphism carrying the basepoint to the adjacent vertex `head`:
-    the edge inversion followed by the root transposition onto `head`."""
-    if len(head) != 1:
-        raise ConfigError(f"{head!r} is not adjacent to the basepoint")
-    h = edge_inversion(params)
-    j = head[0]
-    if j == 1:
-        return h
-    perm = list(range(1, params.q + 2))
-    perm[0], perm[j - 1] = perm[j - 1], perm[0]
-    return compose(from_portrait(params, Portrait(tuple(perm))), h)
+    return (params.q + 1) * moved.integral()
 
 
 def halftree_element(
@@ -322,7 +299,7 @@ def invariant_lift_check(
         w = mat @ coeff
         w = w / np.linalg.norm(w)
         for idx, g in enumerate(generators):
-            name = f"{idx}:" + "*".join(kind for kind, _ in _word_kinds(g))
+            name = f"{idx}:" + "*".join(gen.kind for gen, _ in g.word)
             moved = pi_apply(g, constant_fn(params, w), pair)
             per_generator[name] = max(per_generator.get(name, 0.0), leak(moved.values))
         reconstruction = max(reconstruction, leak(alpha_via_rep(params, w, pair)))
@@ -334,7 +311,3 @@ def invariant_lift_check(
         "trials": trials,
         "subspace_dim": mat.shape[1],
     }
-
-
-def _word_kinds(g: TreeAutomorphism):
-    return [(gen.kind, flag) for gen, flag in g.word]

@@ -98,6 +98,7 @@ def test_criterion_4_representation_homomorphism():
 def test_criterion_5_alpha_recovery():
     for q in (2, 3):
         params = tr.TreeParams(q)
+        basepoint = tr.FiniteSubtree(params, [()])  # the basepoint stabilizer fixes it
         rng = np.random.default_rng(50 + q)
         for trial in range(100):
             d = 1 + trial % 6
@@ -105,7 +106,7 @@ def test_criterion_5_alpha_recovery():
             pair = op.build_pair(alpha, q)
             w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             moved = rp.pi_apply(au.edge_inversion(params), rp.constant_fn(params, w), pair)
-            got = (q + 1) * rp.haar_average_K(moved).values[0]
+            got = (q + 1) * rp.haar_average_fix(basepoint, moved).values[0]
             err = np.linalg.norm(got - alpha @ w)
             assert err <= 1e-9 * np.linalg.norm(alpha, 2) * np.linalg.norm(w)
 
@@ -145,7 +146,7 @@ def test_criterion_6_orbit_merge_replay():
 
         # the replay translation pushes the basepoint away from cyl(1),
         # so the merged cell sees the horofunction increment -1 exactly
-        replay = au.inverse(au.step_translation(params))
+        replay = au.step_translation(params).inverse()
         assert tr.busemann_on_cylinder(params, (1,), replay.x0_image) == -1
         assert me.rn_cocycle(replay, merged_target) == Fraction(1, q)
 
@@ -158,7 +159,7 @@ def test_criterion_7_halftree_two_path():
         pair = op.build_pair(alpha, q)
         for j in range(1, q + 2):
             w_prime = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            g = rp.basepoint_shift(params, (j,))
+            g = au.basepoint_shift(params, (j,))
             direct = rp.pi_apply(g, rp.constant_fn(params, w_prime), pair) - rp.constant_fn(
                 params, pair.tau_inv @ w_prime
             )

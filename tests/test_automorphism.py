@@ -95,7 +95,7 @@ def test_step_translation_shifts_the_standard_line():
     t = au.step_translation(P2)
     for k in range(-4, 4):
         assert t.apply_vertex(line_vertex(k)) == line_vertex(k + 1)
-    back = au.inverse(t)
+    back = t.inverse()
     for k in range(-3, 5):
         assert back.apply_vertex(line_vertex(k)) == line_vertex(k - 1)
 
@@ -119,6 +119,27 @@ def test_step_translation_matches_its_closed_form(q, cap):
                 v = tuple(int(x) for x in letters[row, :n])
                 img = tuple(int(x) for x in out[row, : out_lengths[row]])
                 assert img == oracles.step_translation_image(v, inverted)
+
+
+def test_constant_words_are_built_once():
+    for params in (P2, P3):
+        assert au.step_translation(params) is au.step_translation(params)
+        for j in range(1, params.q + 2):
+            assert au.basepoint_shift(params, (j,)) is au.basepoint_shift(params, (j,))
+    assert au.step_translation(P2).to_json_obj() == [
+        {"kind": "portrait", "root": [2, 1, 3], "nodes": {}},
+        {"kind": "edge_inversion"},
+    ]
+    # shared words share their generators' level tables, so those are read-only
+    (swap, _), _ = au.step_translation(P2).word
+    for _, *arrays in swap._levels:
+        assert not any(arr.flags.writeable for arr in arrays)
+
+
+def test_basepoint_shift_rejects_malformed_heads():
+    for head in ((0,), (-1,), (4,), (1.5,)):
+        with pytest.raises(MalformedAddressError):
+            au.basepoint_shift(P2, head)
 
 
 def test_random_word_draws_and_spells_its_factors():

@@ -65,6 +65,14 @@ def test_config_errors_give_exit_2(capsys):
             assert err.startswith("configuration error: tolerance")
 
 
+def test_csv_is_refused_for_every_non_tabular_report(capsys):
+    one_suite = ("suite", "homomorphism", "--trials", "2")
+    for argv in (("spectrum",), ("verify", "--trials", "2"), one_suite):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv", "--no-timestamp")
+        assert (code, out) == (2, ""), argv
+        assert err == "configuration error: csv output is only available for tabular reports\n"
+
+
 def test_unwritable_out_path_gives_exit_2(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(

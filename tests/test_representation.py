@@ -258,12 +258,18 @@ def test_haar_average_full_stabilizer():
     rng = np.random.default_rng(50)
     vals = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     v = rp.StepFunction(P2, 2, vals)
-    avg = rp.haar_average_K(v)
-    assert avg.resolution == 0
-    assert np.allclose(avg.values[0], vals.mean(axis=0))
-    # idempotent and fixes constants
-    again = rp.haar_average_K(avg)
-    assert np.array_equal(again.values, avg.values)
+    # the basepoint stabilizer is the pointwise stabilizer of the one-vertex
+    # subtree; its one orbit is the whole boundary
+    basepoint = tr.FiniteSubtree(P2, [()])
+    avg = rp.haar_average_fix(basepoint, v)
+    assert avg.resolution == 2
+    assert np.allclose(avg.values, vals.mean(axis=0))
+    # idempotent (up to rounding of the re-averaged mean) and fixes constants
+    again = rp.haar_average_fix(basepoint, avg)
+    assert np.allclose(again.values, avg.values, rtol=0, atol=1e-15)
+    assert np.array_equal(again.integral(), avg.integral())
+    w = np.array([1.0, -2.0 + 0.5j])
+    assert np.array_equal(rp.haar_average_fix(basepoint, rp.constant_fn(P2, w)).values, [w])
 
 
 def test_haar_average_fix_is_cellwise_mean():
@@ -327,8 +333,8 @@ def test_halftree_average_annihilates_balanced_sums():
     w2 = np.array([1.0, -2.0 + 1j])
     w1 = -P2.q * w2
     v = rp.StepFunction(P2, 1, [w1 if base == (1,) else w2 for base in tr.addresses_at_depth(P2, 1)])
-    avg = rp.haar_average_K(v)
-    assert np.linalg.norm(avg.values[0]) < 1e-12
+    avg = rp.haar_average_fix(tr.FiniteSubtree(P2, [()]), v)
+    assert avg.sup_norm() < 1e-12
 
 
 def test_alpha_recovery_from_representation():
@@ -350,17 +356,17 @@ def test_alpha_recovery_from_representation():
 def test_basepoint_shift_reaches_every_neighbour():
     for params in (P2, P3):
         for j in range(1, params.q + 2):
-            g = rp.basepoint_shift(params, (j,))
+            g = au.basepoint_shift(params, (j,))
             assert g.x0_image == (j,)
     with pytest.raises(ConfigError):
-        rp.basepoint_shift(P2, (1, 1))
+        au.basepoint_shift(P2, (1, 1))
 
 
 def test_halftree_two_path_identity():
     rng, _, pair = build_rng_pair(P2, 2, 70)
     for j in range(1, P2.q + 2):
         w_prime = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        g = rp.basepoint_shift(P2, (j,))
+        g = au.basepoint_shift(P2, (j,))
         lhs = rp.pi_apply(g, rp.constant_fn(P2, w_prime), pair) - rp.constant_fn(
             P2, pair.tau_inv @ w_prime
         )

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from treerep import automorphism as au
 from treerep import measure as me
 from treerep import suites as su
 from treerep import tree as tr
@@ -122,6 +123,19 @@ def test_admissibility_table_builds_no_vertex_sets_and_no_cells(monkeypatch):
     cfg = su.SuiteConfig(q=3, depth_cap=9, trials=1)
     assert su.suite_admissibility_table(cfg).passed
     assert built == {"Cylinder": cfg.depth_cap - 1}
+
+
+def test_measure_cocycle_builds_each_constant_word_once(monkeypatch):
+    # a step translation drawn into a random word is the shared word, not a
+    # fresh portrait; the shared one may be built once, here or earlier
+    built, drawn = [], []
+    init, draw = au.PortraitGen.__init__, au.random_portrait
+    monkeypatch.setattr(
+        au.PortraitGen, "__init__", lambda self, p: built.append(p) or init(self, p)
+    )
+    monkeypatch.setattr(au, "random_portrait", lambda *a: drawn.append(a) or draw(*a))
+    assert su.run_suite(su.SuiteConfig(q=2, trials=20), "measure_cocycle").passed
+    assert drawn and len(built) <= len(drawn) + 1
 
 
 def test_forced_failure_records_counterexamples():
