@@ -62,7 +62,6 @@ from .operators import (
     spectral_norm,
 )
 from .representation import (
-    FixedSpaceReport,
     StepFunction,
     alpha_via_rep,
     constant_fn,

@@ -117,9 +117,6 @@ class Portrait:
     def q(self) -> int:
         return len(self.root_perm) - 1
 
-    def __hash__(self):
-        return hash((self.root_perm, tuple(sorted(self.node_perms.items()))))
-
 
 class PortraitGen:
     kind = "portrait"

@@ -82,10 +82,6 @@ class Halftree:
 EndCell = Cylinder | Halftree
 
 
-def whole_boundary() -> Cylinder:
-    return Cylinder(ROOT)
-
-
 def canonicalize(params: TreeParams, cell: EndCell) -> EndCell:
     """Collapse a half-tree pointing away from the basepoint to a cylinder.
 

@@ -29,12 +29,13 @@ orbit partition is one integer label per cylinder (measure.assert_partition),
 and the average is the per-label mean gathered back by label.  The
 basepoint stabilizer is the pointwise stabilizer of the one-vertex subtree:
 its one orbit is the whole boundary, and its average is the integral.
-The automorphisms acted with, the basepoint shifts included, are built in
-`automorphism`.
+fixed_space_report returns a subtree's orbit count, the fixed dimension
+per fiber coordinate.  invariant_lift_check takes its subspace as a
+(d, k) basis matrix, and halftree_element names its half-tree by the
+basepoint's neighbour `head`, as basepoint_shift does.  The automorphisms
+acted with, the basepoint shifts included, are built in `automorphism`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .errors import (
 )
 from .operators import OperatorPair, numerically_singular, power
 from .tree import (
-    ROOT,
     Address,
     FiniteSubtree,
     TreeParams,
@@ -100,15 +100,12 @@ class StepFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=1))) if self.values.size else 0.0
 
-    def common_refinement(self, other: "StepFunction") -> tuple["StepFunction", "StepFunction"]:
+    def __sub__(self, other: "StepFunction") -> "StepFunction":
+        """The difference at the finer of the two resolutions."""
         if self.params != other.params or self.dim != other.dim:
             raise ConfigError("step functions live on different trees or dimensions")
         m = max(self.resolution, other.resolution)
-        return self.refine(m), other.refine(m)
-
-    def __sub__(self, other: "StepFunction") -> "StepFunction":
-        a, b = self.common_refinement(other)
-        return StepFunction(a.params, a.resolution, a.values - b.values)
+        return StepFunction(self.params, m, self.refine(m).values - other.refine(m).values)
 
     def max_cell_distance(self, other: "StepFunction") -> float:
         return (self - other).sup_norm()
@@ -206,16 +203,14 @@ def alpha_via_rep(params: TreeParams, w: np.ndarray, pair: OperatorPair) -> np.n
 
 
 def halftree_element(
-    params: TreeParams, w_prime: np.ndarray, edge: tuple[Address, Address], pair: OperatorPair
+    params: TreeParams, w_prime: np.ndarray, head: Address, pair: OperatorPair
 ) -> StepFunction:
-    """The step function (tau - tau^{-1}) w' supported on the half-tree at
-    `edge`, which one group element reaches from the constant function w'
-    (see the half-tree reachability suite for the two-path check)."""
-    tail, head = edge
-    if tail != ROOT:
-        raise ConfigError("only edges leaving the basepoint are supported")
+    """The step function (tau - tau^{-1}) w' supported on the half-tree
+    through the basepoint's neighbour `head`, which basepoint_shift(params,
+    head) reaches from the constant function w' (see the half-tree
+    reachability suite for the two-path check)."""
     if len(head) != 1:
-        raise ConfigError("edge endpoints must be adjacent")
+        raise ConfigError(f"{head} is not a neighbour of the basepoint")
     w_prime = np.atleast_1d(np.asarray(w_prime, dtype=np.complex128))
     return indicator_fn(params, bm.Cylinder(head), (pair.tau - pair.tau_inv) @ w_prime)
 
@@ -231,26 +226,17 @@ def halftree_preimage(pair: OperatorPair, w: np.ndarray) -> np.ndarray:
     return np.linalg.solve(diff, np.asarray(w, dtype=np.complex128))
 
 
-@dataclass(frozen=True)
-class FixedSpaceReport:
-    subtree: FiniteSubtree
-    orbit_count: int
-    fixed_dim: int
-
-
-def fixed_space_report(tree: FiniteSubtree, d: int) -> FixedSpaceReport:
-    """Dimension of the subspace fixed by the pointwise stabilizer of a
-    complete subtree: d per orbit cell.
+def fixed_space_report(tree: FiniteSubtree) -> int:
+    """The number of orbit cells of the pointwise stabilizer of a complete
+    subtree; the subspace it fixes in fiber dimension d has dimension d
+    times this count.
 
     Constructively verified: a step function with a distinct value on
     each orbit cell must survive haar_average_fix unchanged, which
     exercises the conditional mean on every cell; values split per
-    coordinate, so the scalar check covers all d coordinates.  The probe
-    and the average share the subtree's one orbit_partition, and only
-    its cell count is reported.
+    coordinate, so the scalar check covers every fiber dimension.  The
+    probe and the average share the subtree's one orbit_partition.
     """
-    if d < 1:
-        raise ConfigError(f"fiber dimension must be positive, got {d}")
     params = tree.params
     count, m, labels = bm.orbit_partition(tree)
     probe = (labels + 1)[:, None].astype(np.complex128)
@@ -258,12 +244,12 @@ def fixed_space_report(tree: FiniteSubtree, d: int) -> FixedSpaceReport:
     averaged = haar_average_fix(tree, fn)
     if averaged.resolution != m or not np.array_equal(averaged.values, probe):
         raise ConfigError("orbit cells are not stabilizer-average invariant")
-    return FixedSpaceReport(subtree=tree, orbit_count=count, fixed_dim=d * count)
+    return count
 
 
 def invariant_lift_check(
     params: TreeParams,
-    basis: list[np.ndarray] | np.ndarray,
+    basis: np.ndarray,
     pair: OperatorPair,
     generators: list[TreeAutomorphism],
     trials: int,
@@ -271,17 +257,19 @@ def invariant_lift_check(
 ) -> dict:
     """Measure how far the lift of span(basis) is from being invariant.
 
-    `basis` is a list of vectors or a matrix whose columns span the
-    subspace.  For random unit vectors w in the span, the probes are
-    every cell value of pi(g) applied to the constant function at w,
-    plus the vector alpha.w reconstructed through the representation.
-    Reported leakage is the norm of the component outside the span;
-    thresholds are the caller's business.
+    `basis` is a (d, k) matrix whose columns span the subspace, d the
+    pair's dimension and 1 <= k <= d; any other shape, or dependent
+    columns, is a ConfigError.  For random unit vectors w in the span,
+    the probes are every cell value of pi(g) applied to the constant
+    function at w, plus the vector alpha.w reconstructed through the
+    representation.  Reported leakage is the norm of the component
+    outside the span; thresholds are the caller's business.
     """
-    if isinstance(basis, np.ndarray) and basis.ndim == 2:
-        mat = np.asarray(basis, dtype=np.complex128)
-    else:
-        mat = np.column_stack([np.asarray(b, dtype=np.complex128) for b in basis])
+    mat = np.asarray(basis, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != pair.dim or not 1 <= mat.shape[1] <= pair.dim:
+        raise ConfigError(
+            f"basis must be a ({pair.dim}, k) matrix, 1 <= k <= {pair.dim}, got shape {mat.shape}"
+        )
     sing = np.linalg.svd(mat, compute_uv=False)
     if sing[-1] <= 1e-10 * max(1.0, sing[0]):
         raise ConfigError("subspace basis is numerically dependent")

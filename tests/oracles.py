@@ -19,7 +19,7 @@ from collections import deque
 from fractions import Fraction
 
 from treerep.errors import BranchCutError, DepthBudgetError, RefinementError
-from treerep.measure import Cylinder, Halftree, canonicalize, whole_boundary
+from treerep.measure import Cylinder, Halftree, canonicalize
 
 
 def ball_vertices(q: int, depth: int) -> list[tuple[int, ...]]:
@@ -204,7 +204,7 @@ def orbit_cells_per_vertex(tree):
     inside, canonicalized."""
     q = tree.params.q
     if len(tree) == 1:
-        return [whole_boundary()]
+        return [Cylinder(())]
     cells = []
     for b in sorted(tree.vertices):
         inside = [w for w in tree_neighbors(q, b) if w in tree.vertices]

@@ -16,6 +16,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# traced names the package no longer defines; any other absent name is a
+# traced function renamed or deleted, whose per-layer metrics would read 0
+STALE_TRACED = {"tree.boundary_vertices", "automorphism.StepTranslationGen.batch"}
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
@@ -44,5 +47,6 @@ def test_workload_passes_its_checks_on_its_call_graph(bench, name, tmp_path):
             problems += [f"{size.metric}: {p}" for p in size.check(size.call())]
     called = tr.totals()
     assert problems == []
+    assert set(tr.absent) <= STALE_TRACED
     assert [n for n in wl.works if n not in tr.absent and n not in called] == []
     assert [n for n in wl.bypasses if n in called] == []

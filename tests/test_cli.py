@@ -15,7 +15,6 @@ from treerep import automorphism as au
 from treerep import cli, measure, operators, representation, suites
 from treerep import tree as tr
 from treerep.errors import IllConditionedError
-from treerep.representation import FixedSpaceReport
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
@@ -63,6 +62,14 @@ def test_config_errors_give_exit_2(capsys):
             code, out, err = run_cli(capsys, *argv, "--trials", "2", f"--tol={tol}")
             assert (code, out) == (2, ""), (argv, tol)
             assert err.startswith("configuration error: tolerance")
+
+
+def test_negative_seed_gives_exit_2(capsys):
+    # a seeded generator needs a non-negative seed; the check runs before any draw
+    for argv in (("verify",), ("suite", "homomorphism"), ("spectrum",), ("admissibility-table",)):
+        code, out, err = run_cli(capsys, *argv, "--trials", "2", "--seed", "-1")
+        assert (code, out) == (2, ""), argv
+        assert err == "configuration error: seed must be >= 0, got -1\n"
 
 
 def test_csv_is_refused_for_every_non_tabular_report(capsys):
@@ -217,9 +224,7 @@ def force_failures(monkeypatch):
     exact = measure.rn_cocycle
     monkeypatch.setattr(measure, "rn_cocycle", lambda g, cell: exact(g, cell) * g.params.q)
     monkeypatch.setattr(suites, "invariant_lift_check", lambda *args: {"max_leakage": 1e-3})
-    monkeypatch.setattr(
-        suites, "fixed_space_report", lambda ball, d: FixedSpaceReport(ball, 0, 0)
-    )
+    monkeypatch.setattr(suites, "fixed_space_report", lambda ball: 0)
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))

@@ -27,7 +27,7 @@ P3 = tr.TreeParams(3)
 
 def test_cell_measures_match_counting():
     for params, q in ((P2, 2), (P3, 3)):
-        assert me.cell_measure(params, me.whole_boundary()) == 1
+        assert me.cell_measure(params, me.Cylinder(())) == 1
         for depth in range(1, 5):
             mu = oracles.uniform_cell_measure(q, depth)
             base = (1,) + (1,) * (depth - 1)
@@ -101,7 +101,7 @@ def test_refine_errors():
 
 def test_whole_boundary_refines_to_full_level():
     for depth in (1, 2, 3):
-        pieces = oracles.refine_to_depth(P3, me.whole_boundary(), depth)
+        pieces = oracles.refine_to_depth(P3, me.Cylinder(()), depth)
         assert len(pieces) == oracles.cylinder_count(3, depth)
         assert sum(me.cell_measure(P3, c) for c in pieces) == 1
 
@@ -124,12 +124,12 @@ def test_cell_index_ranges_agree_with_refinement():
             assert got == want
     # past the cap the root cell fails like every other cell, not as one range
     capped = tr.TreeParams(2, depth_cap=4)
-    assert me.cell_index_ranges(capped, me.whole_boundary(), 4) == [(0, 24)]
-    for cell in (me.whole_boundary(), me.Cylinder((1,))):
+    assert me.cell_index_ranges(capped, me.Cylinder(()), 4) == [(0, 24)]
+    for cell in (me.Cylinder(()), me.Cylinder((1,))):
         with pytest.raises(DepthBudgetError):
             me.cell_index_ranges(capped, cell, 5)
     with pytest.raises(DepthBudgetError):
-        me.assert_partition(capped, [me.whole_boundary()], 7)
+        me.assert_partition(capped, [me.Cylinder(())], 7)
 
 
 def test_assert_partition():
@@ -137,7 +137,7 @@ def test_assert_partition():
     with pytest.raises(PartitionError):
         me.assert_partition(P2, [me.Cylinder((1,)), me.Cylinder((1, 1))], 2)  # overlap
     with pytest.raises(PartitionError):
-        me.assert_partition(P2, [me.whole_boundary(), me.Cylinder((1,))])  # overlap, no gap
+        me.assert_partition(P2, [me.Cylinder(()), me.Cylinder((1,))])  # overlap, no gap
     with pytest.raises(PartitionError):
         me.assert_partition(P2, [me.Cylinder((1,)), me.Cylinder((2,))], 2)  # gap
 
@@ -218,7 +218,7 @@ def test_orbit_cells_of_the_edge():
 
 
 def test_orbit_cells_singleton_is_whole_boundary():
-    assert me.orbit_cells(tr.FiniteSubtree(P2, [()])) == [me.whole_boundary()]
+    assert me.orbit_cells(tr.FiniteSubtree(P2, [()])) == [me.Cylinder(())]
 
 
 def test_label_grid_past_int64_is_a_typed_error():
@@ -362,7 +362,7 @@ def test_orbit_merge_rejects_bad_prunings():
 
 def test_map_cell_basics():
     h = au.edge_inversion(P2)
-    assert me.map_cell(h, me.whole_boundary()) == me.whole_boundary()
+    assert me.map_cell(h, me.Cylinder(())) == me.Cylinder(())
     assert me.map_cell(h, me.Cylinder((2,))) == me.Cylinder((1, 1))
     assert me.map_cell(h, me.Cylinder((1, 1))) == me.Cylinder((2,))
     # image of cyl(1) is everything through h(1)=eps away from h(eps)=(1,)
@@ -414,7 +414,7 @@ def test_rn_cocycle_examples():
 def test_rn_cocycle_shallow_cells_rejected():
     h = au.edge_inversion(P2)
     with pytest.raises(CylinderTooShallowError):
-        me.rn_cocycle(h, me.whole_boundary())
+        me.rn_cocycle(h, me.Cylinder(()))
     # complement of cyl(1.1) straddles both sides of the moved edge
     mixed = me.canonicalize(P2, me.Halftree((1, 1), (1,)))
     with pytest.raises(CylinderTooShallowError):

@@ -370,14 +370,14 @@ def test_halftree_two_path_identity():
         lhs = rp.pi_apply(g, rp.constant_fn(P2, w_prime), pair) - rp.constant_fn(
             P2, pair.tau_inv @ w_prime
         )
-        rhs = rp.halftree_element(P2, w_prime, ((), (j,)), pair)
+        rhs = rp.halftree_element(P2, w_prime, (j,), pair)
         assert lhs.max_cell_distance(rhs) < 1e-9 * max(1.0, np.linalg.norm(w_prime))
 
 
 def test_halftree_element_rejects_far_edges():
     _, _, pair = build_rng_pair(P2, 1, 71)
     with pytest.raises(ConfigError):
-        rp.halftree_element(P2, np.array([1.0]), ((1,), (1, 1)), pair)
+        rp.halftree_element(P2, np.array([1.0]), (1, 1), pair)
 
 
 def test_halftree_preimage_solves():
@@ -411,11 +411,9 @@ def test_fixed_space_report_counts():
     for params, q in ((P2, 2), (P3, 3)):
         for r in (1, 2, 3):
             ball = tr.closed_neighborhood(tr.FiniteSubtree(params, [()]), r)
-            for d in (1, 2, 4):
-                rep = rp.fixed_space_report(ball, d)
-                assert rep.orbit_count == (q + 1) * q ** (r - 1)
-                assert rep.fixed_dim == d * rep.orbit_count
-                assert len(oracles.orbit_cells_per_vertex(ball)) == rep.orbit_count
+            count = rp.fixed_space_report(ball)
+            assert count == (q + 1) * q ** (r - 1)
+            assert len(oracles.orbit_cells_per_vertex(ball)) == count
 
 
 def count_orbit_enumerations(monkeypatch) -> Counter:
@@ -435,8 +433,7 @@ def count_orbit_enumerations(monkeypatch) -> Counter:
 def test_fixed_space_report_enumerates_the_orbits_once(monkeypatch, params):
     calls = count_orbit_enumerations(monkeypatch)
     ball = tr.closed_neighborhood(tr.FiniteSubtree(params, [()]), 3)
-    rep = rp.fixed_space_report(ball, 1)
-    assert rep.orbit_count == (params.q + 1) * params.q**2
+    assert rp.fixed_space_report(ball) == (params.q + 1) * params.q**2
     assert calls == {ball: 1}
 
 
@@ -492,6 +489,9 @@ def test_non_invariant_line_leaks_at_comparable_rate():
 def test_invariant_lift_check_rejects_dependent_basis():
     rng, _, pair = build_rng_pair(P2, 3, 83)
     v = rng.standard_normal(3) + 0j
-    basis = np.stack([v, 2 * v], axis=1)
-    with pytest.raises(ConfigError):
-        rp.invariant_lift_check(P2, basis, pair, generators_for(P2), trials=1, rng=rng)
+    # dependent columns, more columns than rows, no columns, a bare vector,
+    # and a list of vectors, which stacks as rows
+    wide = rng.standard_normal((3, 4)) + 0j
+    for basis in (np.stack([v, 2 * v], axis=1), wide, np.zeros((3, 0)), v, [v]):
+        with pytest.raises(ConfigError):
+            rp.invariant_lift_check(P2, basis, pair, generators_for(P2), trials=1, rng=rng)

@@ -35,6 +35,8 @@ def test_config_defaults_and_validation():
         su.SuiteConfig(trials=0)
     with pytest.raises(ConfigError):
         su.SuiteConfig(tol=0.0)
+    with pytest.raises(ConfigError):
+        su.SuiteConfig(seed=-1)
 
 
 def test_unknown_suite_rejected():
