@@ -129,7 +129,7 @@ class PortraitGen:
         self._perms = {ROOT: portrait.root_perm, **portrait.node_perms}
         self._perms_inv = {addr: _inv_perm(p) for addr, p in self._perms.items()}
         # level tables, built from the same data: for every depth j that
-        # carries permutations, the sorted prefix indices (tree.address_index
+        # carries permutations, the sorted prefix indices (tree.index_unchecked
         # numbering) of its vertices and their stacked letter tables,
         # forward and inverted; depth 0 is the basepoint alone
         by_level: dict[int, list[Address]] = {}

@@ -426,6 +426,3 @@ def rn_cocycle(g: TreeAutomorphism, cell: EndCell) -> Fraction:
         b = -len(y)
     return Fraction(params.q) ** b
 
-
-def measure_to_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"

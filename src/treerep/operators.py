@@ -125,12 +125,14 @@ def principal_sqrt(a: np.ndarray) -> np.ndarray:
     a[i : i + 1] alone.  A singular or non-finite matrix, or one that has
     not converged after 50 steps (an eigenvalue on the negative real axis,
     where no principal root exists), raises IllConditionedError naming its
-    stack index.
+    stack index.  An empty stack is its own root.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise OperatorDomainError(f"expected an (n, d, d) stack, got shape {a.shape}")
     d = a.shape[1]
+    if not a.shape[0]:
+        return a
     with np.errstate(invalid="ignore"):  # NaN entries give a NaN logdet, refused below
         _, logdet = np.linalg.slogdet(a)
     (bad,) = np.nonzero(~np.isfinite(logdet))
@@ -166,9 +168,9 @@ def build_pair(alpha: np.ndarray, q: int) -> OperatorPair | list[OperatorPair]:
     matrix square root, verify the defining residuals, and package the lot.
 
     `alpha` is one (d, d) matrix, giving one pair, or an (n, d, d) stack,
-    giving a list of n pairs built together; pair i is bitwise the pair of
-    alpha[i] built alone.  The certificate's singular values give each
-    pair its `norm_alpha` and `norm_tau`.
+    giving a list of n pairs built together (none for an empty stack);
+    pair i is bitwise the pair of alpha[i] built alone.  The certificate's
+    singular values give each pair its `norm_alpha` and `norm_tau`.
 
     Raises OperatorDomainError when an alpha is not finite or is outside
     the open disc of radius 2 sqrt(q), and IllConditionedError when its

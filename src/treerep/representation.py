@@ -31,9 +31,10 @@ basepoint stabilizer is the pointwise stabilizer of the one-vertex subtree:
 its one orbit is the whole boundary, and its average is the integral.
 fixed_space_report returns a subtree's orbit count, the fixed dimension
 per fiber coordinate.  invariant_lift_check takes its subspace as a
-(d, k) basis matrix, and halftree_element names its half-tree by the
-basepoint's neighbour `head`, as basepoint_shift does.  The automorphisms
-acted with, the basepoint shifts included, are built in `automorphism`.
+(d, k) basis matrix and probes it with a fixed number of vectors, and
+halftree_element names its half-tree by the basepoint's neighbour
+`head`, as basepoint_shift does.  The automorphisms acted with, the
+basepoint shifts included, are built in `automorphism`.
 """
 from __future__ import annotations
 
@@ -57,6 +58,8 @@ from .tree import (
     n_addresses,
     prefix_indices,
 )
+
+_LIFT_PROBES = 2  # random unit vectors of the span per invariant_lift_check
 
 
 class StepFunction:
@@ -113,7 +116,9 @@ class StepFunction:
 
 def constant_fn(params: TreeParams, w: np.ndarray) -> StepFunction:
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    return StepFunction(params, 0, w.reshape(1, -1))
+    if w.ndim != 1:
+        raise ConfigError(f"a constant function's value must be a vector, got shape {w.shape}")
+    return StepFunction(params, 0, w[None])
 
 
 def indicator_fn(params: TreeParams, cell: bm.EndCell, w: np.ndarray) -> StepFunction:
@@ -217,13 +222,16 @@ def halftree_element(
 
 def halftree_preimage(pair: OperatorPair, w: np.ndarray) -> np.ndarray:
     """Solve (tau - tau^{-1}) w' = w; the guard layer promises solvability."""
+    w = np.asarray(w, dtype=np.complex128)
+    if w.shape != (pair.dim,):
+        raise ConfigError(f"expected a vector of length {pair.dim}, got shape {w.shape}")
     diff = pair.tau - pair.tau_inv
     sing = np.linalg.svd(diff, compute_uv=False)
     if numerically_singular(sing):
         raise SpectralGuardError(
             f"tau - tau_inv is numerically singular (smallest singular value {sing[-1]:.3g})"
         )
-    return np.linalg.solve(diff, np.asarray(w, dtype=np.complex128))
+    return np.linalg.solve(diff, w)
 
 
 def fixed_space_report(tree: FiniteSubtree) -> int:
@@ -252,18 +260,18 @@ def invariant_lift_check(
     basis: np.ndarray,
     pair: OperatorPair,
     generators: list[TreeAutomorphism],
-    trials: int,
     rng: np.random.Generator,
 ) -> dict:
     """Measure how far the lift of span(basis) is from being invariant.
 
     `basis` is a (d, k) matrix whose columns span the subspace, d the
     pair's dimension and 1 <= k <= d; any other shape, or dependent
-    columns, is a ConfigError.  For random unit vectors w in the span,
-    the probes are every cell value of pi(g) applied to the constant
-    function at w, plus the vector alpha.w reconstructed through the
-    representation.  Reported leakage is the norm of the component
-    outside the span; thresholds are the caller's business.
+    columns, is a ConfigError.  For a fixed number, _LIFT_PROBES, of
+    random unit vectors w in the span, the probes are every cell value of
+    pi(g) applied to the constant function at w, plus the vector alpha.w
+    reconstructed through the representation.  Reported leakage is the
+    norm of the component outside the span; thresholds are the caller's
+    business.
     """
     mat = np.asarray(basis, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != pair.dim or not 1 <= mat.shape[1] <= pair.dim:
@@ -282,7 +290,7 @@ def invariant_lift_check(
 
     per_generator = {}
     reconstruction = 0.0
-    for trial in range(trials):
+    for _ in range(_LIFT_PROBES):
         coeff = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
         w = mat @ coeff
         w = w / np.linalg.norm(w)
@@ -291,11 +299,9 @@ def invariant_lift_check(
             moved = pi_apply(g, constant_fn(params, w), pair)
             per_generator[name] = max(per_generator.get(name, 0.0), leak(moved.values))
         reconstruction = max(reconstruction, leak(alpha_via_rep(params, w, pair)))
-    worst = max(list(per_generator.values()) + [reconstruction], default=0.0)
     return {
         "per_generator": per_generator,
         "reconstruction": reconstruction,
-        "max_leakage": worst,
-        "trials": trials,
+        "max_leakage": max([*per_generator.values(), reconstruction]),
         "subspace_dim": mat.shape[1],
     }

@@ -3,15 +3,15 @@
 Each suite checks one family of identities through SuiteReport.check,
 which keeps the worst residual and appends one record per failed
 comparison: {stream, trial, kind, residual, bound} plus the suite's own
-context (serialized generator words, cells, measures).  Measure-level
+context, passed as plain values (words, cells, exact measures) and made
+JSON data by `_json_data` only when the check fails.  Measure-level
 identities are asserted with exact rational (or exact float-integer)
 equality, recorded as residual 1 or 0 against bound 0; operator-level
 identities with relative tolerances scaled by the operator norms involved.
 
-Randomness discipline: trial t of stream s (the suite name, or a
-suite/part name such as invariance_correspondence/invariant) draws from
-default_rng([seed, crc32(s), t]), so suites are deterministic per
-configuration and independent of execution order.  A failure's
+Randomness discipline: trial t of a suite draws from its one stream,
+default_rng([seed, crc32(suite name), t]), so suites are deterministic
+per configuration and independent of execution order.  A failure's
 (stream, trial) is its seed path: rerunning the suite with the report's
 config, trials at least trial + 1, reproduces the record.  Structural
 checks draw nothing and record trial -1.  A suite with an operator pair
@@ -74,6 +74,9 @@ class SuiteConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("q", "depth_cap", "dim", "trials", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.q < 2:
             raise ConfigError(f"q must be >= 2, got {self.q}")
         if self.depth_cap < 4:
@@ -84,8 +87,8 @@ class SuiteConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
+        if not (isinstance(self.tol, (int, float)) and self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tol!r}")
 
     @property
     def params(self) -> TreeParams:
@@ -111,22 +114,20 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(
-        self, stream: str, trial: int, kind: str, residual: float, bound: float, **record
-    ) -> bool:
+    def check(self, trial: int, kind: str, residual: float, bound: float, **context) -> bool:
         """Record one comparison and return whether it held.
 
-        `stream` and `trial` are the `trial_rng` key the compared values
-        were drawn from (trial -1: a structural check that draws nothing),
-        so a failure replays from the report's config alone.  A check holds
-        only if its residual is at most its bound; otherwise
-        {stream, trial, kind, residual, bound} plus `record` joins the
-        failures.  A non-finite residual always fails: it is recorded as
-        residual null with `non_finite` naming it ("nan", "inf", "-inf"),
-        and it counts as one mismatch of an exact report but leaves the
-        worst residual of any other report alone, so the report stays
-        valid JSON.  For the same reason a non-finite float anywhere in
-        `record` is stored as null."""
+        The compared values were drawn from trial `trial` of the suite's
+        stream, `trial_rng(cfg, suite_name, trial)` (trial -1: a
+        structural check that draws nothing), so a failure replays from
+        the report's config alone.  A check holds only if its residual is
+        at most its bound; otherwise {stream, trial, kind, residual,
+        bound}, with stream the suite name, plus `context` through
+        `_json_data` joins the failures.  A non-finite residual always
+        fails: it is recorded as residual null with `non_finite` naming it
+        ("nan", "inf", "-inf"), and it counts as one mismatch of an exact
+        report but leaves the worst residual of any other report alone, so
+        the report stays valid JSON."""
         residual = float(residual)
         finite = math.isfinite(residual)
         if self.exact:
@@ -136,33 +137,38 @@ class SuiteReport:
         if finite and residual <= bound:
             return True
         if not finite:
-            record["non_finite"] = "nan" if math.isnan(residual) else f"{residual:g}"
+            context["non_finite"] = "nan" if math.isnan(residual) else f"{residual:g}"
         self.failures.append(
-            dict(stream=stream, trial=trial, kind=kind, residual=residual if finite else None,
-                 bound=float(bound), **_finite_or_null(record))
+            dict(stream=self.suite_name, trial=trial, kind=kind,
+                 residual=residual if finite else None, bound=float(bound), **_json_data(context))
         )
         return False
 
     def to_json_obj(self) -> dict:
-        """The report as JSON data; a non-finite float in `details` becomes
-        null, so the report stays strict JSON."""
+        """The report as JSON data, its details through `_json_data`."""
         return {
             "suite": self.suite_name,
             "passed": self.passed,
             "max_residual": self.max_residual,
             "trial_count": self.trial_count,
             "failures": self.failures,
-            "details": _finite_or_null(self.details),
+            "details": _json_data(self.details),
         }
 
 
-def _finite_or_null(obj):
+def _json_data(obj):
+    """`obj` as JSON data: anything with `to_json_obj()` becomes that, a
+    Fraction "n/d", a non-finite float null; containers item by item."""
+    if hasattr(obj, "to_json_obj"):
+        return obj.to_json_obj()
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
+        return {k: _json_data(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
+        return [_json_data(v) for v in obj]
     return obj
 
 
@@ -204,20 +210,18 @@ def suite_measure_cocycle(cfg: SuiteConfig) -> SuiteReport:
         depth = min(params.depth_cap, lo + int(rng.integers(0, 2)))
         cell = _random_cylinder(params, rng, depth)
 
-        record = {"g": g.to_json_obj(), "h": h.to_json_obj(), "cell": cell.to_json_obj()}
         ratio = bm.rn_cocycle(g, cell)
         pulled = bm.map_cell(g.inverse(), cell)
         lhs = bm.cell_measure(params, pulled)
         rhs = ratio * bm.cell_measure(params, cell)
-        if not rep.check(name, trial, "change_of_variables", lhs != rhs, 0,
-                         lhs=bm.measure_to_str(lhs), rhs=bm.measure_to_str(rhs), **record):
+        if not rep.check(trial, "change_of_variables", lhs != rhs, 0,
+                         lhs=lhs, rhs=rhs, g=g, h=h, cell=cell):
             continue
         law_lhs = bm.rn_cocycle(compose(g, h), cell)
         law_rhs = ratio * bm.rn_cocycle(h, pulled)
-        rep.check(name, trial, "cocycle_law", law_lhs != law_rhs, 0,
-                  lhs=bm.measure_to_str(law_lhs), rhs=bm.measure_to_str(law_rhs), **record)
-    rep.check(name, -1, "identity_element",
-              bm.rn_cocycle(identity(params), bm.Cylinder(ROOT)) != 1, 0)
+        rep.check(trial, "cocycle_law", law_lhs != law_rhs, 0,
+                  lhs=law_lhs, rhs=law_rhs, g=g, h=h, cell=cell)
+    rep.check(-1, "identity_element", bm.rn_cocycle(identity(params), bm.Cylinder(ROOT)) != 1, 0)
     return rep
 
 
@@ -243,9 +247,8 @@ def suite_homomorphism(cfg: SuiteConfig) -> SuiteReport:
         two_step = pi_apply(g, pi_apply(h, v, pair), pair)
         one_step = pi_apply(compose(g, h), v, pair)
         growth = pair.norm_tau ** (g.displacement + h.displacement)
-        rep.check(name, trial, "multiplicativity", one_step.max_cell_distance(two_step),
-                  cfg.tol * growth * max(v.sup_norm(), 1.0),
-                  g=g.to_json_obj(), h=h.to_json_obj(), resolution=m)
+        rep.check(trial, "multiplicativity", one_step.max_cell_distance(two_step),
+                  cfg.tol * growth * max(v.sup_norm(), 1.0), g=g, h=h, resolution=m)
     return rep
 
 
@@ -290,21 +293,18 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     )
     shift_back = step_translation(params).inverse()
     exponent = busemann_on_cylinder(params, (1,), shift_back.x0_image)
-    source_objs = [c.to_json_obj() for c in sources]
     rep = SuiteReport(name, cfg.trials, exact=True, details={
-        "merged_cell": merged_cell.to_json_obj(),
-        "merged_sources": source_objs,
+        "merged_cell": merged_cell,
+        "merged_sources": sources,
         "replay_exponent": exponent,
     })
-    rep.check(name, -1, "merged_sources",
-              sources != [bm.Cylinder((1, i)) for i in range(1, params.q + 1)], 0,
-              got=source_objs)
+    rep.check(-1, "merged_sources",
+              sources != [bm.Cylinder((1, i)) for i in range(1, params.q + 1)], 0, got=sources)
     kept = {c: t for c, t in mapping.items() if t != merged_cell}
-    rep.check(name, -1, "kept_cells_moved", any(c != t for c, t in kept.items()), 0)
+    rep.check(-1, "kept_cells_moved", any(c != t for c, t in kept.items()), 0)
     for which, tree in (("big", big), ("small", small)):
         total = sum(bm.cell_measure(params, c) for c in bm.orbit_cells(tree))
-        rep.check(name, -1, "cell_measures_sum", total != 1, 0,
-                  subtree=which, got=bm.measure_to_str(total))
+        rep.check(-1, "cell_measures_sum", total != 1, 0, subtree=which, got=total)
 
     # exact averaging: integer-valued data keeps every float op exact
     count, m, labels = bm.orbit_partition(big)
@@ -319,14 +319,14 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
         averaged = haar_average_fix(small, StepFunction(params, m, values))
         expected = values.copy()
         expected[lo:hi] = weights[src].sum(axis=0) / params.q
-        rep.check(name, trial, "merged_average", averaged.resolution != m
+        rep.check(trial, "merged_average", averaged.resolution != m
                   or not np.array_equal(averaged.values, expected), 0)
         weights[src[-1]] = -weights[src[:-1]].sum(axis=0)
         z_avg = haar_average_fix(small, StepFunction(params, m, weights[labels]))
-        rep.check(name, trial, "zero_sum_not_annihilated", z_avg.values[lo:hi].any(), 0)
+        rep.check(trial, "zero_sum_not_annihilated", z_avg.values[lo:hi].any(), 0)
 
-    rep.check(name, -1, "replay_exponent", exponent != -1, 0, got=exponent, want=-1)
-    rep.check(name, -1, "replay_cocycle_value",
+    rep.check(-1, "replay_exponent", exponent != -1, 0, got=exponent, want=-1)
+    rep.check(-1, "replay_cocycle_value",
               bm.rn_cocycle(shift_back, merged_cell) != Fraction(1, params.q), 0)
     return rep
 
@@ -347,7 +347,7 @@ def suite_fixed_vector_transfer(cfg: SuiteConfig) -> SuiteReport:
         got = alpha_via_rep(params, w, pair)
         residual = float(np.linalg.norm(got - pair.alpha @ w))
         scale = pair.norm_alpha * float(np.linalg.norm(w))
-        rep.check(name, trial, "transfer", residual / max(scale, 1e-300), cfg.tol, scale=scale)
+        rep.check(trial, "transfer", residual / max(scale, 1e-300), cfg.tol, scale=scale)
     return rep
 
 
@@ -379,9 +379,8 @@ def suite_halftree_reach(cfg: SuiteConfig) -> SuiteReport:
         )
         rhs = halftree_element(params, w_prime, head, pair)
         scale = max(1.0, float(np.linalg.norm(w_prime)))
-        rep.check(name, trial, "solve", solve_residual, cfg.tol, head=head[0])
-        rep.check(name, trial, "two_path", lhs.max_cell_distance(rhs) / scale, cfg.tol,
-                  head=head[0])
+        rep.check(trial, "solve", solve_residual, cfg.tol, head=head[0])
+        rep.check(trial, "two_path", lhs.max_cell_distance(rhs) / scale, cfg.tol, head=head[0])
     return rep
 
 
@@ -410,10 +409,9 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
     d = max(cfg.dim, 2)
     trials = min(cfg.trials, 40)
     rep = SuiteReport(name, trials)
-    stream = name + "/invariant"
     drawn = []
     for trial in range(trials):
-        rng = trial_rng(cfg, stream, trial)
+        rng = trial_rng(cfg, name, trial)
         basis_mat, _ = np.linalg.qr(
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         )
@@ -422,20 +420,18 @@ def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:
         )
         drawn.append((rng, basis_mat, lam))
     pairs = build_pair(np.stack([(u * lam) @ u.conj().T for _, u, lam in drawn]), cfg.q)
-    branch, leakages = [], []
+    leakages = []
     for trial, ((rng, basis_mat, lam), pair) in enumerate(zip(drawn, pairs)):
         tau_phi = (basis_mat * [phi_scalar(z, cfg.q) for z in lam]) @ basis_mat.conj().T
-        branch.append(spectral_norm(pair.tau - tau_phi) / (1.0 + pair.norm_tau))
+        rep.check(trial, "tau_branch",
+                  spectral_norm(pair.tau - tau_phi) / (1.0 + pair.norm_tau), cfg.tol)
         k = int(rng.integers(1, d))
         gens = _generators(params, rng)
-        report = invariant_lift_check(params, basis_mat[:, :k], pair, gens, 2, rng)
+        report = invariant_lift_check(params, basis_mat[:, :k], pair, gens, rng)
         leakages.append(report["max_leakage"])
-        rep.check(stream, trial, "invariant_leaks", report["max_leakage"], 1e-9, report=report)
+        rep.check(trial, "invariant_leaks", report["max_leakage"], 1e-9, report=report)
     # a NaN leakage propagates, and the report stores it as null
     rep.details["worst_invariant_leakage"] = float(np.max(leakages))
-    # recorded after every leakage check, so failure records keep their order
-    for trial, residual in enumerate(branch):
-        rep.check(stream, trial, "tau_branch", residual, cfg.tol)
     return rep
 
 
@@ -461,9 +457,9 @@ def suite_admissibility_table(cfg: SuiteConfig) -> SuiteReport:
         ball = closed_neighborhood(ball, 1)
         count = fixed_space_report(ball)
         closed_form = (params.q + 1) * params.q ** (r - 1)
-        rep.check(name, -1, "orbit_count", count != closed_form, 0, r=r, got=count)
+        rep.check(-1, "orbit_count", count != closed_form, 0, r=r, got=count)
         mass = count * bm.cell_measure(params, bm.Cylinder((1,) * r))
-        rep.check(name, -1, "cell_measures_sum", mass != 1, 0, r=r, got=bm.measure_to_str(mass))
+        rep.check(-1, "cell_measures_sum", mass != 1, 0, r=r, got=mass)
         for dd in dims:
             rows.append(
                 {"q": params.q, "r": r, "d": dd, "orbit_count": count, "fixed_dim": dd * count}

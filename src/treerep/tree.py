@@ -194,14 +194,8 @@ def addresses_at_depth(params: TreeParams, depth: int) -> list[Address]:
     return [tuple(int(x) for x in row) for row in letter_matrix(params, depth)]
 
 
-def address_index(params: TreeParams, addr: Address) -> int:
-    """Index of addr within the sorted enumeration of its own depth."""
-    check_address(params, addr)
-    return index_unchecked(params.q, map(int, addr))
-
-
 def index_unchecked(q: int, addr: Address) -> int:
-    """address_index of an address already known to be valid, at any depth."""
+    """Index of a valid address, of any depth, among the sorted addresses of its depth."""
     idx = 0
     for letter in addr:
         idx = idx * q + (letter - 1)
@@ -216,7 +210,7 @@ def address_from_index(params: TreeParams, depth: int, idx: int) -> Address:
 
 
 def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized address_index of the depth-m prefix of every row.
+    """Vectorized index_unchecked of the depth-m prefix of every row.
 
     Rows must have length >= m.  The result has `_index_dtype`'s dtype
     for depth m: int64, or Python integers where the depth outgrows it.

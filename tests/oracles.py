@@ -3,10 +3,10 @@
 Everything here works by explicit enumeration over a finite ball of the
 tree, independent of the package's formulas: adjacency comes from the
 parent relation alone, distances from breadth-first search, boundary
-measures from counting, connectivity and neighbourhoods from
-breadth-first search, refinements from testing every address, a
-complement's horofunction increment from its maximal cylinders one by
-one.  Only the cell types and `canonicalize` come from the package.  The
+measures and lexicographic indices from counting, connectivity and
+neighbourhoods from breadth-first search, refinements from testing every
+address, a complement's horofunction increment from its maximal
+cylinders one by one.  Only the cell types and `canonicalize` come from the package.  The
 one non-enumeration is phi through an atan2 square root cut along the
 nonnegative reals, a second route to the package's principal root.
 """
@@ -120,6 +120,14 @@ def phi_cut_oracle(z: complex, q: int) -> complex:
 
 def cylinder_count(q: int, depth: int) -> int:
     return (q + 1) * q ** (depth - 1) if depth else 1
+
+
+def lex_index(q: int, addr: tuple[int, ...]) -> int:
+    """Rank of addr among the addresses of its depth in lexicographic
+    order: the number of addresses that share a prefix with it and then
+    take a smaller letter, each followed by any completion."""
+    depth = len(addr)
+    return sum((letter - 1) * q ** (depth - j - 1) for j, letter in enumerate(addr))
 
 
 def uniform_cell_measure(q: int, depth: int) -> Fraction:

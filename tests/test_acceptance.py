@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import oracles
 from treerep import automorphism as au
 from treerep import measure as me
 from treerep import operators as op
@@ -139,7 +140,7 @@ def test_criterion_6_orbit_merge_replay():
         )
         v = rp.StepFunction(params, depth, vals)
         averaged = rp.haar_average_fix(pruned, v)
-        w_list = [vals[tr.address_index(params, c.base)] for c in sources]
+        w_list = [vals[oracles.lex_index(params.q, c.base)] for c in sources]
         expected = sum(w_list) / q
         for lo, hi in me.cell_index_ranges(params, merged_target, averaged.resolution):
             assert np.array_equal(averaged.values[lo:hi], np.tile(expected, (hi - lo, 1)))
@@ -191,7 +192,7 @@ def test_criterion_8_invariance_correspondence():
         alpha = (qmat * lam) @ qmat.conj().T
         pair = op.build_pair(alpha, 2)
         k = 1 + trial % (d - 1) if d > 1 else 1
-        report = rp.invariant_lift_check(params, qmat[:, :k], pair, generators, 2, rng)
+        report = rp.invariant_lift_check(params, qmat[:, :k], pair, generators, rng)
         assert report["max_leakage"] <= 1e-9
 
     # non-invariant lines leak at least half their direct alpha-leakage
@@ -205,7 +206,7 @@ def test_criterion_8_invariance_correspondence():
         direct = float(np.linalg.norm(alpha @ v - (v.conj() @ (alpha @ v)) * v))
         if direct <= 1e-3 * op.spectral_norm(alpha):
             continue
-        report = rp.invariant_lift_check(params, v[:, None], pair, generators, 1, rng)
+        report = rp.invariant_lift_check(params, v[:, None], pair, generators, rng)
         assert report["max_leakage"] >= 0.5 * direct
         checked += 1
 

@@ -372,7 +372,7 @@ def test_portrait_node_past_int64_builds_and_acts():
     # (11, 10, ..., 10) at depth 19 has an index above 2^63 - 1
     params = tr.TreeParams(10, depth_cap=25)
     node = (11,) + (10,) * 18
-    assert tr.address_index(params, node) > 2**63
+    assert oracles.lex_index(params.q, node) > 2**63
     g = au.from_portrait(
         params, au.Portrait(tuple(range(1, 12)), {node: (2, 1) + tuple(range(3, 11))})
     )

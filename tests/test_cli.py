@@ -270,6 +270,19 @@ def test_every_failure_replays_from_its_seed_path(capsys, monkeypatch):
             assert failure in replayed[key]
 
 
+def test_every_failure_names_its_suite_as_its_stream(capsys, monkeypatch):
+    force_failures(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "verify", "--trials", "3", "--tol", "1e-30", "--seed", "4", "--no-timestamp"
+    )
+    assert code == 1
+    suites_out = json.loads(out)["suites"]
+    assert [s["suite"] for s in suites_out] == list(suites.SUITES)
+    for suite in suites_out:
+        assert suite["failures"]
+        assert {failure["stream"] for failure in suite["failures"]} == {suite["suite"]}
+
+
 def negate_the_square_root(monkeypatch):
     # tau and q tau^{-1} swap: the other root of t^2 - alpha t + q
     exact = operators.principal_sqrt

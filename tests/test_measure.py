@@ -64,14 +64,6 @@ def test_cell_json_shape():
     }
 
 
-def test_measure_string_round_trip():
-    # the "p/q" form is the one fractions.Fraction parses back
-    for value in (Fraction(2, 3), Fraction(1), Fraction(-5, 4)):
-        assert Fraction(me.measure_to_str(value)) == value
-    assert me.measure_to_str(Fraction(2, 3)) == "2/3"
-    assert me.measure_to_str(Fraction(1)) == "1/1"
-
-
 # -- refinement ---------------------------------------------------------------
 
 
@@ -115,7 +107,7 @@ def test_cell_index_ranges_agree_with_refinement():
     ):
         for depth in (3, 4):
             want = {
-                tr.address_index(P2, c.base)
+                oracles.lex_index(P2.q, c.base)
                 for c in oracles.refine_to_depth(P2, cell, depth)
             }
             got = set()
@@ -180,7 +172,7 @@ def labels_by_refinement(params, cells, depth):
     labels = [None] * tr.n_addresses(params, depth)
     for j, cell in enumerate(cells):
         for piece in oracles.refine_to_depth(params, cell, depth):
-            labels[tr.address_index(params, piece.base)] = j
+            labels[oracles.lex_index(params.q, piece.base)] = j
     return labels
 
 

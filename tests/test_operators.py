@@ -340,6 +340,12 @@ def test_singular_or_non_finite_matrix_has_no_principal_root():
         assert info.value.index == 2
 
 
+def test_an_empty_stack_has_an_empty_root_and_no_pairs():
+    empty = np.zeros((0, 2, 2), dtype=np.complex128)
+    assert op.principal_sqrt(empty).shape == (0, 2, 2)
+    assert op.build_pair(empty, 2) == []
+
+
 def test_stacked_build_names_the_first_bad_alpha(monkeypatch):
     rng = np.random.default_rng(13)
     alphas = np.stack([op.random_in_disc(2, 2, rng) for _ in range(6)])

@@ -60,7 +60,7 @@ def pi_oracle(g, v, pair):
         w_cell = z[:m]
         base = pair.tau if b >= 0 else pair.tau_inv
         mat = np.linalg.matrix_power(base, abs(b))
-        rows.append(mat @ v.values[tr.address_index(params, w_cell)])
+        rows.append(mat @ v.values[oracles.lex_index(params.q, w_cell)])
     return rp.StepFunction(params, m_out, np.array(rows))
 
 
@@ -94,7 +94,7 @@ def test_refine_preserves_the_function():
         fine.integral(), v.integral()
     )
     for u, val in cells(fine):
-        coarse = tr.address_index(P2, u[:1])
+        coarse = oracles.lex_index(P2.q, u[:1])
         assert np.array_equal(val, vals[coarse])
     from treerep.errors import RefinementError
 
@@ -251,6 +251,14 @@ def test_pi_dimension_mismatch():
         rp.pi_apply(au.edge_inversion(P2), v, pair)
 
 
+def test_constant_fn_takes_a_vector_or_a_scalar():
+    assert rp.constant_fn(P2, 2.0).values.tolist() == [[2.0]]
+    assert rp.constant_fn(P2, [1.0, 2.0]).values.tolist() == [[1.0, 2.0]]
+    # a matrix is not flattened into a longer vector
+    with pytest.raises(ConfigError):
+        rp.constant_fn(P2, np.ones((2, 2)))
+
+
 # -- averaging ----------------------------------------------------------------
 
 
@@ -318,7 +326,7 @@ def test_haar_average_fix_rejects_cells_that_do_not_tile(monkeypatch, fault):
     def forged(tree):
         depth, ks, idx, complement = scan(tree)
         if fault == "overlap":
-            extra = tr.address_index(P2, (1, 1))
+            extra = oracles.lex_index(P2.q, (1, 1))
             return depth + 1, np.append(ks, 2), np.append(idx, extra), complement
         return depth, ks[:-1], idx[:-1], complement
 
@@ -404,6 +412,13 @@ def test_halftree_preimage_guards_singularity():
         rp.halftree_preimage(forged, np.array([1.0, 0.0]))
 
 
+def test_halftree_preimage_rejects_a_vector_of_the_wrong_shape():
+    _, _, pair = build_rng_pair(P2, 2, 74)
+    for w in (np.ones(3), np.ones(1), np.ones((2, 1)), 1.0):
+        with pytest.raises(ConfigError):
+            rp.halftree_preimage(pair, w)
+
+
 # -- fixed spaces -------------------------------------------------------------
 
 
@@ -465,7 +480,7 @@ def test_invariant_subspace_does_not_leak():
     alpha = (qmat * lam) @ qmat.conj().T
     pair = op.build_pair(alpha, 2)
     basis = qmat[:, :2]
-    out = rp.invariant_lift_check(P2, basis, pair, generators_for(P2), trials=3, rng=rng)
+    out = rp.invariant_lift_check(P2, basis, pair, generators_for(P2), rng=rng)
     assert out["max_leakage"] <= 1e-9
     assert out["subspace_dim"] == 2
 
@@ -480,10 +495,21 @@ def test_non_invariant_line_leaks_at_comparable_rate():
         direct = np.linalg.norm(alpha @ v - (v.conj() @ (alpha @ v)) * v)
         if direct < 1e-3:
             continue
-        out = rp.invariant_lift_check(
-            P2, v.reshape(-1, 1), pair, generators_for(P2), trials=2, rng=rng
-        )
+        out = rp.invariant_lift_check(P2, v.reshape(-1, 1), pair, generators_for(P2), rng=rng)
         assert out["max_leakage"] >= 0.5 * direct
+
+
+def test_invariant_lift_check_always_probes(monkeypatch):
+    # the probe count is fixed: a call cannot probe nothing and report 0
+    calls = []
+    exact = rp.alpha_via_rep
+    monkeypatch.setattr(rp, "alpha_via_rep", lambda *args: calls.append(args) or exact(*args))
+    rng, _, pair = build_rng_pair(P2, 2, 84)
+    line = np.array([[1.0], [0.3]])
+    out = rp.invariant_lift_check(P2, line, pair, generators_for(P2), rng=rng)
+    assert len(calls) == rp._LIFT_PROBES >= 1
+    assert out["max_leakage"] > 0.1
+    assert "trials" not in out
 
 
 def test_invariant_lift_check_rejects_dependent_basis():
@@ -494,4 +520,4 @@ def test_invariant_lift_check_rejects_dependent_basis():
     wide = rng.standard_normal((3, 4)) + 0j
     for basis in (np.stack([v, 2 * v], axis=1), wide, np.zeros((3, 0)), v, [v]):
         with pytest.raises(ConfigError):
-            rp.invariant_lift_check(P2, basis, pair, generators_for(P2), trials=1, rng=rng)
+            rp.invariant_lift_check(P2, basis, pair, generators_for(P2), rng=rng)

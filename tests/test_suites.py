@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -37,6 +38,10 @@ def test_config_defaults_and_validation():
         su.SuiteConfig(tol=0.0)
     with pytest.raises(ConfigError):
         su.SuiteConfig(seed=-1)
+    # a wrong type is a configuration error too, not a TypeError later on
+    for bad in (dict(trials=2.5), dict(dim=2.5), dict(seed=1.5), dict(tol="1e-8")):
+        with pytest.raises(ConfigError):
+            su.SuiteConfig(**bad)
 
 
 def test_unknown_suite_rejected():
@@ -169,6 +174,49 @@ def test_a_bad_alpha_names_its_trial(monkeypatch, name):
     assert info.value.index == 3
 
 
+def test_json_data_converts_context_values():
+    # the "p/q" form is the one fractions.Fraction parses back
+    for value in (Fraction(2, 3), Fraction(1), Fraction(-5, 4)):
+        assert Fraction(su._json_data(value)) == value
+    assert su._json_data(Fraction(1)) == "1/1"
+    word = au.step_translation(tr.TreeParams(2))
+    context = {
+        "g": word, "cell": me.Cylinder((2, 1)), "got": Fraction(1, 3), "r": 2,
+        "report": {"leak": math.nan, "per": (math.inf, 0.5), "name": "x"},
+    }
+    assert su._json_data(context) == {
+        "g": word.to_json_obj(), "cell": {"kind": "cylinder", "base": "2.1"}, "got": "1/3",
+        "r": 2, "report": {"leak": None, "per": [None, 0.5], "name": "x"},
+    }
+
+
+def test_a_failing_check_records_json_and_a_passing_one_nothing():
+    rep = su.SuiteReport("measure_cocycle", 1, exact=True)
+    cell = me.Cylinder((1,))
+    assert rep.check(0, "held", 0, 0, got=cell)
+    assert rep.failures == []
+    assert not rep.check(3, "broke", 1, 0, got=Fraction(1, 2), cell=cell)
+    assert rep.failures == [{
+        "stream": "measure_cocycle", "trial": 3, "kind": "broke", "residual": 1.0,
+        "bound": 0.0, "got": "1/2", "cell": {"kind": "cylinder", "base": "1"},
+    }]
+    rep.details = {"merged": [cell], "worst": math.nan}
+    assert rep.to_json_obj()["details"] == {
+        "merged": [{"kind": "cylinder", "base": "1"}], "worst": None
+    }
+
+
+@pytest.mark.parametrize("name", ["measure_cocycle", "homomorphism"])
+def test_passing_checks_serialize_no_word(monkeypatch, name):
+    calls = []
+    to_json_obj = au.TreeAutomorphism.to_json_obj
+    monkeypatch.setattr(
+        au.TreeAutomorphism, "to_json_obj", lambda self: calls.append(self) or to_json_obj(self)
+    )
+    assert su.run_suite(su.SuiteConfig(q=2, trials=10), name).passed
+    assert calls == []
+
+
 def test_run_all_order_and_determinism():
     cfg = su.SuiteConfig(trials=6, seed=9)
     first = su.run_all(cfg)
@@ -181,8 +229,8 @@ def test_run_all_order_and_determinism():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_residual_fails_with_a_valid_record(value, exact):
     rep = su.SuiteReport("homomorphism", 1, exact=exact)
-    assert rep.check("homomorphism", 0, "fine", 0.5 if not exact else 0, 1.0)
-    assert not rep.check("homomorphism", 0, "broken", value, 1e-8)
+    assert rep.check(0, "fine", 0.5 if not exact else 0, 1.0)
+    assert not rep.check(0, "broken", value, 1e-8)
     assert not rep.passed
     (failure,) = rep.failures
     assert failure["residual"] is None

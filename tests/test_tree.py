@@ -130,7 +130,7 @@ def test_letter_matrix_lexicographic_and_round_trip():
             rows = [tuple(int(x) for x in row) for row in mat]
             assert rows == sorted(rows)
             for i, row in enumerate(rows):
-                assert tr.address_index(params, row) == i
+                assert oracles.lex_index(params.q, row) == i
                 assert tr.address_from_index(params, m, i) == row
     with pytest.raises(ValueError):
         tr.letter_matrix(P2, 2)[0, 0] = 9  # cached array is write-protected
@@ -161,7 +161,7 @@ def test_prefix_indices_gathers_ancestors():
     idx = tr.prefix_indices(P2, deep, lengths, m)
     for i in range(deep.shape[0]):
         prefix = tuple(int(x) for x in deep[i, :m])
-        assert idx[i] == tr.address_index(P2, prefix)
+        assert idx[i] == oracles.lex_index(P2.q, prefix)
 
 
 def test_prefix_indices_past_int64_do_not_wrap():
@@ -252,7 +252,7 @@ def assert_arrays_match_definitions(sub):
 
     for k, (idx, val) in enumerate(zip(sub.levels, sub.valencies)):
         at_k = sorted(v for v in sub.vertices if len(v) == k)
-        assert idx.tolist() == [tr.address_index(params, v) for v in at_k]
+        assert idx.tolist() == [oracles.lex_index(params.q, v) for v in at_k]
         assert val.tolist() == [valency(v) for v in at_k]
     assert sum(idx.size for idx in sub.levels) == len(sub)
     assert tr.is_complete(sub) == all(
@@ -396,4 +396,3 @@ def test_indices_of_narrow_numpy_letters_do_not_wrap():
     assert narrow == wide
     assert [idx.tolist() for idx in narrow.levels] == [idx.tolist() for idx in wide.levels]
     assert narrow.levels[8].tolist() == [383]
-    assert tr.address_index(P2, tuple(np.uint8(x) for x in path[8])) == 383
