@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import (
     BranchCutError,
+    ConfigError,
     IllConditionedError,
     OperatorDomainError,
     SpectralGuardError,
@@ -246,13 +247,22 @@ def build_pair(alpha: np.ndarray, q: int) -> OperatorPair | list[OperatorPair]:
 
 
 def power(pair: OperatorPair, k: int) -> np.ndarray:
-    """tau^k, negative exponents through the sibling inverse; cached."""
+    """tau^k, negative exponents through the sibling inverse; cached.
+
+    Missing powers are filled in from the largest cached one of k's sign,
+    tau^j = tau^(j - 1) @ tau (tau^(j + 1) @ tau^(-1) below zero).
+    """
+    if not isinstance(k, (int, np.integer)):
+        raise ConfigError(f"the exponent must be an integer, got {k!r}")
     cache = pair._powers
     if not cache:
         cache.update({0: np.eye(pair.dim, dtype=np.complex128), 1: pair.tau, -1: pair.tau_inv})
-    if k not in cache:
-        step = 1 if k > 0 else -1
-        cache[k] = power(pair, k - step) @ cache[step]
+    step = 1 if k > 0 else -1
+    j = k
+    while j not in cache:
+        j -= step
+    for j in range(j + step, k + step, step):
+        cache[j] = cache[j - step] @ cache[step]
     return cache[k]
 
 

@@ -114,15 +114,22 @@ class StepFunction:
         return (self - other).sup_norm()
 
 
-def constant_fn(params: TreeParams, w: np.ndarray) -> StepFunction:
+def _vector(w: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """w as a nonempty complex vector, of length `dim` where given; a
+    scalar is a 1-vector, anything else a ConfigError."""
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    if w.ndim != 1:
-        raise ConfigError(f"a constant function's value must be a vector, got shape {w.shape}")
-    return StepFunction(params, 0, w[None])
+    if w.ndim != 1 or not w.size or (dim is not None and w.size != dim):
+        length = "" if dim is None else f" of length {dim}"
+        raise ConfigError(f"expected a nonempty vector{length}, got shape {w.shape}")
+    return w
+
+
+def constant_fn(params: TreeParams, w: np.ndarray) -> StepFunction:
+    return StepFunction(params, 0, _vector(w)[None])
 
 
 def indicator_fn(params: TreeParams, cell: bm.EndCell, w: np.ndarray) -> StepFunction:
-    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
+    w = _vector(w)
     m = bm.min_expressible_depth(params, cell)
     values = np.zeros((n_addresses(params, m), w.shape[0]), dtype=np.complex128)
     for a, b in bm.cell_index_ranges(params, cell, m):
@@ -182,8 +189,10 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
     It needs only the orbit partition's cell count and labels, read from
     the subtree's levels by measure.orbit_partition, so every average
     over the same subtree instance shares one scan and no cell object is
-    built.  Raises PartitionError if the orbit cells do not tile the
-    boundary.
+    built.  Each label's sum is an np.bincount per real and imaginary part
+    of each fiber column; it adds a label's rows in row order from 0.0,
+    so the sums are those of a row-by-row loop, bit for bit.  Raises
+    PartitionError if the orbit cells do not tile the boundary.
     """
     params = v.params
     if tree.params != params:
@@ -192,8 +201,10 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
     m = max(v.resolution, k)
     labels = np.repeat(labels, n_addresses(params, m) // labels.size)
     vv = v.refine(m)
-    sums = np.zeros((count, v.dim), dtype=np.complex128)
-    np.add.at(sums, labels, vv.values)
+    sums = np.empty((count, v.dim), dtype=np.complex128)
+    for j, column in enumerate(vv.values.T):
+        sums[:, j].real = np.bincount(labels, column.real, minlength=count)
+        sums[:, j].imag = np.bincount(labels, column.imag, minlength=count)
     means = sums / np.bincount(labels, minlength=count)[:, None]
     return StepFunction(params, m, means[labels])
 
@@ -216,15 +227,13 @@ def halftree_element(
     reachability suite for the two-path check)."""
     if len(head) != 1:
         raise ConfigError(f"{head} is not a neighbour of the basepoint")
-    w_prime = np.atleast_1d(np.asarray(w_prime, dtype=np.complex128))
+    w_prime = _vector(w_prime, pair.dim)
     return indicator_fn(params, bm.Cylinder(head), (pair.tau - pair.tau_inv) @ w_prime)
 
 
 def halftree_preimage(pair: OperatorPair, w: np.ndarray) -> np.ndarray:
     """Solve (tau - tau^{-1}) w' = w; the guard layer promises solvability."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (pair.dim,):
-        raise ConfigError(f"expected a vector of length {pair.dim}, got shape {w.shape}")
+    w = _vector(w, pair.dim)
     diff = pair.tau - pair.tau_inv
     sing = np.linalg.svd(diff, compute_uv=False)
     if numerically_singular(sing):

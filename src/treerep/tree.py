@@ -22,9 +22,10 @@ the cap raise DepthBudgetError rather than truncating silently.
 Addresses of one depth are numbered in lexicographic order, and a finite
 subtree is one sorted array of these numbers per depth
 (`FiniteSubtree.levels`).  Parent and children are index arithmetic on
-those arrays, so connectivity, valencies and closed neighbourhoods cost
-one searchsorted per depth, not one Python step per vertex.  The set of
-address tuples is built from the levels only when a caller asks for it.
+those arrays, so connectivity and valencies cost one searchsorted per
+depth and a closed neighbourhood one stable sort per depth and shell, not
+one Python step per vertex.  The set of address tuples is built from the
+levels only when a caller asks for it.
 Indices are int64 while every address of their depth fits in it and
 Python integers past that (`_index_dtype`); the index decoder
 (`_letters`) and the prefix fold follow that rule, and so do the portrait
@@ -371,9 +372,15 @@ def is_complete(tree: FiniteSubtree) -> bool:
 def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
     """All vertices within the given distance of S.  Always complete.
 
-    Grows S one shell at a time: the next shell is every neighbour of the
-    last one that is not yet in the set, found level by level.
+    Grows S one shell at a time.  Per depth, the old level is followed by
+    every index the last shell reaches there (children of the shell one
+    depth up, parents of the shell one depth down), and one stable sort
+    keeps each value's first copy: that is the new level, and since the
+    old level comes first, the first copies that come from the reach are
+    the next shell.  Object-dtype levels sort as Python integers.
     """
+    if not isinstance(radius, (int, np.integer)):
+        raise ConfigError(f"radius must be an integer, got {radius!r}")
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
     params = tree.params
@@ -391,8 +398,15 @@ def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
         current.append(_empty_level(params, len(current)))
         frontier = []
         for k, parts in enumerate(reach):
-            near = np.unique(np.concatenate(parts)) if parts else _empty_level(params, k)
-            new = near[_positions(current[k], near) < 0]
-            current[k] = np.sort(np.concatenate([current[k], new]))
-            frontier.append(new)
+            if not parts:
+                frontier.append(_empty_level(params, k))
+                continue
+            both = np.concatenate([current[k], *parts])
+            order = np.argsort(both, kind="stable")
+            reached = order >= current[k].size
+            both = both[order]
+            first = np.ones(both.size, dtype=bool)
+            first[1:] = both[1:] != both[:-1]
+            current[k] = both[first]
+            frontier.append(both[first & reached])
     return FiniteSubtree._from_levels(params, tuple(current))

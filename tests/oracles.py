@@ -7,8 +7,10 @@ measures and lexicographic indices from counting, connectivity and
 neighbourhoods from breadth-first search, refinements from testing every
 address, a complement's horofunction increment from its maximal
 cylinders one by one.  Only the cell types and `canonicalize` come from the package.  The
-one non-enumeration is phi through an atan2 square root cut along the
-nonnegative reals, a second route to the package's principal root.
+non-enumerations are phi through an atan2 square root cut along the
+nonnegative reals, a second route to the package's principal root, and
+per-label means summed by np.add.at, the route the stabilizer average
+took before it used np.bincount.
 """
 
 import cmath
@@ -17,6 +19,8 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+
+import numpy as np
 
 from treerep.errors import BranchCutError, DepthBudgetError, RefinementError
 from treerep.measure import Cylinder, Halftree, canonicalize
@@ -220,6 +224,15 @@ def orbit_cells_per_vertex(tree):
             (s,) = inside
             cells.append(canonicalize(tree.params, Halftree(s, b)))
     return cells
+
+
+def add_at_mean(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Every row replaced by the mean of the rows sharing its label, the
+    sums accumulated row by row with np.add.at."""
+    count = int(labels.max()) + 1
+    sums = np.zeros((count, values.shape[1]), dtype=np.complex128)
+    np.add.at(sums, labels, values)
+    return (sums / np.bincount(labels, minlength=count)[:, None])[labels]
 
 
 def edge_inversion_image(v: tuple[int, ...]) -> tuple[int, ...]:

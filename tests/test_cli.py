@@ -425,6 +425,28 @@ def letters_digest(outputs, width):
     return h.hexdigest()
 
 
+# recorded before closed neighbourhoods merged levels with one stable sort
+# and the stabilizer average summed with np.bincount
+DEEP_TABLE_SHA256 = {
+    (3, 12): "d647f14a0011011095a50fbe5b01ccbaa618d6c93d36a933357ccbeeb6fa4f1b",
+    (5, 9): "15d44894846b11c38f2abe74a30b2a85ce0a0d2a2b5ca4c86ff1763480996888",
+}
+
+
+@pytest.mark.parametrize("q, depth", sorted(DEEP_TABLE_SHA256))
+def test_deeper_admissibility_tables_keep_their_bytes(capsys, q, depth):
+    """The tables where the depth cap bites, byte for byte.  Recorded with
+
+        treerep admissibility-table --q 3 --depth 12 --no-timestamp | sha256sum
+        treerep admissibility-table --q 5 --depth 9 --no-timestamp | sha256sum
+    """
+    code, out, _ = run_cli(
+        capsys, "admissibility-table", "--q", str(q), "--depth", str(depth), "--no-timestamp"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_TABLE_SHA256[q, depth]
+
+
 def test_exact_outputs_match_the_recorded_digests(capsys):
     # the benchmark rejects a change whose exact outputs differ from these
     # recorded digests, so the unit tests hold the same line

@@ -10,6 +10,7 @@ from treerep import operators as op
 from treerep import representation as rp
 from treerep.errors import (
     BranchCutError,
+    ConfigError,
     IllConditionedError,
     OperatorDomainError,
     SpectralGuardError,
@@ -399,6 +400,47 @@ def test_power_cache_is_stable():
     first = op.power(pair, 5).copy()
     again = op.power(pair, 5)
     assert np.array_equal(first, again)
+
+
+def test_power_is_the_left_fold_in_any_call_order():
+    # tau^k is ((tau tau) tau) ... bit for bit however the cache was filled
+    rng = np.random.default_rng(34)
+    alpha = op.random_in_disc(3, 2, rng)
+    for order in ((7, -6, 3, 12, -2, -9), (12, -9), (-9, 12, 7, 3)):
+        pair = op.build_pair(alpha, 2)
+        got = {k: op.power(pair, k).copy() for k in order}
+        for k, mat in got.items():
+            base = pair.tau if k > 0 else pair.tau_inv
+            want = base
+            for _ in range(abs(k) - 1):
+                want = want @ base
+            assert np.array_equal(mat, want), (order, k)
+
+
+def test_power_of_a_large_exponent_does_not_recurse():
+    # ten times Python's default recursion limit; a rotation keeps every
+    # power finite
+    def rotation(theta):
+        return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+    rot = rotation(0.3).astype(np.complex128)
+    pair = op.OperatorPair(2, np.zeros((2, 2)), rot, rot.T, {}, 0.0, 1.0)
+    k = 10**4
+    assert np.abs(op.power(pair, k) - rotation(0.3 * k)).max() < 1e-10
+    assert np.abs(op.power(pair, -k) - rotation(-0.3 * k)).max() < 1e-10
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
+def test_power_refuses_a_non_integer_exponent(k):
+    pair = op.build_pair(np.zeros((2, 2)), 2)
+    with pytest.raises(ConfigError):
+        op.power(pair, k)
+
+
+def test_power_takes_numpy_and_bool_exponents():
+    pair = op.build_pair(op.random_in_disc(2, 3, np.random.default_rng(35)), 3)
+    assert np.array_equal(op.power(pair, np.int64(3)), op.power(pair, 3))
+    assert np.array_equal(op.power(pair, True), pair.tau)
 
 
 # -- guards -------------------------------------------------------------------

@@ -251,6 +251,26 @@ def test_pi_dimension_mismatch():
         rp.pi_apply(au.edge_inversion(P2), v, pair)
 
 
+def test_indicator_fn_refuses_a_value_that_is_not_a_vector():
+    # a (2, 2) value once filled the cell's two rows with different rows
+    half = me.canonicalize(P2, me.Halftree((1,), ()))
+    for w in ([[1, 2], [3, 4]], np.ones((1, 2)), []):
+        with pytest.raises(ConfigError):
+            rp.indicator_fn(P2, half, w)
+        with pytest.raises(ConfigError):
+            rp.indicator_fn(P2, me.Cylinder((1,)), w)
+    with pytest.raises(ConfigError):
+        rp.constant_fn(P2, [])
+    assert rp.indicator_fn(P2, me.Cylinder((1,)), 2.0).values.tolist() == [[2.0], [0.0], [0.0]]
+
+
+def test_halftree_element_refuses_a_vector_of_the_wrong_length():
+    _, _, pair = build_rng_pair(P2, 2, 75)
+    for w in (np.ones(3), np.ones((2, 1)), []):
+        with pytest.raises(ConfigError):
+            rp.halftree_element(P2, w, (1,), pair)
+
+
 def test_constant_fn_takes_a_vector_or_a_scalar():
     assert rp.constant_fn(P2, 2.0).values.tolist() == [[2.0]]
     assert rp.constant_fn(P2, [1.0, 2.0]).values.tolist() == [[1.0, 2.0]]
@@ -314,6 +334,25 @@ def test_haar_average_fix_repeats_labels_past_the_cells():
             )
             want[idx] = vals[idx].mean(axis=0)
         assert np.allclose(out.values, want, rtol=0, atol=1e-12)
+
+
+def test_haar_average_fix_is_the_add_at_mean_bit_for_bit():
+    # several rows per label, cylinder and complement cells, and more fiber
+    # columns than labels; the sums must be np.add.at's, so exact averages
+    # such as prune_replay's stay exact
+    rng = np.random.default_rng(53)
+    edge = tr.FiniteSubtree(P3, [(), (2,)])
+    grown = tr.FiniteSubtree(P2, [(), (1,), (2,), (3,), (1, 1), (1, 2)])
+    ball = tr.closed_neighborhood(tr.FiniteSubtree(P2, [()]), 2)
+    for tree, m, d in ((edge, 3, 5), (grown, 4, 3), (ball, 5, 2)):
+        params = tree.params
+        _, k, labels = me.orbit_partition(tree)
+        n = tr.n_addresses(params, m)
+        vals = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        out = rp.haar_average_fix(tree, rp.StepFunction(params, m, vals))
+        labels = np.repeat(labels, n // labels.size)
+        assert np.bincount(labels).min() > 1
+        assert np.array_equal(out.values, oracles.add_at_mean(labels, vals))
 
 
 @pytest.mark.parametrize("fault", ["overlap", "gap"])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from treerep import tree as tr
 from treerep.errors import (
+    ConfigError,
     CylinderTooShallowError,
     DepthBudgetError,
     MalformedAddressError,
@@ -299,6 +301,54 @@ def test_closed_neighborhood_matches_bfs_union_and_cap(q):
             if radius:
                 assert tr.is_complete(near)
     assert raised > 10
+
+
+@pytest.mark.parametrize("radius", [1.5, "1", None, 1.0])
+def test_closed_neighborhood_refuses_a_non_integer_radius(radius):
+    with pytest.raises(ConfigError):
+        tr.closed_neighborhood(tr.FiniteSubtree(P2, [()]), radius)
+
+
+def test_closed_neighborhood_takes_bool_and_numpy_radii():
+    point = tr.FiniteSubtree(P2, [()])
+    assert tr.closed_neighborhood(point, True) == tr.closed_neighborhood(point, 1)
+    assert tr.closed_neighborhood(point, np.int64(2)) == tr.closed_neighborhood(point, 2)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(0, 3).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, 3 - a))),
+)
+def test_closed_neighborhoods_compose(q, seed, size, radii):
+    # a non-ball start makes the shells ragged, so the merge meets reached
+    # indices that are already in the set at several depths at once
+    a, b = radii
+    params = tr.TreeParams(q, depth_cap=6)
+    sub = tr.FiniteSubtree(params, grown_set(q, np.random.default_rng(seed), size, depth=3))
+    twice = tr.closed_neighborhood(tr.closed_neighborhood(sub, a), b)
+    once = tr.closed_neighborhood(sub, a + b)
+    assert twice == once
+    assert [idx.tolist() for idx in twice.levels] == [idx.tolist() for idx in once.levels]
+    assert [val.tolist() for val in twice.valencies] == [val.tolist() for val in once.valencies]
+
+
+def test_closed_neighborhood_grows_across_the_int64_boundary():
+    # at q = 10 depth 18 is the last int64 level: from a path to depth 18,
+    # the first shell reaches depth 19 and the second merges the parents it
+    # reaches there with the object-dtype level the first one made
+    params = tr.TreeParams(10, depth_cap=21)
+    rng = np.random.default_rng(20)
+    end = (11,) + tuple(int(x) for x in rng.integers(1, 11, size=17))
+    path = [end[:k] for k in range(19)]
+    sub = tr.FiniteSubtree(params, path)
+    assert sub.levels[18].dtype == np.int64
+    for radius in (1, 2):
+        near = tr.closed_neighborhood(sub, radius)
+        assert near.vertices == frozenset(oracles.neighborhood(10, path, radius))
+        assert near.levels[18 + radius].dtype == object
+        assert_arrays_match_definitions(near)
 
 
 @pytest.mark.parametrize("q", [2, 3])
