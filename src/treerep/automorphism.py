@@ -21,20 +21,24 @@ inversion, then (for j >= 2) the portrait swapping branches 1 and j.  Both
 are constant words, built once per tree and shared; so are their
 generators' level tables, which are read-only.
 
-Letter matrices (one address per row, with a length per row) go through a
-portrait level by level: each depth that carries permutations (depth 0
-carries the root permutation) holds the sorted prefix indices of its
-vertices and their stacked letter tables, so the tables grow with the
-portrait, not with the tree.  Level keys and the rows' running prefix
-index take `tree`'s index dtype for their depth: int64 while every index
-of the depth fits in it, Python integers past that, so a deep prefix never
-wraps onto a shallow key.  A level that holds every vertex of its depth
-(every level of a random_portrait) costs one gather keyed by the rows'
-running prefix index itself; a sparser level first looks that index up
-with one searchsorted.  Levels above the shortest row read whole columns,
-deeper ones only the rows that reach them.  The edge inversion writes the
-image (1, a1 - 1, a2, ...) of every row and copies the image of the rows
-starting with 1 over it, with no per-row branch.
+Letter matrices (one address per row, with a length per row) are
+column-major, as `tree` lays them out, so each step below reads or writes
+whole contiguous columns; every batch output is column-major, and a
+row-major input gives the same images.  They go through a portrait level
+by level: each depth that carries permutations (depth 0 carries the root
+permutation) holds the sorted prefix indices of its vertices and their
+stacked letter tables, so the tables grow with the portrait, not with the
+tree.  Level keys and the rows' running prefix index take `tree`'s index
+dtype for their depth: int64 while every index of the depth fits in it,
+Python integers past that, so a deep prefix never wraps onto a shallow
+key.  A level that holds every vertex of its depth (every level of a
+random_portrait) costs one gather keyed by the rows' running prefix index
+itself; a sparser level first looks that index up with one searchsorted.
+Levels above the shortest row read whole columns, deeper ones only the
+rows that reach them.  The edge inversion shifts every row one letter to
+the right as one column block, writing the image (1, a1 - 1, a2, ...) of
+every row, and copies the image of the rows starting with 1 over it, with
+no per-row branch.
 
 An automorphism is a word of (generator, inverted) pairs applied left to
 right; composition concatenates words, inversion reverses the word and
@@ -165,7 +169,7 @@ class PortraitGen:
         # backward; levels past the deepest vertex are the identity.  Above
         # the shortest row every row takes part, and a level holding every
         # vertex of its depth is keyed by the prefix index itself.
-        out = letters.copy()
+        out = letters.copy(order="K")  # a plain copy() is row-major
         ref = out if inverted else letters
         q = self.portrait.q
         reach = int(lengths.min()) if lengths.size else 0
@@ -225,8 +229,8 @@ class EdgeInversionGen:
         new = lengths + 1 - 2 * up
         if np.any(new > letters.shape[1]):
             raise MalformedAddressError("batch buffer too narrow for an inversion step")
-        out = np.empty(letters.shape, dtype=letters.dtype)
-        out.reshape(-1)[1:] = letters.reshape(-1)[:-1]  # each row one to the right
+        out = np.empty(letters.shape, dtype=letters.dtype, order="F")
+        out[:, 1:] = letters[:, :-1]  # each row one to the right
         out[:, 0] = 1
         out[:, 1:2] -= 1
         np.copyto(out[:, :-1], letters[:, 1:], where=up[:, None])
@@ -268,12 +272,31 @@ class TreeAutomorphism:
         return addr
 
     def apply_batch(self, letters: np.ndarray, lengths: np.ndarray):
-        """Vectorized apply_vertex over rows of a letter matrix."""
+        """Vectorized apply_vertex over rows of a letter matrix.
+
+        `letters` is an (n, width) integer matrix and `lengths` holds n
+        integers in 0..width; anything else raises MalformedAddressError.
+        The letters themselves are not range-checked.  The images come
+        back column-major, in an (n, width + word_cost()) matrix of the
+        input's dtype, with their lengths.
+        """
+        letters = np.asarray(letters)
+        lengths = np.array(lengths)
+        if letters.ndim != 2 or letters.dtype.kind not in "iu":  # signed or unsigned integers
+            raise MalformedAddressError(
+                f"letters must be an (n, width) integer matrix, got {letters.dtype} "
+                f"of shape {letters.shape}"
+            )
         n, width = letters.shape
-        out = np.zeros((n, width + self.word_cost()), dtype=letters.dtype)
+        if lengths.shape != (n,) or lengths.dtype.kind not in "iu":
+            raise MalformedAddressError(
+                f"lengths must be {n} integers, got {lengths.dtype} of shape {lengths.shape}"
+            )
+        if n and (lengths.min() < 0 or lengths.max() > width):
+            raise MalformedAddressError(f"row lengths must lie in 0..{width}")
+        out = np.zeros((n, width + self.word_cost()), dtype=letters.dtype, order="F")
         out[:, :width] = letters
         letters = out
-        lengths = np.asarray(lengths).copy()
         for gen, flag in self.word:
             letters, lengths = gen.batch(letters, lengths, flag)
         return letters, lengths

@@ -173,11 +173,12 @@ def build_pair(alpha: np.ndarray, q: int) -> OperatorPair | list[OperatorPair]:
     pair i is bitwise the pair of alpha[i] built alone.  The certificate's
     singular values give each pair its `norm_alpha` and `norm_tau`.
 
-    Raises OperatorDomainError when an alpha is not finite or is outside
-    the open disc of radius 2 sqrt(q), and IllConditionedError when its
-    square root does not converge or is not finite, or the computed pair
-    fails its own residual bounds.  For a stack the error names the index
-    of the first bad alpha, in its message and as `index`.
+    Raises OperatorDomainError when q is not an integer >= 2, or an alpha
+    is not finite or is outside the open disc of radius 2 sqrt(q), and
+    IllConditionedError when its square root does not converge or is not
+    finite, or the computed pair fails its own residual bounds.  For a
+    stack the error names the index of the first bad alpha, in its message
+    and as `index`.
     """
     alpha = np.ascontiguousarray(alpha, dtype=np.complex128)
     single = alpha.ndim == 2
@@ -186,8 +187,9 @@ def build_pair(alpha: np.ndarray, q: int) -> OperatorPair | list[OperatorPair]:
         raise OperatorDomainError(
             f"expected a square matrix or a stack of them, got shape {alpha.shape}"
         )
-    if q < 2:
-        raise OperatorDomainError(f"branching parameter must be >= 2, got {q}")
+    if not isinstance(q, (int, np.integer)) or q < 2:
+        raise OperatorDomainError(f"branching parameter must be an integer >= 2, got {q!r}")
+    q = int(q)
 
     def where(i) -> str:
         return "" if single else f"alpha at stack index {i}: "

@@ -169,7 +169,10 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
         inv_letters, inv_lengths = g.inverse().apply_batch(
             letters, np.full(n, m_out, dtype=np.int64)
         )
-        looked_up = v.values[prefix_indices(params, inv_letters, inv_lengths, m)]
+        # np.take gathers whole rows; fancy indexing of a narrow 2-d array
+        # goes element by element and costs several times as much
+        idx = prefix_indices(params, inv_letters, inv_lengths, m)
+        looked_up = np.take(v.values, idx, axis=0)
 
     out = looked_up @ power(pair, -d).T
     q = params.q
@@ -206,7 +209,7 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
         sums[:, j].real = np.bincount(labels, column.real, minlength=count)
         sums[:, j].imag = np.bincount(labels, column.imag, minlength=count)
     means = sums / np.bincount(labels, minlength=count)[:, None]
-    return StepFunction(params, m, means[labels])
+    return StepFunction(params, m, np.take(means, labels, axis=0))
 
 
 def alpha_via_rep(params: TreeParams, w: np.ndarray, pair: OperatorPair) -> np.ndarray:
@@ -274,19 +277,21 @@ def invariant_lift_check(
     """Measure how far the lift of span(basis) is from being invariant.
 
     `basis` is a (d, k) matrix whose columns span the subspace, d the
-    pair's dimension and 1 <= k <= d; any other shape, or dependent
-    columns, is a ConfigError.  For a fixed number, _LIFT_PROBES, of
-    random unit vectors w in the span, the probes are every cell value of
-    pi(g) applied to the constant function at w, plus the vector alpha.w
-    reconstructed through the representation.  Reported leakage is the
-    norm of the component outside the span; thresholds are the caller's
-    business.
+    pair's dimension and 1 <= k <= d; any other shape, non-finite entries
+    or dependent columns are a ConfigError.  For a fixed number,
+    _LIFT_PROBES, of random unit vectors w in the span, the probes are
+    every cell value of pi(g) applied to the constant function at w, plus
+    the vector alpha.w reconstructed through the representation.
+    Reported leakage is the norm of the component outside the span;
+    thresholds are the caller's business.
     """
     mat = np.asarray(basis, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != pair.dim or not 1 <= mat.shape[1] <= pair.dim:
         raise ConfigError(
             f"basis must be a ({pair.dim}, k) matrix, 1 <= k <= {pair.dim}, got shape {mat.shape}"
         )
+    if not np.isfinite(mat).all():
+        raise ConfigError("subspace basis has non-finite entries")
     sing = np.linalg.svd(mat, compute_uv=False)
     if sing[-1] <= 1e-10 * max(1.0, sing[0]):
         raise ConfigError("subspace basis is numerically dependent")

@@ -75,8 +75,10 @@ class SuiteConfig:
 
     def __post_init__(self):
         for name in ("q", "depth_cap", "dim", "trials", "seed"):
-            if not isinstance(getattr(self, name), int):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers stored as int
         if self.q < 2:
             raise ConfigError(f"q must be >= 2, got {self.q}")
         if self.depth_cap < 4:

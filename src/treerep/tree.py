@@ -30,6 +30,13 @@ Indices are int64 while every address of their depth fits in it and
 Python integers past that (`_index_dtype`); the index decoder
 (`_letters`) and the prefix fold follow that rule, and so do the portrait
 keys of the automorphism module.
+
+A letter matrix holds one address per row, an (n, depth) array that is
+column-major (Fortran order).  Every vectorized step reads, writes or
+shifts one letter position of all rows at once, so a column must be
+contiguous: in row-major order a column of a matrix with a handful of
+int16 letters per row is a strided walk over every row.  Functions that
+take letter matrices accept either order.
 """
 from __future__ import annotations
 
@@ -64,10 +71,14 @@ class TreeParams:
     depth_cap: int = 8
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 2:
+        if not isinstance(self.q, (int, np.integer)) or self.q < 2:
             raise ConfigError(f"q must be an integer >= 2, got {self.q!r}")
-        if not isinstance(self.depth_cap, int) or self.depth_cap < 1:
+        if not isinstance(self.depth_cap, (int, np.integer)) or self.depth_cap < 1:
             raise ConfigError(f"depth_cap must be a positive integer, got {self.depth_cap!r}")
+        # numpy integers are stored as int, so equal parameters hash and
+        # serialize alike
+        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "depth_cap", int(self.depth_cap))
 
     def letter_range(self, position: int) -> range:
         """Valid letters at a given position (0-based) of an address."""
@@ -170,8 +181,9 @@ def _index_dtype(q: int, depth: int):
 
 
 def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
-    """The (n, depth) letter rows of the depth-`depth` addresses idx."""
-    out = np.empty((idx.size, depth), dtype=np.int64)
+    """The (n, depth) letter rows of the depth-`depth` addresses idx,
+    column-major."""
+    out = np.empty((idx.size, depth), dtype=np.int64, order="F")
     rest = idx
     for j in range(depth - 1, 0, -1):
         out[:, j] = 1 + rest % params.q
@@ -183,7 +195,8 @@ def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def letter_matrix(params: TreeParams, depth: int) -> np.ndarray:
-    """All depth-`depth` addresses as an (n, depth) int16 matrix, sorted."""
+    """All depth-`depth` addresses as an (n, depth) int16 matrix,
+    column-major, sorted."""
     if depth > params.depth_cap:
         raise DepthBudgetError(f"depth {depth} exceeds cap {params.depth_cap}")
     out = _letters(params, depth, np.arange(n_addresses(params, depth))).astype(np.int16)

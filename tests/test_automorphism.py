@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,6 +383,67 @@ def test_portrait_node_past_int64_builds_and_acts():
     assert_batch_is_scalar(gen, letters)
     out, _ = g.apply_batch(letters, np.full(3, 20))
     assert tuple(out[0]) == node + (2,)
+
+
+def all_depth2_portraits_q2():
+    """The 3! * (2!)^3 = 48 depth-2 portraits at q = 2, each depth-1
+    vertex carrying a permutation, as random_portrait draws them."""
+    out = []
+    for root in itertools.permutations((1, 2, 3)):
+        for below in itertools.product(itertools.permutations((1, 2)), repeat=3):
+            out.append(au.Portrait(root, {(a,): p for a, p in zip((1, 2, 3), below)}))
+    return out
+
+
+def test_every_q2_generator_batch_matches_scalar_and_round_trips():
+    # the 48 depth-2 portraits and the edge inversion on every depth-3
+    # row, the matrix column-major as tr.letter_matrix lays it out and
+    # row-major: each image is the scalar one, the images come back
+    # column-major, and the inverse word returns every row exactly
+    portraits = all_depth2_portraits_q2()
+    assert len({repr(p) for p in portraits}) == 48
+    words = [au.from_portrait(P2, p) for p in portraits] + [au.edge_inversion(P2)]
+    full = tr.letter_matrix(P2, 3)
+    assert full.flags.f_contiguous
+    rows = [tuple(int(x) for x in row) for row in full]
+    lengths = np.full(len(rows), 3)
+    for letters in (full, np.ascontiguousarray(full)):
+        for g in words:
+            out, out_lengths = g.apply_batch(letters, lengths)
+            assert out.flags.f_contiguous
+            assert [tuple(int(x) for x in row[:k]) for row, k in zip(out, out_lengths)] == [
+                g.apply_vertex(v) for v in rows
+            ]
+            back, back_lengths = g.inverse().apply_batch(out, out_lengths)
+            assert (back_lengths == 3).all()
+            assert np.array_equal(back[:, :3], full) and not back[:, 3:].any()
+
+
+def test_apply_batch_checks_its_input():
+    g = au.step_translation(P2)
+    letters = tr.letter_matrix(P2, 3)
+    lengths = np.full(letters.shape[0], 3)
+    bad = [
+        (letters, lengths[:-1]),  # one length short
+        (letters, np.full((letters.shape[0], 1), 3)),  # lengths not a vector
+        (letters, lengths.astype(float)),  # float lengths
+        (letters.astype(float), lengths),  # float letters
+        (letters.astype(bool), lengths),
+        (letters[:, 0], lengths),  # not a matrix
+        (letters, np.where(np.arange(letters.shape[0]) == 5, 4, 3)),  # a row past the width
+        (letters, np.where(np.arange(letters.shape[0]) == 5, -1, 3)),
+    ]
+    contract = "letters must|lengths must|row lengths"  # not a numpy error, not a later check
+    for word in (g, au.from_portrait(P2, au.Portrait((2, 1, 3)))):
+        for args in bad:
+            with pytest.raises(MalformedAddressError, match=contract):
+                word.apply_batch(*args)
+    # lists are matrices too, and an empty batch is one
+    out, out_lengths = g.apply_batch([[1, 2], [3, 0]], [2, 1])
+    assert out.tolist() == [[1, 1, 2], [1, 2, 0]] and out_lengths.tolist() == [3, 2]
+    assert [g.apply_vertex(v) for v in ((1, 2), (3,))] == [(1, 1, 2), (1, 2)]
+    out, out_lengths = g.apply_batch(np.zeros((0, 2), dtype=np.int16), np.zeros(0, dtype=int))
+    assert out.shape == (0, 3) and out_lengths.shape == (0,)
 
 
 def test_word_cost_bounds_depth_growth():

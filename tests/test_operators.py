@@ -180,6 +180,16 @@ def test_build_pair_rejects_large_alpha():
         op.build_pair(np.diag([2 * math.sqrt(2) + 0.01]).astype(complex), 2)
 
 
+def test_build_pair_takes_only_an_integer_q():
+    alpha = op.random_in_disc(2, 2, np.random.default_rng(36))
+    for q in (2.5, 2.0, "2", None, 1):
+        with pytest.raises(OperatorDomainError, match="branching parameter"):
+            op.build_pair(alpha, q)
+    pair = op.build_pair(alpha, np.int64(2))
+    assert type(pair.q) is int and pair.q == 2
+    assert np.array_equal(pair.tau, op.build_pair(alpha, 2).tau)
+
+
 def test_domain_guard_is_conservative_near_the_boundary():
     # the top two singular values differ by 1e-3 relative, which a power
     # iteration settles below the true norm; the exact norm is just outside

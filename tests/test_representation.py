@@ -560,3 +560,42 @@ def test_invariant_lift_check_rejects_dependent_basis():
     for basis in (np.stack([v, 2 * v], axis=1), wide, np.zeros((3, 0)), v, [v]):
         with pytest.raises(ConfigError):
             rp.invariant_lift_check(P2, basis, pair, generators_for(P2), rng=rng)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_invariant_lift_check_rejects_a_non_finite_basis(bad):
+    # a NaN basis used to fail inside the SVD, an infinite one to report
+    # no leakage at all
+    rng, _, pair = build_rng_pair(P2, 2, 85)
+    basis = np.array([[1.0], [0.3]], dtype=complex)
+    basis[1, 0] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        rp.invariant_lift_check(P2, basis, pair, generators_for(P2), rng=rng)
+
+
+def test_row_gathers_match_fancy_indexing_bit_for_bit(monkeypatch):
+    # pi_apply's lookup and haar_average_fix's spread gather rows with
+    # np.take; the same calls with fancy indexing in its place are the
+    # reference, on row-major, column-major and strided value arrays
+    rng, _, pair = build_rng_pair(P3, 2, 86)
+    words = [au.random_word(P3, rng, 3) for _ in range(6)]
+    ball = tr.closed_neighborhood(tr.FiniteSubtree(P3, [()]), 2)
+    n = tr.n_addresses(P3, 3)
+    raw = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    layouts = [raw[:, :2].copy(), np.asfortranarray(raw[:, :2]), raw[:, ::2]]
+
+    def run():
+        out = []
+        for values in layouts:
+            v = rp.StepFunction(P3, 3, values)
+            out += [rp.pi_apply(g, v, pair).values for g in words]
+            out.append(rp.haar_average_fix(ball, v).values)
+        return out
+
+    take, calls = np.take, []
+    monkeypatch.setattr(np, "take", lambda a, idx, axis: calls.append(axis) or take(a, idx, axis))
+    got = run()
+    assert calls and set(calls) == {0}
+    monkeypatch.setattr(np, "take", lambda a, idx, axis: a[idx])
+    for a, b in zip(got, run(), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -42,6 +43,18 @@ def test_config_defaults_and_validation():
     for bad in (dict(trials=2.5), dict(dim=2.5), dict(seed=1.5), dict(tol="1e-8")):
         with pytest.raises(ConfigError):
             su.SuiteConfig(**bad)
+
+
+def test_config_stores_numpy_integers_as_int():
+    # the config's JSON form and its tree parameters are those of the int config
+    names = ("q", "depth_cap", "dim", "trials", "seed")
+    plain = su.SuiteConfig(q=3, depth_cap=6, dim=2, trials=4, seed=7)
+    cfg = su.SuiteConfig(
+        q=np.int64(3), depth_cap=np.int32(6), dim=np.uint8(2), trials=np.int16(4), seed=np.int64(7)
+    )
+    assert cfg == plain and all(type(getattr(cfg, name)) is int for name in names)
+    assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(dataclasses.asdict(plain))
+    assert cfg.params == plain.params and type(cfg.params.q) is int
 
 
 def test_unknown_suite_rejected():

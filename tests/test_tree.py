@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +29,19 @@ def test_params_validation():
     with pytest.raises(Exception):
         tr.TreeParams(2, depth_cap=0)
     assert tr.TreeParams(2).depth_cap == 8
+
+
+def test_params_store_numpy_integers_as_int():
+    # equal parameters, whatever integer type built them, compare, hash,
+    # key the caches and serialize alike
+    params = tr.TreeParams(np.int64(3), np.int32(5))
+    assert params == tr.TreeParams(3, 5) and hash(params) == hash(tr.TreeParams(3, 5))
+    assert type(params.q) is int and type(params.depth_cap) is int
+    assert tr.letter_matrix(params, 2) is tr.letter_matrix(tr.TreeParams(3, 5), 2)
+    assert json.dumps(dataclasses.asdict(params)) == '{"q": 3, "depth_cap": 5}'
+    for bad in (dict(q=2.5), dict(q=np.float64(3.0)), dict(q="3"), dict(q=3, depth_cap=4.0)):
+        with pytest.raises(ConfigError):
+            tr.TreeParams(**bad)
 
 
 def test_check_address_rules():
@@ -128,7 +144,7 @@ def test_letter_matrix_lexicographic_and_round_trip():
         for m in range(4):
             mat = tr.letter_matrix(params, m)
             assert mat.shape == (tr.n_addresses(params, m), m)
-            assert mat.dtype == np.int16
+            assert mat.dtype == np.int16 and mat.flags.f_contiguous
             rows = [tuple(int(x) for x in row) for row in mat]
             assert rows == sorted(rows)
             for i, row in enumerate(rows):
