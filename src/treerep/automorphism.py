@@ -275,8 +275,9 @@ class TreeAutomorphism:
         """Vectorized apply_vertex over rows of a letter matrix.
 
         `letters` is an (n, width) integer matrix and `lengths` holds n
-        integers in 0..width; anything else raises MalformedAddressError.
-        The letters themselves are not range-checked.  The images come
+        integers in 0..width, and every letter within a row's length must
+        be a valid letter for its position (`TreeParams.letter_range`);
+        anything else raises MalformedAddressError.  The images come
         back column-major, in an (n, width + word_cost()) matrix of the
         input's dtype, with their lengths.
         """
@@ -292,8 +293,24 @@ class TreeAutomorphism:
             raise MalformedAddressError(
                 f"lengths must be {n} integers, got {lengths.dtype} of shape {lengths.shape}"
             )
-        if n and (lengths.min() < 0 or lengths.max() > width):
+        reach = int(lengths.min()) if n else 0
+        if n and (reach < 0 or lengths.max() > width):
             raise MalformedAddressError(f"row lengths must lie in 0..{width}")
+        # the columns every row reaches as one block, each deeper column over
+        # the rows that reach it; padding past a row's length is not read
+        q = self.params.q
+        block = letters[:, :reach]
+        bad = block.size and (
+            block.min() < 1 or block[:, 0].max() > q + 1 or block[:, 1:].max(initial=0) > q
+        )
+        for j in range(reach, width):
+            column = letters[lengths > j, j]
+            bad = bad or column.size and (column.min() < 1 or column.max() > (q if j else q + 1))
+        if bad:
+            raise MalformedAddressError(
+                f"letters must lie in 1..{q + 1} at position 0 and in 1..{q} after it, "
+                f"within each row's length (q={q})"
+            )
         out = np.zeros((n, width + self.word_cost()), dtype=letters.dtype, order="F")
         out[:, :width] = letters
         letters = out

@@ -46,6 +46,7 @@ from .tree import (
     FiniteSubtree,
     TreeParams,
     _index_dtype,
+    _open_depths,
     address_from_index,
     busemann_on_cylinder,
     check_address,
@@ -218,7 +219,11 @@ def _tile_labels(params: TreeParams, ranges: np.ndarray, depth: int) -> np.ndarr
 # leaf unless it is a full basepoint; its one neighbour inside is then its
 # child, and its orbit is the complement of that child's cylinder.  So the
 # orbits are read off the levels as anchors, one (depth, index) vertex per
-# cell, and become index ranges or cell objects only on request.
+# cell, and become index ranges or cell objects only on request.  Only the
+# depths where the subtree's last shell lies can hold a vertex below full
+# valency (`tree._open_depths`), so the completeness check and the leaf scan
+# read those levels alone: one level for a ball, whose leaves are then
+# already in range order and need no sort.  No level is copied to do it.
 
 
 def _neighbors_in(sub: FiniteSubtree, b: Address) -> list[Address]:
@@ -247,14 +252,18 @@ def _scan_orbit_anchors(tree: FiniteSubtree) -> tuple[int, np.ndarray, np.ndarra
     complement = bool(valencies[top][0] == 1)
     # every leaf below the top is a cylinder; range starts at `depth` order them
     dtype = levels[depth].dtype
-    leaves = [levels[k][valencies[k] < q + 1].astype(dtype) for k in range(top + 1, depth + 1)]
-    ks = np.repeat(np.arange(top + 1, depth + 1), [a.size for a in leaves])
-    idx = np.concatenate(leaves)
-    order = np.argsort(
-        np.concatenate([a * q ** (depth - k) for k, a in enumerate(leaves, top + 1)]),
-        kind="stable",
-    )
-    ks, idx = ks[order], idx[order]
+    depths = [k for k in _open_depths(tree) if k > top]
+    leaves = [levels[k][valencies[k] < q + 1].astype(dtype, copy=False) for k in depths]
+    ks = np.repeat(np.array(depths, dtype=np.int64), [a.size for a in leaves])
+    if len(leaves) == 1:
+        (idx,) = leaves
+    else:
+        idx = np.concatenate(leaves)
+        order = np.argsort(
+            np.concatenate([a * q ** (depth - k) for k, a in zip(depths, leaves)]),
+            kind="stable",
+        )
+        ks, idx = ks[order], idx[order]
     if complement:
         ks = np.concatenate([[top + 1], ks])
         idx = np.concatenate([levels[top + 1][:1].astype(dtype), idx])

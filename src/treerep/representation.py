@@ -68,6 +68,10 @@ class StepFunction:
     __slots__ = ("params", "resolution", "values")
 
     def __init__(self, params: TreeParams, resolution: int, values: np.ndarray):
+        if not isinstance(resolution, (int, np.integer)):
+            raise ConfigError(f"resolution must be an integer, got {resolution!r}")
+        # numpy integers are stored as int, as TreeParams stores its fields
+        resolution = int(resolution)
         if not 0 <= resolution <= params.depth_cap:
             raise DepthBudgetError(
                 f"resolution {resolution} outside [0, {params.depth_cap}]"

@@ -278,7 +278,10 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
     counts them too.  A kept cell keeps its measure because it is the same
     cell (`kept_cells_moved`), and the orbit cells of each subtree tile the
     boundary, so their measures must add up to exactly 1
-    (`cell_measures_sum`).  The spectral side of the argument needs no
+    (`cell_measures_sum`).  Both subtrees have a full basepoint, so all
+    their cells are cylinders; the edge at the basepoint, whose cells are
+    the cylinder at (1) and its complement, puts a complement through the
+    same sum.  The spectral side of the argument needs no
     check here: an eigenvalue of tau is phi(z) for an eigenvalue z of
     alpha, and phi(z) = +-q or +-1 would need z = +-(q+1), while
     |z| <= norm(alpha) < 2 sqrt(q) < q+1 for every alpha that build_pair
@@ -304,7 +307,8 @@ def suite_prune_replay(cfg: SuiteConfig) -> SuiteReport:
               sources != [bm.Cylinder((1, i)) for i in range(1, params.q + 1)], 0, got=sources)
     kept = {c: t for c, t in mapping.items() if t != merged_cell}
     rep.check(-1, "kept_cells_moved", any(c != t for c, t in kept.items()), 0)
-    for which, tree in (("big", big), ("small", small)):
+    edge = FiniteSubtree(params, [ROOT, (1,)])
+    for which, tree in (("big", big), ("small", small), ("edge", edge)):
         total = sum(bm.cell_measure(params, c) for c in bm.orbit_cells(tree))
         rep.check(-1, "cell_measures_sum", total != 1, 0, subtree=which, got=total)
 

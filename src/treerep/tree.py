@@ -23,9 +23,16 @@ Addresses of one depth are numbered in lexicographic order, and a finite
 subtree is one sorted array of these numbers per depth
 (`FiniteSubtree.levels`).  Parent and children are index arithmetic on
 those arrays, so connectivity and valencies cost one searchsorted per
-depth and a closed neighbourhood one stable sort per depth and shell, not
-one Python step per vertex.  The set of address tuples is built from the
-levels only when a caller asks for it.
+depth and a closed neighbourhood at most one stable sort per old level
+its shell reaches, not one Python step per vertex.  A closed
+neighbourhood carries the shell it added last: every other vertex
+already has all its neighbours inside, so the next neighbourhood grows
+from that shell alone, and completeness and the orbit scan read only the
+depths it touches.  A level the shell adds nothing to stays the same array, and
+valencies are carried with it: one is recomputed only where its level or
+a neighbouring level changed.  Growing a ball by one therefore costs what
+its new shell costs.  The set of address tuples is built from the levels
+only when a caller asks for it.
 Indices are int64 while every address of their depth fits in it and
 Python integers past that (`_index_dtype`); the index decoder
 (`_letters`) and the prefix fold follow that rule, and so do the portrait
@@ -249,7 +256,7 @@ def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray,
 # fits in it; deeper levels hold Python integers, which do not wrap.
 # Vertex lists are checked and indexed one vertex at a time (they are small:
 # a basepoint, an edge, a pruned ball); derived subtrees such as closed
-# neighbourhoods come from valid level arrays through `_from_levels`.
+# neighbourhoods come from valid level arrays through `FiniteSubtree._grown`.
 # ---------------------------------------------------------------------------
 
 
@@ -280,6 +287,23 @@ def _positions(level: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.where(hit, pos, -1)
 
 
+def _uplinks(params: TreeParams, levels: tuple[np.ndarray, ...], k: int) -> np.ndarray:
+    """Position in level k-1 of the parent of every depth-k vertex, -1 where
+    it lies outside the set (always for the basepoint); empty past the
+    last level."""
+    if k == len(levels):
+        return np.zeros(0, dtype=np.int64)
+    if k == 0:
+        return np.full(levels[0].size, -1)
+    return _positions(levels[k - 1], _parent_indices(params, k, levels[k]))
+
+
+def _valency(ups, k: int) -> np.ndarray:
+    """Valency of every depth-k vertex, where ups[j] are the uplinks of depth j."""
+    children = ups[k + 1]
+    return (ups[k] >= 0) + np.bincount(children[children >= 0], minlength=ups[k].size)
+
+
 class FiniteSubtree:
     """A nonempty, connected (hence geodesically closed) finite vertex set.
 
@@ -290,8 +314,10 @@ class FiniteSubtree:
     use for one built from level arrays.
     """
 
+    # _shell: per depth, the vertices a closed neighbourhood added last, or
+    #   None; every other vertex has all its neighbours in the set
     # _orbits: measure's orbit scan and partition, unset until first use
-    __slots__ = ("params", "levels", "valencies", "_vertices", "_orbits")
+    __slots__ = ("params", "levels", "valencies", "_vertices", "_shell", "_orbits")
 
     def __init__(self, params: TreeParams, vertices: Iterable[Address]):
         verts = frozenset(tuple(v) for v in vertices)
@@ -302,23 +328,43 @@ class FiniteSubtree:
             check_address(params, v)
             # int(): numpy letters would index in their own type and wrap
             by_depth.setdefault(len(v), []).append(index_unchecked(params.q, map(int, v)))
-        self.params = params
-        self._vertices = verts
         levels = tuple(
             np.array(sorted(by_depth.get(k, ())), dtype=_index_dtype(params.q, k))
             for k in range(max(by_depth) + 1)
         )
-        if self._set_levels(levels) != 1:
+        ups = [_uplinks(params, levels, k) for k in range(len(levels) + 1)]
+        # each component has exactly one vertex that is the basepoint or
+        # whose parent lies outside the set
+        if sum(int(np.count_nonzero(up < 0)) for up in ups) != 1:
             raise SubtreeError("vertex set is not connected")
+        self.params = params
+        self._vertices = verts
+        self._shell = None
+        self.levels = levels
+        self.valencies = tuple(_valency(ups, k) for k in range(len(levels)))
 
     @classmethod
-    def _from_levels(cls, params: TreeParams, levels: tuple[np.ndarray, ...]) -> "FiniteSubtree":
-        """The subtree with these level arrays, which must be valid and connected."""
-        tree = cls.__new__(cls)
-        tree.params = params
-        tree._vertices = None
-        tree._set_levels(levels)
-        return tree
+    def _grown(
+        cls, tree: "FiniteSubtree", levels: tuple[np.ndarray, ...], shell: tuple[np.ndarray, ...]
+    ) -> "FiniteSubtree":
+        """The subtree with these level arrays, grown from `tree` by adding
+        the vertices of `shell`.  A level that did not change must be the
+        very array of `tree`: valency k is taken over from `tree` when
+        levels k-1, k and k+1 all are, and computed otherwise."""
+        old, n = tree.levels, len(levels)
+        kept = [k < len(old) and levels[k] is old[k] for k in range(n)] + [n == len(old)]
+        stale = {k for k in range(n) if not (kept[k] and kept[k + 1] and (k == 0 or kept[k - 1]))}
+        ups = {j: _uplinks(tree.params, levels, j) for j in stale | {k + 1 for k in stale}}
+        valencies = tuple(
+            _valency(ups, k) if k in stale else tree.valencies[k] for k in range(n)
+        )
+        out = cls.__new__(cls)
+        out.params = tree.params
+        out._vertices = None
+        out._shell = shell
+        out.levels = levels
+        out.valencies = valencies
+        return out
 
     @property
     def vertices(self) -> frozenset[Address]:
@@ -329,24 +375,6 @@ class FiniteSubtree:
                 for row in _letters(self.params, k, idx).tolist()
             )
         return self._vertices
-
-    def _set_levels(self, levels: tuple[np.ndarray, ...]) -> int:
-        """Store the levels and valencies; return the number of components.
-
-        Each component has exactly one vertex that is the basepoint or whose
-        parent lies outside the set, so counting those counts components.
-        """
-        params = self.params
-        ups = [np.full(levels[0].size, -1)]
-        for k in range(1, len(levels)):
-            ups.append(_positions(levels[k - 1], _parent_indices(params, k, levels[k])))
-        ups.append(np.zeros(0, dtype=np.int64))
-        self.levels = levels
-        self.valencies = tuple(
-            (ups[k] >= 0) + np.bincount(ups[k + 1][ups[k + 1] >= 0], minlength=levels[k].size)
-            for k in range(len(levels))
-        )
-        return sum(int(np.count_nonzero(up < 0)) for up in ups)
 
     def __contains__(self, addr: Address) -> bool:
         return addr in self.vertices
@@ -371,26 +399,46 @@ class FiniteSubtree:
         return f"FiniteSubtree({sorted(format_address(v) for v in self.vertices)})"
 
 
+def _open_depths(tree: FiniteSubtree) -> list[int]:
+    """The depths that can hold a vertex of valency below q+1: where the
+    last shell lies, or every depth of a subtree built from vertices."""
+    if tree._shell is None:
+        return list(range(len(tree.levels)))
+    return [k for k, idx in enumerate(tree._shell) if idx.size]
+
+
 def is_complete(tree: FiniteSubtree) -> bool:
     """True iff every vertex is a leaf of S (valency <= 1) or has full
     valency q+1 within S.
 
     Single vertices, single edges, and balls are complete; a path of length
-    two is not, since its middle vertex has valency 2.
+    two is not, since its middle vertex has valency 2.  Only the depths of
+    `_open_depths` are read: every other vertex is full.
     """
     full = tree.params.q + 1
-    return all(((val == full) | (val <= 1)).all() for val in tree.valencies)
+    val = tree.valencies
+    return all(((val[k] == full) | (val[k] <= 1)).all() for k in _open_depths(tree))
 
 
 def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
     """All vertices within the given distance of S.  Always complete.
 
-    Grows S one shell at a time.  Per depth, the old level is followed by
-    every index the last shell reaches there (children of the shell one
-    depth up, parents of the shell one depth down), and one stable sort
-    keeps each value's first copy: that is the new level, and since the
-    old level comes first, the first copies that come from the reach are
-    the next shell.  Object-dtype levels sort as Python integers.
+    Grows S one shell at a time, starting from the shell S itself carries
+    when it is a closed neighbourhood (every other vertex of S already has
+    all its neighbours inside), or from all of S when it was built from
+    vertices.  The parent of every vertex but the top one (the basepoint,
+    or the one vertex whose parent lies outside) is already in the set,
+    so a shell reaches a depth with one sorted array of distinct indices:
+    the children of the shell one depth up, or the parent of the top
+    vertex.  Into an empty level that array goes as it is, and it is all
+    shell.  Into an old level, one stable sort of the old level followed
+    by the reach keeps each value's first copy: that is the new level, and
+    since the old level comes first, the first copies that come from the
+    reach are the next shell.  A level the reach adds nothing to stays the
+    same array, and the result keeps the valencies of `tree` wherever a
+    level and its two neighbours stayed (`FiniteSubtree._grown`); it
+    carries its last shell for the next call.  Object-dtype levels sort as
+    Python integers.
     """
     if not isinstance(radius, (int, np.integer)):
         raise ConfigError(f"radius must be an integer, got {radius!r}")
@@ -399,27 +447,26 @@ def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
     params = tree.params
     cap = params.depth_cap
     current = list(tree.levels)
-    frontier = list(tree.levels)
+    frontier = list(tree.levels if tree._shell is None else tree._shell)
     for _ in range(radius):
         if len(frontier) > cap and frontier[cap].size:
             raise DepthBudgetError(f"{radius}-neighborhood would pass depth cap {cap}")
-        reach: list[list[np.ndarray]] = [[] for _ in range(len(frontier) + 1)]
-        for k, idx in enumerate(frontier):
-            reach[k + 1].append(_child_indices(params, k, idx))
-            if k:
-                reach[k - 1].append(_parent_indices(params, k, idx))
+        reach = {k + 1: _child_indices(params, k, idx) for k, idx in enumerate(frontier) if idx.size}
+        top = next(k for k, idx in enumerate(current) if idx.size)
+        if top:
+            reach[top - 1] = _parent_indices(params, top, current[top])
         current.append(_empty_level(params, len(current)))
-        frontier = []
-        for k, parts in enumerate(reach):
-            if not parts:
-                frontier.append(_empty_level(params, k))
+        frontier = [_empty_level(params, k) for k in range(len(current))]
+        for k, idx in reach.items():
+            if not current[k].size:
+                current[k] = frontier[k] = idx
                 continue
-            both = np.concatenate([current[k], *parts])
+            both = np.concatenate([current[k], idx])
             order = np.argsort(both, kind="stable")
-            reached = order >= current[k].size
             both = both[order]
             first = np.ones(both.size, dtype=bool)
             first[1:] = both[1:] != both[:-1]
-            current[k] = both[first]
-            frontier.append(both[first & reached])
-    return FiniteSubtree._from_levels(params, tuple(current))
+            frontier[k] = both[first & (order >= current[k].size)]
+            if frontier[k].size:
+                current[k] = both[first]
+    return FiniteSubtree._grown(tree, tuple(current), tuple(frontier))

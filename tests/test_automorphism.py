@@ -446,6 +446,23 @@ def test_apply_batch_checks_its_input():
     assert out.shape == (0, 3) and out_lengths.shape == (0,)
 
 
+def test_apply_batch_refuses_letters_out_of_range():
+    # a flat table gather would read a neighbouring entry for [1, 3] and
+    # [0, 2], and index past the table for [4, 1] and [3, 3]
+    swaps = {(a,): (2, 1) for a in (1, 2, 3)}
+    g = au.from_portrait(P2, au.Portrait((2, 1, 3), swaps))
+    for row in ([1, 3], [0, 2], [4, 1], [3, 3]):
+        for word in (g, g.inverse(), au.step_translation(P2)):
+            with pytest.raises(MalformedAddressError, match="letters must lie"):
+                word.apply_batch(np.array([row], dtype=np.int16), [2])
+    # a bad letter below the shortest row is found too; padding is free
+    for rows, lengths in (([[1, 3], [2, 0]], [2, 1]), ([[4, 0], [1, 1]], [1, 0])):
+        with pytest.raises(MalformedAddressError, match="letters must lie"):
+            g.apply_batch(rows, lengths)
+    out, lengths = g.apply_batch([[1, 2], [3, 7], [9, 9]], [2, 1, 0])
+    assert [row[:k] for row, k in zip(out.tolist(), lengths)] == [[2, 1], [3], []]
+
+
 def test_word_cost_bounds_depth_growth():
     rng = np.random.default_rng(4)
     for _ in range(15):

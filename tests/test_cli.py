@@ -339,6 +339,19 @@ def mis_normalise_the_measure(monkeypatch):
     monkeypatch.setattr(measure, "cell_measure", uniform_by_letter)
 
 
+def give_complements_their_cylinders_mass(monkeypatch):
+    # the complement of the cylinder at t weighs what the cylinder does
+    exact = measure.cell_measure
+
+    def cylinder_mass(params, cell):
+        cell = measure.canonicalize(params, cell)
+        if isinstance(cell, measure.Halftree):
+            return exact(params, measure.Cylinder(cell.tail))
+        return exact(params, cell)
+
+    monkeypatch.setattr(measure, "cell_measure", cylinder_mass)
+
+
 def make_lift_leakage_nan(monkeypatch):
     # the NaN also reaches the failure record's context and the details
     exact = suites.invariant_lift_check
@@ -366,6 +379,7 @@ DEFECTS = {
         negate_the_cocycle_exponent, {"measure_cocycle", "prune_replay"}
     ),
     "nan_leakage": (make_lift_leakage_nan, {"invariance_correspondence"}),
+    "complement_mass": (give_complements_their_cylinders_mass, {"prune_replay"}),
     "tau_power_scaled": (
         scale_tau_powers, {"homomorphism", "fixed_vector_transfer", "halftree_reach"}
     ),

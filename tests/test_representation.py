@@ -84,6 +84,19 @@ def test_step_function_shape_validation():
         rp.StepFunction(P2, 1, np.zeros((4, 2)))  # level 1 has 3 cells
 
 
+@pytest.mark.parametrize("resolution", [1.0, 1.5, "1", None, np.float64(2)])
+def test_step_function_refuses_a_non_integer_resolution(resolution):
+    with pytest.raises(ConfigError, match="resolution must be an integer"):
+        rp.StepFunction(P2, resolution, np.zeros((3, 2)))
+
+
+def test_step_function_stores_its_resolution_as_int():
+    v = rp.StepFunction(P2, np.int64(1), np.ones((3, 2)))
+    assert type(v.resolution) is int
+    g = au.step_translation(P2)
+    assert rp.pi_apply(g, v, op.build_pair(np.eye(2) * 0.5, 2)).resolution == 2
+
+
 def test_refine_preserves_the_function():
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
@@ -496,7 +509,9 @@ def test_prune_replay_enumerates_each_subtree_once(monkeypatch, q):
     calls = count_orbit_enumerations(monkeypatch)
     cfg = su.SuiteConfig(q=q, trials=5)
     assert su.suite_prune_replay(cfg).passed
-    assert calls == dict.fromkeys(su.replay_pruning_pair(cfg.params), 1)
+    # the pair, and the edge whose cells include a complement
+    edge = tr.FiniteSubtree(cfg.params, [(), (1,)])
+    assert calls == dict.fromkeys([*su.replay_pruning_pair(cfg.params), edge], 1)
 
 
 # -- invariant subspace correspondence ----------------------------------------

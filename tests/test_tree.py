@@ -350,10 +350,63 @@ def test_closed_neighborhoods_compose(q, seed, size, radii):
     assert [val.tolist() for val in twice.valencies] == [val.tolist() for val in once.valencies]
 
 
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(0, 3),
+)
+def test_radius_one_steps_grow_from_the_last_shell(q, seed, size, idle):
+    # the chain S, N_1(S), N_1(N_1(S)), ... with one radius-0 step after
+    # step `idle`: every link is the BFS ball, has the levels and
+    # valencies of the same set built from scratch, and reads only the
+    # vertices the link before added (all of S for the first), so a stale
+    # valency or a growth from the whole ball shows
+    params = tr.TreeParams(q, depth_cap=5)
+    verts = grown_set(q, np.random.default_rng(seed), size, depth=3)
+    start = tr.FiniteSubtree(params, verts)
+    sub, shell, radius = start, set(verts), 0
+    while True:
+        read = set()
+
+        def spy(params, depth, idx, exact=tr._child_indices):
+            read.update((depth, i) for i in idx.tolist())
+            return exact(params, depth, idx)
+
+        want = oracles.neighborhood(q, verts, radius + 1)
+        if max(map(len, want)) > params.depth_cap:
+            with pytest.raises(DepthBudgetError):
+                tr.closed_neighborhood(sub, 1)
+            with pytest.raises(DepthBudgetError):
+                tr.closed_neighborhood(start, radius + 1)
+            break
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "_child_indices", spy)
+            sub = tr.closed_neighborhood(sub, 1)
+        assert read == {(len(v), oracles.lex_index(q, v)) for v in shell}
+        radius += 1
+        shell = want - oracles.neighborhood(q, verts, radius - 1)
+        scratch = tr.FiniteSubtree(params, want)
+        for near in (sub, tr.closed_neighborhood(start, radius), scratch):
+            assert near.vertices == frozenset(want)
+            assert [idx.tolist() for idx in near.levels] == [idx.tolist() for idx in sub.levels]
+            assert [val.tolist() for val in near.valencies] == [
+                val.tolist() for val in sub.valencies
+            ]
+        if radius == idle:
+            same = tr.closed_neighborhood(sub, 0)
+            assert [idx.tolist() for idx in same.levels] == [idx.tolist() for idx in sub.levels]
+            assert [val.tolist() for val in same.valencies] == [
+                val.tolist() for val in sub.valencies
+            ]
+            sub = same
+    assert radius == max(0, params.depth_cap - max(map(len, verts)))
+
+
 def test_closed_neighborhood_grows_across_the_int64_boundary():
     # at q = 10 depth 18 is the last int64 level: from a path to depth 18,
-    # the first shell reaches depth 19 and the second merges the parents it
-    # reaches there with the object-dtype level the first one made
+    # the first shell reaches depth 19 and the second merges the children
+    # of its depth-18 vertices with the object-dtype level the first one made
     params = tr.TreeParams(10, depth_cap=21)
     rng = np.random.default_rng(20)
     end = (11,) + tuple(int(x) for x in rng.integers(1, 11, size=17))
