@@ -26,14 +26,18 @@ column-major, as `tree` lays them out, so each step below reads or writes
 whole contiguous columns; every batch output is column-major, and a
 row-major input gives the same images.  They go through a portrait level
 by level: each depth that carries permutations (depth 0 carries the root
-permutation) holds the sorted prefix indices of its vertices and their
-stacked letter tables, so the tables grow with the portrait, not with the
-tree.  Level keys and the rows' running prefix index take `tree`'s index
-dtype for their depth: int64 while every index of the depth fits in it,
-Python integers past that, so a deep prefix never wraps onto a shallow
-key.  A level that holds every vertex of its depth (every level of a
-random_portrait) costs one gather keyed by the rows' running prefix index
-itself; a sparser level first looks that index up with one searchsorted.
+permutation) holds the sorted prefix indices of its vertices and one flat
+table of their children's image letters, in child position (vertex
+position times its child count, plus the letter minus one), so the tables
+grow with the portrait, not with the tree.  Level keys and the rows'
+running prefix index take `tree`'s index dtype for their depth: int64
+while every index of the depth fits in it, Python integers past that, so a
+deep prefix never wraps onto a shallow key.  A level that holds every
+vertex of its depth (every level of a random_portrait) costs one gather
+keyed by the rows' running prefix index itself; a sparser level first
+looks that index up with one searchsorted.  Forward, on a full level that
+every row reaches, a row's child position is the prefix index of its next
+depth, so the one fold that moves the running index on is the whole key.
 Levels above the shortest row read whole columns, deeper ones only the
 rows that reach them.  The edge inversion shifts every row one letter to
 the right as one column block, writing the image (1, a1 - 1, a2, ...) of
@@ -69,6 +73,9 @@ from .tree import (
 
 
 def _check_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:
+    # entries are letters: integers, never truncated to one
+    if not all(isinstance(x, (int, np.integer)) for x in perm):
+        raise ConfigError(f"{what} has a non-integer entry: {perm!r}")
     t = tuple(int(x) for x in perm)
     if sorted(t) != list(range(1, n + 1)):
         raise ConfigError(f"{what} is not a permutation of 1..{n}: {perm!r}")
@@ -76,10 +83,12 @@ def _check_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:
 
 
 def _tables(perms: list[tuple[int, ...]]) -> np.ndarray:
-    # row i, column letter = image letter under perms[i]; column 0 unused;
-    # read-only, as a shared word shares its tables
-    t = np.zeros((len(perms), len(perms[0]) + 1), dtype=np.int16)
-    t[:, 1:] = perms
+    # the image letters of every child, flat in child position: entry 1 +
+    # i * width + (letter - 1) is perms[i](letter), and entry 0 is unused,
+    # so a gather at i * width + letter needs no - 1; read-only, as a
+    # shared word shares its tables
+    t = np.zeros(1 + len(perms) * len(perms[0]), dtype=np.int16)
+    t[1:] = np.ravel(perms)
     t.setflags(write=False)
     return t
 
@@ -134,8 +143,8 @@ class PortraitGen:
         self._perms_inv = {addr: _inv_perm(p) for addr, p in self._perms.items()}
         # level tables, built from the same data: for every depth j that
         # carries permutations, the sorted prefix indices (tree.index_unchecked
-        # numbering) of its vertices and their stacked letter tables,
-        # forward and inverted; depth 0 is the basepoint alone
+        # numbering) of its vertices and their flat letter tables, forward
+        # and inverted; depth 0 is the basepoint alone
         by_level: dict[int, list[Address]] = {}
         for addr in self._perms:
             by_level.setdefault(len(addr), []).append(addr)
@@ -178,22 +187,34 @@ class PortraitGen:
         for j, keys, fwd, inv in self._levels:
             if j >= letters.shape[1]:
                 break
+            full = not j or keys.size == (q + 1) * q ** (j - 1)  # every vertex of depth j
             idx = idx.astype(_index_dtype(q, j), copy=False)
             for k in range(done, j):
                 idx *= q
                 idx += ref[:, k]
                 idx -= 1
             done = j
+            if full and j < reach and not inverted:
+                # a row's child position in the flat table is the index of
+                # its depth-(j + 1) prefix (int64: the table holds every
+                # such prefix), so the fold of column j keys the level
+                idx *= q
+                idx += letters[:, j]
+                idx -= 1
+                done = j + 1
+                out[:, j] = fwd[1:][idx]
+                continue
             table = inv if inverted else fwd
             rows = slice(None) if j < reach else np.flatnonzero(lengths > j)
             pos = at = idx[rows]
-            if j and keys.size < (q + 1) * q ** (j - 1):  # not every vertex of depth j
+            if not full:
                 pos = np.minimum(np.searchsorted(keys, at), len(keys) - 1)
                 hit = np.flatnonzero(keys[pos] == at)
                 rows = hit if j < reach else rows[hit]
                 pos = pos[hit]
-            # one flat gather: two index arrays into the 2-d table cost twice as much
-            out[rows, j] = table.reshape(-1)[pos * table.shape[1] + letters[rows, j]]
+            # one flat gather: two index arrays into a 2-d table cost twice as
+            # much; the basepoint level's one vertex sits at position 0
+            out[rows, j] = table[pos * q + letters[rows, j]]
         return out, lengths
 
     def to_json_obj(self) -> dict:
@@ -226,8 +247,8 @@ class EdgeInversionGen:
         # starting with 1 take the up image (a2 + 1, a3, ...) over it and
         # the basepoint rows (1)
         up = (lengths >= 1) & (letters[:, 0] == 1)
-        new = lengths + 1 - 2 * up
-        if np.any(new > letters.shape[1]):
+        new = lengths + (1 - 2 * up.view(np.int8))  # the +-1 steps in int8, one int64 pass
+        if lengths.max(initial=0) >= letters.shape[1] and np.any(new > letters.shape[1]):
             raise MalformedAddressError("batch buffer too narrow for an inversion step")
         out = np.empty(letters.shape, dtype=letters.dtype, order="F")
         out[:, 1:] = letters[:, :-1]  # each row one to the right
@@ -411,8 +432,8 @@ def _basepoint_shift(params: TreeParams, j: int) -> TreeAutomorphism:
 
 def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) -> Portrait:
     """Uniform portrait down to `depth`; identity below."""
-    if depth < 1:
-        raise ConfigError("portrait depth must be >= 1")
+    if not isinstance(depth, (int, np.integer)) or depth < 1:
+        raise ConfigError(f"portrait depth must be an integer >= 1, got {depth!r}")
     if depth > params.depth_cap:
         raise DepthBudgetError(f"portrait depth {depth} exceeds cap {params.depth_cap}")
     root = tuple(int(x) for x in rng.permutation(params.q + 1) + 1)
@@ -428,6 +449,8 @@ def random_word(params: TreeParams, rng: np.random.Generator, max_factors: int) 
     the edge inversion or the step translation, inverted or not.  The draw
     order is part of the suites' seed paths: a failure record replays only
     while a seed gives the same words."""
+    if not isinstance(max_factors, (int, np.integer)) or max_factors < 1:
+        raise ConfigError(f"max_factors must be an integer >= 1, got {max_factors!r}")
     word = []
     for _ in range(int(rng.integers(1, max_factors + 1))):
         kind = int(rng.integers(0, 3))

@@ -19,9 +19,11 @@ g^{-1} u; the resolution rule makes both well defined (every output
 cylinder is strictly deeper than g x0, so its preimage is again a
 cylinder, of depth at least m).  The cylinders with |lcp(u, g x0)| >= j
 are the ones below the depth-j prefix of g x0, one index range, so the
-D + 1 exponents sit on D + 1 nested ranges and each tau power multiplies
-one slice.  The homomorphism property suite is the empirical proof of this
-cylinder-level evaluation.
+D + 1 exponents sit on D + 1 nested ranges.  The input's own rows are
+multiplied by each of the D + 1 tau powers into one table of D + 1 slots;
+each output row counts the ranges that hold it to find its slot and is
+taken from the table once.  The homomorphism property suite is the
+empirical proof of this cylinder-level evaluation.
 
 Averages over compact stabilizers are finite measure-weighted sums over
 orbit cells (conditional means), never samples over group elements.  An
@@ -97,6 +99,8 @@ class StepFunction:
             raise RefinementError(
                 f"cannot coarsen from resolution {self.resolution} to {resolution}"
             )
+        if resolution > self.params.depth_cap:  # before np.repeat allocates the rows
+            raise DepthBudgetError(f"resolution {resolution} outside [0, {self.params.depth_cap}]")
         factor = n_addresses(self.params, resolution) // n_addresses(self.params, self.resolution)
         return StepFunction(self.params, resolution, np.repeat(self.values, factor, axis=0))
 
@@ -145,11 +149,15 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
     """Apply the boundary representation of g to v.
 
     Output resolution is max(m + D, D + 1); exceeding the depth cap is a
-    DepthBudgetError rather than a truncation.  Every output row first takes
-    tau^(-D); then, for j = 1..D, the range of rows below the depth-j prefix
-    of g x0 (q^(m_out - j) rows from that prefix's index times as many)
-    takes tau^(2j - D) over it, so each row ends with the exponent of its
-    longest common prefix with g x0.
+    DepthBudgetError rather than a truncation.  v's own n_m rows are
+    multiplied by each tau^(2j - D), j = 0..D, into one ((D + 1) n_m, d)
+    table, slot j after slot j - 1.  An output row's slot is the length
+    of its longest common prefix with g x0: the number of the nested
+    ranges j = 1..D (the rows below the depth-j prefix of g x0,
+    q^(m_out - j) rows from that prefix's index times as many) that hold
+    it.  Every output row is then taken once from the table, at its slot
+    times n_m plus its lookup row.  For D = 0 the one slot is the product
+    by the identity, which is exact.
     """
     params = v.params
     if g.params != params:
@@ -165,26 +173,25 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
         raise DepthBudgetError(
             f"resolution {m} plus displacement {d} needs depth {m_out}, cap is {params.depth_cap}"
         )
-    letters = letter_matrix(params, m_out)
-    n = letters.shape[0]
+    q = params.q
+    n = n_addresses(params, m_out)
     if m == 0:
-        looked_up = np.repeat(v.values, n, axis=0)
+        at = np.zeros(n, dtype=np.int64)
     else:
+        letters = letter_matrix(params, m_out)
         inv_letters, inv_lengths = g.inverse().apply_batch(
             letters, np.full(n, m_out, dtype=np.int64)
         )
-        # np.take gathers whole rows; fancy indexing of a narrow 2-d array
-        # goes element by element and costs several times as much
-        idx = prefix_indices(params, inv_letters, inv_lengths, m)
-        looked_up = np.take(v.values, idx, axis=0)
-
-    out = looked_up @ power(pair, -d).T
-    q = params.q
+        at = prefix_indices(params, inv_letters, inv_lengths, m)
+    n_m = v.values.shape[0]
     for j in range(1, d + 1):
         size = q ** (m_out - j)
         start = index_unchecked(q, g.x0_image[:j]) * size
-        rows = slice(start, start + size)
-        out[rows] = looked_up[rows] @ power(pair, 2 * j - d).T
+        at[start : start + size] += n_m
+    table = np.concatenate([v.values @ power(pair, 2 * j - d).T for j in range(d + 1)])
+    # np.take gathers whole rows; fancy indexing of a narrow 2-d array
+    # goes element by element and costs several times as much
+    out = np.take(table, at, axis=0)
     return StepFunction(params, m_out, out)
 
 

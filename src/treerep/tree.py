@@ -171,9 +171,13 @@ def busemann_on_cylinder(params: TreeParams, u: Address, y: Address) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_depth(depth: int) -> None:
+    if not isinstance(depth, (int, np.integer)) or depth < 0:
+        raise ConfigError(f"depth must be a nonnegative integer, got {depth!r}")
+
+
 def n_addresses(params: TreeParams, depth: int) -> int:
-    if depth < 0:
-        raise ConfigError("depth must be nonnegative")
+    _check_depth(depth)
     if depth == 0:
         return 1
     return (params.q + 1) * params.q ** (depth - 1)
@@ -200,10 +204,11 @@ def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)  # typed: 2.0 must not hit the entry of 2
 def letter_matrix(params: TreeParams, depth: int) -> np.ndarray:
     """All depth-`depth` addresses as an (n, depth) int16 matrix,
     column-major, sorted."""
+    _check_depth(depth)
     if depth > params.depth_cap:
         raise DepthBudgetError(f"depth {depth} exceeds cap {params.depth_cap}")
     out = _letters(params, depth, np.arange(n_addresses(params, depth))).astype(np.int16)
@@ -224,6 +229,8 @@ def index_unchecked(q: int, addr: Address) -> int:
 
 
 def address_from_index(params: TreeParams, depth: int, idx: int) -> Address:
+    if not isinstance(idx, (int, np.integer)):
+        raise MalformedAddressError(f"index {idx!r} is not an integer")
     if not 0 <= idx < n_addresses(params, depth):
         raise MalformedAddressError(f"index {idx} out of range at depth {depth}")
     idx = np.array([idx], dtype=_index_dtype(params.q, depth))

@@ -35,6 +35,22 @@ def test_portrait_validation():
         au.Portrait((2, 1, 3), {(1, 3): (2, 1)})  # letter 3 below depth 1 at q=2
 
 
+@pytest.mark.parametrize(
+    "root,nodes",
+    [((1, 2, 3.5), {}), ((2, 1, 3), {(1,): (2.7, 1)}), ((1.0, 2, 3), {}), (("1", 2, 3), {})],
+)
+def test_portrait_refuses_non_integer_entries(root, nodes):
+    # an entry is a letter, never truncated to one
+    with pytest.raises(ConfigError, match="non-integer entry"):
+        au.Portrait(root, nodes)
+
+
+def test_portrait_takes_numpy_integer_entries():
+    p = au.Portrait(tuple(np.array([2, 1, 3])), {(1,): (np.int16(2), np.int64(1))})
+    assert p == au.Portrait((2, 1, 3), {(1,): (2, 1)})
+    assert all(type(x) is int for x in p.root_perm + p.node_perms[(1,)])
+
+
 def test_portrait_identity_fixes_everything():
     g = au.from_portrait(P2, au.Portrait((1, 2, 3)))
     for v in oracles.ball_vertices(2, 3):
@@ -162,6 +178,24 @@ def test_random_word_draws_and_spells_its_factors():
                 expected += t[::-1] if inverted else t
         g = au.random_word(P3, np.random.default_rng(seed), 3)
         assert [(getattr(gen, "portrait", gen.kind), flag) for gen, flag in g.word] == expected
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0, "2", None])
+def test_random_words_and_portraits_refuse_a_bad_size(bad):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="max_factors must be an integer >= 1"):
+        au.random_word(P2, rng, bad)
+    with pytest.raises(ConfigError, match="portrait depth must be an integer >= 1"):
+        au.random_portrait(P2, bad, rng)
+
+
+def test_random_words_take_numpy_integer_sizes():
+    for size in (np.int64(2), np.int8(2)):
+        a = au.random_word(P3, np.random.default_rng(7), size)
+        b = au.random_word(P3, np.random.default_rng(7), 2)
+        assert a.to_json_obj() == b.to_json_obj()
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        assert au.random_portrait(P3, size, rng_a) == au.random_portrait(P3, 2, rng_b)
 
 
 def test_line_vertex_layout():
@@ -417,6 +451,49 @@ def test_every_q2_generator_batch_matches_scalar_and_round_trips():
             back, back_lengths = g.inverse().apply_batch(out, out_lengths)
             assert (back_lengths == 3).all()
             assert np.array_equal(back[:, :3], full) and not back[:, 3:].any()
+
+
+def mixed_portrait(params, depth, rng):
+    """A random portrait down to `depth` whose levels below the basepoint
+    are each kept whole, thinned to a random share or emptied."""
+    dense = au.random_portrait(params, depth, rng)
+    keep = {j: rng.choice([1.0, 0.3, 0.0]) for j in range(1, depth)}
+    nodes = {a: p for a, p in dense.node_perms.items() if rng.random() < keep[len(a)]}
+    return au.Portrait(dense.root_perm, nodes)
+
+
+@given(st.sampled_from([(2, 7), (3, 5), (5, 4)]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_apply_batch_matches_apply_vertex_on_mixed_words(q_cap, seed):
+    # words of portraits with full, sparse and empty levels and edge
+    # inversions, each forward or inverted, on rows of mixed length above
+    # a random shortest one, with junk past each row's length: large
+    # enough that a table gather keyed by it runs past the table
+    q, cap = q_cap
+    params = tr.TreeParams(q, cap)
+    rng = np.random.default_rng(seed)
+    word = []
+    for _ in range(int(rng.integers(1, 5))):
+        gen = (
+            au.PortraitGen(mixed_portrait(params, int(rng.integers(1, cap + 1)), rng))
+            if rng.random() < 0.6
+            else au.EdgeInversionGen()
+        )
+        word.append((gen, bool(rng.integers(0, 2))))
+    g = au.TreeAutomorphism(params, word)
+    n = 60
+    lengths = rng.integers(rng.integers(0, cap + 1), cap + 1, n)
+    letters = rng.integers(0, 30000, (n, cap)).astype(np.int16)
+    for row, k in enumerate(lengths):
+        if k:
+            letters[row, 0] = rng.integers(1, q + 2)
+            letters[row, 1:k] = rng.integers(1, q + 1, k - 1)
+    if rng.random() < 0.5:
+        letters = np.asfortranarray(letters)
+    out, out_lengths = g.apply_batch(letters, lengths)
+    for row, k in enumerate(lengths):
+        v = tuple(int(x) for x in letters[row, :k])
+        assert tuple(int(x) for x in out[row, : out_lengths[row]]) == g.apply_vertex(v)
 
 
 def test_apply_batch_checks_its_input():

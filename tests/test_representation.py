@@ -115,6 +115,17 @@ def test_refine_preserves_the_function():
         v.refine(0)  # refinement only goes down
 
 
+@pytest.mark.parametrize("resolution", [9, 10, 99])
+def test_refine_past_the_cap_is_a_depth_budget_error(monkeypatch, resolution):
+    # refused before any row is repeated: 99 would overflow np.repeat
+    v = rp.StepFunction(P2, 1, np.ones((3, 2)))
+    exact, repeats = np.repeat, []
+    monkeypatch.setattr(np, "repeat", lambda *a, **k: repeats.append(a) or exact(*a, **k))
+    with pytest.raises(DepthBudgetError, match=f"resolution {resolution} outside"):
+        v.refine(resolution)
+    assert repeats == []
+
+
 def test_arithmetic_and_norms():
     v = rp.constant_fn(P2, np.array([3.0, 4.0]))
     w = rp.indicator_fn(P2, me.Cylinder((1,)), np.array([1.0, 0.0]))
@@ -219,6 +230,20 @@ def test_pi_exponent_ranges_match_the_oracle(monkeypatch, q, cap):
                 assert got.resolution == want.resolution
                 assert got.max_cell_distance(want) < 1e-9 * max(1.0, want.sup_norm())
         shift = au.compose(t, shift)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=20)
+def test_pi_portrait_round_trip_is_exact(q, m, seed):
+    # a depth-5 portrait fixes the basepoint, so both actions multiply by
+    # tau^0 = I and permute rows: the round trip returns v bit for bit
+    params = tr.TreeParams(q, 6)
+    rng, _, pair = build_rng_pair(params, 2, seed)
+    g = au.from_portrait(params, au.random_portrait(params, 5, rng))
+    n = tr.n_addresses(params, m)
+    v = rp.StepFunction(params, m, rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    back = rp.pi_apply(g.inverse(), rp.pi_apply(g, v, pair), pair)
+    assert back.resolution == m and np.array_equal(back.values, v.values)
 
 
 def test_pi_is_a_homomorphism():

@@ -165,6 +165,25 @@ def test_letter_matrix_lexicographic_and_round_trip():
             tr.address_from_index(deep, m, n)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+def test_index_helpers_refuse_a_non_integer(bad):
+    tr.letter_matrix(P2, 2)  # a cached depth 2 must not answer for 2.0
+    with pytest.raises(ConfigError, match="depth must be a nonnegative integer"):
+        tr.n_addresses(P2, bad)
+    with pytest.raises(ConfigError, match="depth must be a nonnegative integer"):
+        tr.letter_matrix(P2, bad)
+    with pytest.raises(ConfigError, match="depth must be a nonnegative integer"):
+        tr.address_from_index(P2, bad, 1)
+    with pytest.raises(MalformedAddressError, match="is not an integer"):
+        tr.address_from_index(P2, 2, bad)
+
+
+def test_index_helpers_take_numpy_integers():
+    assert tr.n_addresses(P2, np.int64(3)) == 12
+    assert tr.address_from_index(P2, np.int8(2), np.int64(5)) == (3, 2)
+    assert np.array_equal(tr.letter_matrix(P3, np.int64(2)), tr.letter_matrix(P3, 2))
+
+
 def test_addresses_at_depth_agrees_with_matrix():
     for m in range(3):
         assert list(tr.addresses_at_depth(P2, m)) == [
