@@ -183,31 +183,26 @@ def assert_partition(
         [(a, b, j) for j, c in enumerate(cells) for a, b in cell_index_ranges(params, c, depth)],
         dtype=np.int64,
     ).reshape(-1, 3)
-    return _tile_labels(params, ranges, depth)
+    return _tile_labels(params, ranges[np.argsort(ranges[:, 0], kind="stable")], depth)
 
 
 def _tile_labels(params: TreeParams, ranges: np.ndarray, depth: int) -> np.ndarray:
-    """Labels of the (start, stop, owner) rows of `ranges`, which must tile
-    the depth-`depth` grid exactly once; raises PartitionError otherwise.
-
-    Sorted by start, the ranges tile the grid iff none starts before its
-    predecessor stops and their lengths add up to the grid size; the
-    labels are then each owner repeated over its range.
-    """
-    starts, stops, owners = ranges[np.argsort(ranges[:, 0], kind="stable")].T
-    (clash,) = np.nonzero(starts[1:] < stops[:-1])
-    if clash.size:
-        i = clash[0] + 1
+    """Labels of the (start, stop, owner) rows of `ranges`, in start order:
+    each owner repeated over its range.  Raises PartitionError unless the
+    first range starts at 0, each one where the one before it stops, and
+    the last at the depth-`depth` grid size: the ranges tile it once."""
+    starts, stops, owners = ranges.T
+    (off,) = np.nonzero(starts[1:] != stops[:-1])
+    if off.size and starts[off[0] + 1] < stops[off[0]]:
+        i = off[0] + 1
         raise PartitionError(
             f"cell {owners[i]} overlaps cell {owners[i - 1]} on index range "
             f"[{starts[i]}, {min(stops[i], stops[i - 1])})"
         )
-    lengths = stops - starts
     total = n_addresses(params, depth)
-    covered = int(lengths.sum())
-    if covered != total:
-        raise PartitionError(f"cells cover {covered} of {total} depth-{depth} cylinders")
-    return np.repeat(owners, lengths)
+    if off.size or not starts.size or starts[0] != 0 or stops[-1] != total:
+        raise PartitionError(f"cells leave a gap in the {total} depth-{depth} cylinders")
+    return np.repeat(owners, stops - starts)
 
 
 # -- stabilizer orbits --------------------------------------------------------
@@ -220,10 +215,11 @@ def _tile_labels(params: TreeParams, ranges: np.ndarray, depth: int) -> np.ndarr
 # child, and its orbit is the complement of that child's cylinder.  So the
 # orbits are read off the levels as anchors, one (depth, index) vertex per
 # cell, and become index ranges or cell objects only on request.  Only the
-# depths where the subtree's last shell lies can hold a vertex below full
-# valency (`tree._open_depths`), so the completeness check and the leaf scan
-# read those levels alone: one level for a ball, whose leaves are then
-# already in range order and need no sort.  No level is copied to do it.
+# depths where the subtree's shell lies can hold a vertex below full valency
+# (`tree._open_depths`), so the completeness check and the leaf scan read
+# those levels alone: one level for a ball, whose leaves are then already in
+# range order.  No level is copied and no partition sorted: the scan lists
+# the cylinders in range order, and a complement's two sides go around them.
 
 
 def _neighbors_in(sub: FiniteSubtree, b: Address) -> list[Address]:
@@ -307,12 +303,13 @@ def orbit_partition(tree: FiniteSubtree) -> tuple[int, int, np.ndarray]:
     smallest depth that expresses all of them, and one read-only label
     per depth-`depth` cylinder, j for the j-th cell of `orbit_cells`.
     The labels come straight from the subtree's levels: a cylinder cell
-    is one index range and the complement at most two, and the ranges go
-    through `assert_partition`'s tiling check, so cells that overlap or
-    leave a gap raise PartitionError.  Computed once per subtree instance
-    and kept on it, so every stabilizer average over the same subtree
-    shares one scan and one validation; no cell object is built.  A grid
-    too large for int64 indices raises DepthBudgetError.
+    is one index range and the complement two, one on each side of the
+    cylinders.  The ranges go through the tiling check in scan order, so
+    cells that overlap, leave a gap or come out of order raise
+    PartitionError.  Computed once per subtree instance and kept on it,
+    so every stabilizer average over the same subtree shares one scan and
+    one validation; no cell object is built.  A grid too large for int64
+    indices raises DepthBudgetError.
     """
     anchors, partition = _orbits(tree)
     if partition is None:
@@ -323,9 +320,10 @@ def orbit_partition(tree: FiniteSubtree) -> tuple[int, int, np.ndarray]:
         starts = idx.astype(np.int64) * size
         ranges = np.stack([starts, starts + size, np.arange(ks.size)], axis=1)
         if complement:
-            # the grid before and after the child's cylinder; an empty side tiles nothing
+            # the grid around the child's cylinder, which holds every other
+            # cell; an empty side tiles nothing
             (a, b, _) = ranges[0]
-            ranges = np.concatenate([[(0, a, 0), (b, total, 0)], ranges[1:]])
+            ranges = np.concatenate([[(0, a, 0)], ranges[1:], [(b, total, 0)]])
         labels = _tile_labels(params, ranges, depth)
         labels.flags.writeable = False
         partition = ks.size, depth, labels
@@ -345,8 +343,8 @@ def orbit_merge_under_pruning(
     params = tree.params
     if pruned.params != params:
         raise PruningError("subtrees live over different tree parameters")
-    removed = sorted(set(tree) - set(pruned))
-    if not removed or not set(pruned) <= set(tree):
+    removed = tree.vertices - pruned.vertices
+    if not removed or not pruned.vertices <= tree.vertices:
         raise PruningError("pruned subtree must be a proper subset of the original")
     if not (is_complete(tree) and is_complete(pruned)):
         raise PruningError("both subtrees must be complete")
@@ -357,8 +355,8 @@ def orbit_merge_under_pruning(
             raise PruningError(f"{format_address(b)} is not a leaf of the larger subtree")
         return near[0]
 
-    v = sole_neighbor(tree, removed[0])
-    for b in removed:
+    v = sole_neighbor(tree, min(removed))
+    for b in sorted(removed):
         if sole_neighbor(tree, b) != v:
             raise PruningError("deleted vertices do not share a single interior vertex")
     if len(removed) != params.q or v not in pruned:
@@ -371,10 +369,9 @@ def orbit_merge_under_pruning(
 
     # every kept leaf of `tree` is a leaf of `pruned` with the same neighbour,
     # so it keeps its cell; the cells at the deleted leaves go to the one at v
-    removed_set = set(removed)
     after = {_exit_vertex(c): c for c in orbit_cells(pruned)}
     return {
-        c: after[v if _exit_vertex(c) in removed_set else _exit_vertex(c)]
+        c: after[v if _exit_vertex(c) in removed else _exit_vertex(c)]
         for c in orbit_cells(tree)
     }
 

@@ -64,20 +64,23 @@ from .tree import (
 _LIFT_PROBES = 2  # random unit vectors of the span per invariant_lift_check
 
 
+def _resolution(params: TreeParams, resolution: int) -> int:
+    """`resolution` as an int (numpy integers are stored as int, as
+    TreeParams stores its fields), refused unless it lies in [0, depth_cap]."""
+    if not isinstance(resolution, (int, np.integer)):
+        raise ConfigError(f"resolution must be an integer, got {resolution!r}")
+    if not 0 <= resolution <= params.depth_cap:
+        raise DepthBudgetError(f"resolution {resolution} outside [0, {params.depth_cap}]")
+    return int(resolution)
+
+
 class StepFunction:
     """Vector-valued step function at uniform cylinder resolution."""
 
     __slots__ = ("params", "resolution", "values")
 
     def __init__(self, params: TreeParams, resolution: int, values: np.ndarray):
-        if not isinstance(resolution, (int, np.integer)):
-            raise ConfigError(f"resolution must be an integer, got {resolution!r}")
-        # numpy integers are stored as int, as TreeParams stores its fields
-        resolution = int(resolution)
-        if not 0 <= resolution <= params.depth_cap:
-            raise DepthBudgetError(
-                f"resolution {resolution} outside [0, {params.depth_cap}]"
-            )
+        resolution = _resolution(params, resolution)
         values = np.asarray(values, dtype=np.complex128)
         if values.ndim != 2 or values.shape[0] != n_addresses(params, resolution):
             raise ConfigError(
@@ -93,14 +96,14 @@ class StepFunction:
         return self.values.shape[1]
 
     def refine(self, resolution: int) -> "StepFunction":
+        # checked before np.repeat allocates the rows
+        resolution = _resolution(self.params, resolution)
         if resolution == self.resolution:
             return self
         if resolution < self.resolution:
             raise RefinementError(
                 f"cannot coarsen from resolution {self.resolution} to {resolution}"
             )
-        if resolution > self.params.depth_cap:  # before np.repeat allocates the rows
-            raise DepthBudgetError(f"resolution {resolution} outside [0, {self.params.depth_cap}]")
         factor = n_addresses(self.params, resolution) // n_addresses(self.params, self.resolution)
         return StepFunction(self.params, resolution, np.repeat(self.values, factor, axis=0))
 
@@ -139,8 +142,9 @@ def constant_fn(params: TreeParams, w: np.ndarray) -> StepFunction:
 def indicator_fn(params: TreeParams, cell: bm.EndCell, w: np.ndarray) -> StepFunction:
     w = _vector(w)
     m = bm.min_expressible_depth(params, cell)
+    ranges = bm.cell_index_ranges(params, cell, m)  # checks the cap before any row exists
     values = np.zeros((n_addresses(params, m), w.shape[0]), dtype=np.complex128)
-    for a, b in bm.cell_index_ranges(params, cell, m):
+    for a, b in ranges:
         values[a:b] = w
     return StepFunction(params, m, values)
 

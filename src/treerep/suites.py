@@ -263,7 +263,7 @@ def replay_pruning_pair(params: TreeParams) -> tuple[FiniteSubtree, FiniteSubtre
     leaves."""
     edge = FiniteSubtree(params, [ROOT, (1,)])
     big = closed_neighborhood(edge, 1)
-    trimmed = set(big) - {(1, i) for i in range(1, params.q + 1)}
+    trimmed = big.vertices - {(1, i) for i in range(1, params.q + 1)}
     return big, FiniteSubtree(params, trimmed)
 
 

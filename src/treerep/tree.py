@@ -24,14 +24,14 @@ subtree is one sorted array of these numbers per depth
 (`FiniteSubtree.levels`).  Parent and children are index arithmetic on
 those arrays, so connectivity and valencies cost one searchsorted per
 depth and a closed neighbourhood at most one stable sort per old level
-its shell reaches, not one Python step per vertex.  A closed
-neighbourhood carries the shell it added last: every other vertex
-already has all its neighbours inside, so the next neighbourhood grows
-from that shell alone, and completeness and the orbit scan read only the
-depths it touches.  A level the shell adds nothing to stays the same array, and
-valencies are carried with it: one is recomputed only where its level or
-a neighbouring level changed.  Growing a ball by one therefore costs what
-its new shell costs.  The set of address tuples is built from the levels
+its shell reaches, not one Python step per vertex.  Every subtree
+carries a shell, the vertices that may lack a neighbour inside it: all
+of them when it is built from vertices, the ones it added last when it
+is a closed neighbourhood.  The next neighbourhood grows from the shell
+alone, and completeness and the orbit scan read only its depths.  A level
+the shell adds nothing to stays the same array, and valencies are carried
+with it: one is recomputed only where its level or a neighbouring level
+changed.  Growing a ball by one therefore costs what its new shell costs.  The set of address tuples is built from the levels
 only when a caller asks for it.
 Indices are int64 while every address of their depth fits in it and
 Python integers past that (`_index_dtype`); the index decoder
@@ -321,8 +321,8 @@ class FiniteSubtree:
     use for one built from level arrays.
     """
 
-    # _shell: per depth, the vertices a closed neighbourhood added last, or
-    #   None; every other vertex has all its neighbours in the set
+    # _shell: per depth, the vertices that may lack a neighbour in the set:
+    #   all of them, or the ones a closed neighbourhood added last
     # _orbits: measure's orbit scan and partition, unset until first use
     __slots__ = ("params", "levels", "valencies", "_vertices", "_shell", "_orbits")
 
@@ -346,7 +346,7 @@ class FiniteSubtree:
             raise SubtreeError("vertex set is not connected")
         self.params = params
         self._vertices = verts
-        self._shell = None
+        self._shell = levels
         self.levels = levels
         self.valencies = tuple(_valency(ups, k) for k in range(len(levels)))
 
@@ -408,9 +408,7 @@ class FiniteSubtree:
 
 def _open_depths(tree: FiniteSubtree) -> list[int]:
     """The depths that can hold a vertex of valency below q+1: where the
-    last shell lies, or every depth of a subtree built from vertices."""
-    if tree._shell is None:
-        return list(range(len(tree.levels)))
+    subtree's shell lies, every nonempty depth of one built from vertices."""
     return [k for k, idx in enumerate(tree._shell) if idx.size]
 
 
@@ -430,11 +428,11 @@ def is_complete(tree: FiniteSubtree) -> bool:
 def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
     """All vertices within the given distance of S.  Always complete.
 
-    Grows S one shell at a time, starting from the shell S itself carries
-    when it is a closed neighbourhood (every other vertex of S already has
-    all its neighbours inside), or from all of S when it was built from
-    vertices.  The parent of every vertex but the top one (the basepoint,
-    or the one vertex whose parent lies outside) is already in the set,
+    Grows S one shell at a time, starting from the shell S carries: all
+    of S when it was built from vertices, the shell it added last when it
+    is a closed neighbourhood (every other vertex of S already has all
+    its neighbours inside).  The parent of every vertex but the top one
+    (the basepoint, or the one vertex whose parent lies outside) is in the set,
     so a shell reaches a depth with one sorted array of distinct indices:
     the children of the shell one depth up, or the parent of the top
     vertex.  Into an empty level that array goes as it is, and it is all
@@ -454,7 +452,7 @@ def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
     params = tree.params
     cap = params.depth_cap
     current = list(tree.levels)
-    frontier = list(tree.levels if tree._shell is None else tree._shell)
+    frontier = list(tree._shell)
     for _ in range(radius):
         if len(frontier) > cap and frontier[cap].size:
             raise DepthBudgetError(f"{radius}-neighborhood would pass depth cap {cap}")

@@ -86,8 +86,12 @@ def test_step_function_shape_validation():
 
 @pytest.mark.parametrize("resolution", [1.0, 1.5, "1", None, np.float64(2)])
 def test_step_function_refuses_a_non_integer_resolution(resolution):
-    with pytest.raises(ConfigError, match="resolution must be an integer"):
-        rp.StepFunction(P2, resolution, np.zeros((3, 2)))
+    # the constructor and refine alike: refine(1.0) must not return the
+    # resolution-1 function itself, nor refine(1.5) fail on the depth
+    v = rp.StepFunction(P2, 1, np.zeros((3, 2)))
+    for build in (lambda r: rp.StepFunction(P2, r, np.zeros((3, 2))), v.refine):
+        with pytest.raises(ConfigError, match="resolution must be an integer"):
+            build(resolution)
 
 
 def test_step_function_stores_its_resolution_as_int():
@@ -124,6 +128,16 @@ def test_refine_past_the_cap_is_a_depth_budget_error(monkeypatch, resolution):
     with pytest.raises(DepthBudgetError, match=f"resolution {resolution} outside"):
         v.refine(resolution)
     assert repeats == []
+
+
+@pytest.mark.parametrize("base", [(1,) * 9, (1,) * 40], ids=["depth 9", "depth 40"])
+def test_indicator_fn_past_the_cap_is_a_depth_budget_error(monkeypatch, base):
+    # refused before any row is allocated: depth 40 would ask for 24 TiB
+    exact, zeros = np.zeros, []
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: zeros.append(a) or exact(*a, **k))
+    with pytest.raises(DepthBudgetError, match="exceeds cap 8"):
+        rp.indicator_fn(P2, me.Cylinder(base), [1.0])
+    assert zeros == []
 
 
 def test_arithmetic_and_norms():
@@ -393,11 +407,14 @@ def test_haar_average_fix_is_the_add_at_mean_bit_for_bit():
         assert np.array_equal(out.values, oracles.add_at_mean(labels, vals))
 
 
-@pytest.mark.parametrize("fault", ["overlap", "gap"])
+@pytest.mark.parametrize("fault", ["overlap", "gap", "out of order"])
 def test_haar_average_fix_rejects_cells_that_do_not_tile(monkeypatch, fault):
     # the level scan forged to add the cylinder at (1, 1), inside the
-    # edge's cylinder at (1,), or to lose the edge's last cell
+    # edge's cylinder at (1,), or to lose the edge's last cell; or the
+    # radius-1 ball's scan with its first two cylinders swapped, which
+    # still cover the grid once but not in range order
     edge = tr.FiniteSubtree(P2, [(), (1,)])
+    ball = tr.closed_neighborhood(tr.FiniteSubtree(P2, [()]), 1)
     scan = me._scan_orbit_anchors
 
     def forged(tree):
@@ -405,11 +422,14 @@ def test_haar_average_fix_rejects_cells_that_do_not_tile(monkeypatch, fault):
         if fault == "overlap":
             extra = oracles.lex_index(P2.q, (1, 1))
             return depth + 1, np.append(ks, 2), np.append(idx, extra), complement
+        if fault == "out of order":
+            return depth, ks, idx[[1, 0, 2]], complement
         return depth, ks[:-1], idx[:-1], complement
 
     monkeypatch.setattr(me, "_scan_orbit_anchors", forged)
+    tree = ball if fault == "out of order" else edge
     with pytest.raises(PartitionError):
-        rp.haar_average_fix(edge, rp.constant_fn(P2, np.array([1.0])))
+        rp.haar_average_fix(tree, rp.constant_fn(P2, np.array([1.0])))
 
 
 def test_halftree_average_annihilates_balanced_sums():
