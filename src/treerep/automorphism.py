@@ -72,14 +72,20 @@ from .tree import (
 )
 
 
-def _check_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    # entries are letters: integers, never truncated to one
+def _check_perm(perm: Sequence[int], n: int, addr: Address) -> tuple[int, ...]:
+    # the permutation below vertex addr; entries are letters: integers,
+    # never truncated to one.  The error names the vertex, formatted only
+    # on failure (a random portrait checks hundreds of nodes)
     if not all(isinstance(x, (int, np.integer)) for x in perm):
-        raise ConfigError(f"{what} has a non-integer entry: {perm!r}")
+        raise ConfigError(f"{_perm_label(addr)} has a non-integer entry: {perm!r}")
     t = tuple(int(x) for x in perm)
     if sorted(t) != list(range(1, n + 1)):
-        raise ConfigError(f"{what} is not a permutation of 1..{n}: {perm!r}")
+        raise ConfigError(f"{_perm_label(addr)} is not a permutation of 1..{n}: {perm!r}")
     return t
+
+
+def _perm_label(addr: Address) -> str:
+    return "root perm" if not addr else f"node perm at {format_address(addr)}"
 
 
 def _tables(perms: list[tuple[int, ...]]) -> np.ndarray:
@@ -116,14 +122,14 @@ class Portrait:
         q = len(self.root_perm) - 1
         if q < 2:
             raise ConfigError("root permutation must act on at least 3 letters")
-        object.__setattr__(self, "root_perm", _check_perm(self.root_perm, q + 1, "root perm"))
+        object.__setattr__(self, "root_perm", _check_perm(self.root_perm, q + 1, ROOT))
         params = TreeParams(q)
         clean = {}
         for addr, perm in self.node_perms.items():
             if not addr:
                 raise ConfigError("attach the basepoint permutation via root_perm")
             addr = check_address(params, tuple(addr), allow_deep=True)
-            clean[addr] = _check_perm(perm, q, f"node perm at {format_address(addr)}")
+            clean[addr] = _check_perm(perm, q, addr)
         object.__setattr__(self, "node_perms", clean)
 
     @property

@@ -188,10 +188,19 @@ def assert_partition(
 
 def _tile_labels(params: TreeParams, ranges: np.ndarray, depth: int) -> np.ndarray:
     """Labels of the (start, stop, owner) rows of `ranges`, in start order:
-    each owner repeated over its range.  Raises PartitionError unless the
-    first range starts at 0, each one where the one before it stops, and
-    the last at the depth-`depth` grid size: the ranges tile it once."""
+    each owner repeated over its range, after `_check_tiling`."""
     starts, stops, owners = ranges.T
+    _check_tiling(params, starts, stops, owners, depth)
+    return np.repeat(owners, stops - starts)
+
+
+def _check_tiling(
+    params: TreeParams, starts: np.ndarray, stops: np.ndarray, owners: np.ndarray, depth: int
+) -> None:
+    """Raise PartitionError unless the ranges [starts[i], stops[i]) of
+    cells owners[i], in start order, tile the depth-`depth` grid once: the
+    first starts at 0, each one where the one before it stops, and the
+    last at the grid size."""
     (off,) = np.nonzero(starts[1:] != stops[:-1])
     if off.size and starts[off[0] + 1] < stops[off[0]]:
         i = off[0] + 1
@@ -202,7 +211,6 @@ def _tile_labels(params: TreeParams, ranges: np.ndarray, depth: int) -> np.ndarr
     total = n_addresses(params, depth)
     if off.size or not starts.size or starts[0] != 0 or stops[-1] != total:
         raise PartitionError(f"cells leave a gap in the {total} depth-{depth} cylinders")
-    return np.repeat(owners, stops - starts)
 
 
 # -- stabilizer orbits --------------------------------------------------------
@@ -220,6 +228,8 @@ def _tile_labels(params: TreeParams, ranges: np.ndarray, depth: int) -> np.ndarr
 # those levels alone: one level for a ball, whose leaves are then already in
 # range order.  No level is copied and no partition sorted: the scan lists
 # the cylinders in range order, and a complement's two sides go around them.
+# A ball's cells are all its depth-r cylinders, one per index, so its labels
+# are the positions of its scan, with no range table to build.
 
 
 def _neighbors_in(sub: FiniteSubtree, b: Address) -> list[Address]:
@@ -306,9 +316,12 @@ def orbit_partition(tree: FiniteSubtree) -> tuple[int, int, np.ndarray]:
     is one index range and the complement two, one on each side of the
     cylinders.  The ranges go through the tiling check in scan order, so
     cells that overlap, leave a gap or come out of order raise
-    PartitionError.  Computed once per subtree instance and kept on it,
-    so every stabilizer average over the same subtree shares one scan and
-    one validation; no cell object is built.  A grid too large for int64
+    PartitionError.  When every cell is a depth-`depth` cylinder (every
+    ball), cell j is the cylinder at idx[j]: the check reads idx as the
+    range starts, and the labels are 0, 1, 2, ... with no range table.
+    Computed once per subtree instance and kept on it, so every
+    stabilizer average over the same subtree shares one scan and one
+    validation; no cell object is built.  A grid too large for int64
     indices raises DepthBudgetError.
     """
     anchors, partition = _orbits(tree)
@@ -316,15 +329,20 @@ def orbit_partition(tree: FiniteSubtree) -> tuple[int, int, np.ndarray]:
         params = tree.params
         depth, ks, idx, complement = anchors
         total = _label_grid_size(params, depth)
-        size = params.q ** (depth - ks)
-        starts = idx.astype(np.int64) * size
-        ranges = np.stack([starts, starts + size, np.arange(ks.size)], axis=1)
-        if complement:
-            # the grid around the child's cylinder, which holds every other
-            # cell; an empty side tiles nothing
-            (a, b, _) = ranges[0]
-            ranges = np.concatenate([[(0, a, 0)], ranges[1:], [(b, total, 0)]])
-        labels = _tile_labels(params, ranges, depth)
+        owners = np.arange(ks.size)
+        if not complement and (ks == depth).all():
+            _check_tiling(params, idx, idx + 1, owners, depth)
+            labels = owners
+        else:
+            size = params.q ** (depth - ks)
+            starts = idx.astype(np.int64) * size
+            ranges = np.stack([starts, starts + size, owners], axis=1)
+            if complement:
+                # the grid around the child's cylinder, which holds every
+                # other cell; an empty side tiles nothing
+                (a, b, _) = ranges[0]
+                ranges = np.concatenate([[(0, a, 0)], ranges[1:], [(b, total, 0)]])
+            labels = _tile_labels(params, ranges, depth)
         labels.flags.writeable = False
         partition = ks.size, depth, labels
         tree._orbits = (anchors, partition)

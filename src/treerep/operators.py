@@ -62,8 +62,22 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _branching(q) -> int:
+    """q as an int; OperatorDomainError unless it is an integer >= 2."""
+    if not isinstance(q, (int, np.integer)) or q < 2:
+        raise OperatorDomainError(f"branching parameter must be an integer >= 2, got {q!r}")
+    return int(q)
+
+
 def phi_scalar(z: complex, q: int) -> complex:
-    """build_pair's tau for the 1 x 1 alpha z; BranchCutError on the cut."""
+    """build_pair's tau for the 1 x 1 alpha z; BranchCutError on the cut.
+
+    Raises OperatorDomainError, as build_pair does, when q is not an
+    integer >= 2 or z is not finite.
+    """
+    q = _branching(q)
+    if not cmath.isfinite(z):
+        raise OperatorDomainError(f"z = {z!r} is not finite")
     w = 4 * q - z * z
     if w.imag == 0.0 and w.real <= 0.0:
         raise BranchCutError(f"4q - z^2 = {w} lies on the branch cut")
@@ -187,9 +201,7 @@ def build_pair(alpha: np.ndarray, q: int) -> OperatorPair | list[OperatorPair]:
         raise OperatorDomainError(
             f"expected a square matrix or a stack of them, got shape {alpha.shape}"
         )
-    if not isinstance(q, (int, np.integer)) or q < 2:
-        raise OperatorDomainError(f"branching parameter must be an integer >= 2, got {q!r}")
-    q = int(q)
+    q = _branching(q)
 
     def where(i) -> str:
         return "" if single else f"alpha at stack index {i}: "
@@ -285,8 +297,10 @@ def guard_spectrum(pair: OperatorPair) -> dict:
     raising SpectralGuardError unless both hold.  For an alpha that
     build_pair accepts both hold in exact arithmetic (+-q and +-1 are
     phi(+-(q+1)), outside the disc), so the guard catches rounding and
-    forged pairs.
+    forged pairs.  Anything but an OperatorPair is an OperatorDomainError.
     """
+    if not isinstance(pair, OperatorPair):
+        raise OperatorDomainError(f"expected an OperatorPair, got {type(pair).__name__}")
     lam = np.linalg.eigvals(pair.tau)
     margin = float(np.min(np.minimum(np.abs(lam - pair.q), np.abs(lam + pair.q))))
     sing = np.linalg.svd(pair.tau - pair.tau_inv, compute_uv=False)

@@ -24,15 +24,16 @@ subtree is one sorted array of these numbers per depth
 (`FiniteSubtree.levels`).  Parent and children are index arithmetic on
 those arrays, so connectivity and valencies cost one searchsorted per
 depth and a closed neighbourhood at most one stable sort per old level
-its shell reaches, not one Python step per vertex.  Every subtree
-carries a shell, the vertices that may lack a neighbour inside it: all
-of them when it is built from vertices, the ones it added last when it
-is a closed neighbourhood.  The next neighbourhood grows from the shell
-alone, and completeness and the orbit scan read only its depths.  A level
-the shell adds nothing to stays the same array, and valencies are carried
-with it: one is recomputed only where its level or a neighbouring level
-changed.  Growing a ball by one therefore costs what its new shell costs.  The set of address tuples is built from the levels
-only when a caller asks for it.
+its shell reaches, not one Python step per vertex; a ball's radius step
+costs neither.  Every subtree carries a shell, the vertices that may
+lack a neighbour inside it: all of them when it is built from vertices,
+the ones it added last when it is a closed neighbourhood.  The next
+neighbourhood grows from the shell alone, and completeness and the orbit
+scan read only its depths.  A level the shell adds nothing to stays the
+same array, and valencies are carried with it: one is recomputed only
+where its level or a neighbouring level changed.  Growing a ball by one
+therefore costs what its new shell costs.  The set of address tuples is
+built from the levels only when a caller asks for it.
 Indices are int64 while every address of their depth fits in it and
 Python integers past that (`_index_dtype`); the index decoder
 (`_letters`) and the prefix fold follow that rule, and so do the portrait
@@ -357,14 +358,33 @@ class FiniteSubtree:
         """The subtree with these level arrays, grown from `tree` by adding
         the vertices of `shell`.  A level that did not change must be the
         very array of `tree`: valency k is taken over from `tree` when
-        levels k-1, k and k+1 all are, and computed otherwise."""
+        levels k-1, k and k+1 all are.
+
+        One case needs no search either.  When the growth adds a single
+        level, below a last old level that is all shell and kept along
+        with the level above it, the new level is all the children of
+        that old level: each old vertex gains its q children (q+1 at the
+        basepoint) and each new vertex has valency 1.  This is every
+        radius step of a ball.  Every other changed valency is computed
+        from the uplinks of its level and the next."""
         old, n = tree.levels, len(levels)
         kept = [k < len(old) and levels[k] is old[k] for k in range(n)] + [n == len(old)]
         stale = {k for k in range(n) if not (kept[k] and kept[k + 1] and (k == 0 or kept[k - 1]))}
+        known = {}
+        last = len(old) - 1
+        if (
+            n == last + 2
+            and kept[last]
+            and (last == 0 or kept[last - 1])
+            and tree._shell[last].size == old[last].size
+        ):
+            q = tree.params.q
+            known[last] = tree.valencies[last] + (q + 1 if last == 0 else q)
+            known[last + 1] = np.ones(levels[last + 1].size, dtype=np.int64)
+        stale -= known.keys()
         ups = {j: _uplinks(tree.params, levels, j) for j in stale | {k + 1 for k in stale}}
-        valencies = tuple(
-            _valency(ups, k) if k in stale else tree.valencies[k] for k in range(n)
-        )
+        known.update((k, _valency(ups, k)) for k in stale)
+        valencies = tuple(known[k] if k in known else tree.valencies[k] for k in range(n))
         out = cls.__new__(cls)
         out.params = tree.params
         out._vertices = None
@@ -442,8 +462,10 @@ def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
     reach are the next shell.  A level the reach adds nothing to stays the
     same array, and the result keeps the valencies of `tree` wherever a
     level and its two neighbours stayed (`FiniteSubtree._grown`); it
-    carries its last shell for the next call.  Object-dtype levels sort as
-    Python integers.
+    carries its last shell for the next call.  A radius-1 step of a ball
+    adds the children of its whole last level and nothing else, so its
+    valencies follow from q with no search and no sort.  Object-dtype
+    levels sort as Python integers.
     """
     if not isinstance(radius, (int, np.integer)):
         raise ConfigError(f"radius must be an integer, got {radius!r}")

@@ -45,6 +45,28 @@ def test_portrait_refuses_non_integer_entries(root, nodes):
         au.Portrait(root, nodes)
 
 
+@pytest.mark.parametrize(
+    "root, nodes, message",
+    [
+        ((1, 1, 2), {}, "root perm is not a permutation of 1..3: (1, 1, 2)"),
+        ((1, 2.0, 3), {}, "root perm has a non-integer entry: (1, 2.0, 3)"),
+        ((2, 1, 3), {(1,): (2, 2)}, "node perm at 1 is not a permutation of 1..2: (2, 2)"),
+        ((2, 1, 3), {(3, 1, 2): (1.5, 2)}, "node perm at 3.1.2 has a non-integer entry: (1.5, 2)"),
+    ],
+)
+def test_portrait_errors_name_the_permutation(root, nodes, message):
+    with pytest.raises(ConfigError) as err:
+        au.Portrait(root, nodes)
+    assert str(err.value) == message
+
+
+def test_a_valid_portrait_formats_no_address(monkeypatch):
+    calls = []
+    monkeypatch.setattr(au, "format_address", lambda addr: calls.append(addr) or "")
+    au.random_portrait(tr.TreeParams(3), 4, np.random.default_rng(7))
+    assert calls == []
+
+
 def test_portrait_takes_numpy_integer_entries():
     p = au.Portrait(tuple(np.array([2, 1, 3])), {(1,): (np.int16(2), np.int64(1))})
     assert p == au.Portrait((2, 1, 3), {(1,): (2, 1)})

@@ -444,6 +444,7 @@ def letters_digest(outputs, width):
 DEEP_TABLE_SHA256 = {
     (3, 12): "d647f14a0011011095a50fbe5b01ccbaa618d6c93d36a933357ccbeeb6fa4f1b",
     (5, 9): "15d44894846b11c38f2abe74a30b2a85ce0a0d2a2b5ca4c86ff1763480996888",
+    (5, 10): "2fbb3ab3370617a978d9f141fbb3e169a412cea22b17b2dd5fcab29dfcf91d6a",
 }
 
 
@@ -453,6 +454,7 @@ def test_deeper_admissibility_tables_keep_their_bytes(capsys, q, depth):
 
         treerep admissibility-table --q 3 --depth 12 --no-timestamp | sha256sum
         treerep admissibility-table --q 5 --depth 9 --no-timestamp | sha256sum
+        treerep admissibility-table --q 5 --depth 10 --no-timestamp | sha256sum
     """
     code, out, _ = run_cli(
         capsys, "admissibility-table", "--q", str(q), "--depth", str(depth), "--no-timestamp"

@@ -262,6 +262,31 @@ def test_orbit_partition_is_the_labelled_orbit_cells_once_per_subtree(params):
         assert twin == tree and me.orbit_partition(twin) is not first
 
 
+@pytest.mark.parametrize(
+    "radius, idx, message",
+    [
+        (1, [1, 0, 2], "cell 1 overlaps cell 0 on index range [0, 1)"),
+        (1, [0, 0, 2], "cell 1 overlaps cell 0 on index range [0, 1)"),
+        (1, [0, 1], "cells leave a gap in the 3 depth-1 cylinders"),
+        (1, [1, 2], "cells leave a gap in the 3 depth-1 cylinders"),
+        (2, [0, 1, 3, 2, 4, 5], "cells leave a gap in the 6 depth-2 cylinders"),
+        (2, [0, 1, 2, 3, 4, 4], "cell 5 overlaps cell 4 on index range [4, 5)"),
+        (2, [0, 1, 2, 3, 4, 5, 6], "cells leave a gap in the 6 depth-2 cylinders"),
+    ],
+    ids=["swap", "repeat", "short", "late start", "skip", "repeat last", "past the end"],
+)
+def test_one_level_scans_that_do_not_tile_keep_their_messages(monkeypatch, radius, idx, message):
+    # a ball's scan, forged: every cell is still one cylinder at the grid's
+    # depth, so the labels come from the indices without a range table
+    ball = tr.closed_neighborhood(tr.FiniteSubtree(P2, [()]), radius)
+    idx = np.array(idx, dtype=np.int64)
+    forged = (radius, np.full(idx.size, radius, dtype=np.int64), idx, False)
+    monkeypatch.setattr(me, "_scan_orbit_anchors", lambda tree: forged)
+    with pytest.raises(PartitionError) as err:
+        me.orbit_partition(ball)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_orbits_below_a_leaf_top_vertex_match_the_oracle(q):
     # the top vertex is a leaf that is not the basepoint, so its orbit is

@@ -190,6 +190,21 @@ def test_build_pair_takes_only_an_integer_q():
     assert np.array_equal(pair.tau, op.build_pair(alpha, 2).tau)
 
 
+@pytest.mark.parametrize(
+    "z, q",
+    [(float("nan"), 2), (complex(1, float("inf")), 3), (-float("inf"), 2),
+     (0.1, 2.5), (0.1, 2.0), (0.1, 1), (0.1, True), (0.1, "2"), (0.1, None)],
+)
+def test_phi_scalar_takes_build_pairs_inputs_only(z, q):
+    # build_pair's rules: q an integer >= 2, and a finite alpha
+    with pytest.raises(OperatorDomainError):
+        op.phi_scalar(z, q)
+
+
+def test_phi_scalar_takes_a_numpy_integer_q():
+    assert op.phi_scalar(0.5 + 0.25j, np.int64(3)) == op.phi_scalar(0.5 + 0.25j, 3)
+
+
 def test_domain_guard_is_conservative_near_the_boundary():
     # the top two singular values differ by 1e-3 relative, which a power
     # iteration settles below the true norm; the exact norm is just outside
@@ -519,6 +534,12 @@ def test_guard_spectrum_rejects_a_numerically_singular_difference():
         op.guard_spectrum(forged)
     with pytest.raises(SpectralGuardError):
         rp.halftree_preimage(forged, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("pair", ["x", None, np.eye(2)], ids=["str", "None", "matrix"])
+def test_guard_spectrum_refuses_what_is_not_a_pair(pair):
+    with pytest.raises(OperatorDomainError, match="expected an OperatorPair"):
+        op.guard_spectrum(pair)
 
 
 def test_pair_norms_are_the_spectral_norms():

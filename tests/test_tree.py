@@ -422,6 +422,48 @@ def test_radius_one_steps_grow_from_the_last_shell(q, seed, size, idle):
     assert radius == max(0, params.depth_cap - max(map(len, verts)))
 
 
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 8),
+    st.integers(0, 1),
+    st.integers(1, 3),
+)
+def test_grown_valencies_are_the_valencies_built_from_scratch(q, seed, size, pre, radius):
+    # S is built from vertices (pre = 0) or is a closed neighbourhood; size
+    # 0 starts from the basepoint, so S and its neighbourhoods are balls,
+    # whose last two valency levels `_grown` writes down without a search
+    params = tr.TreeParams(q, depth_cap=6)
+    verts = grown_set(q, np.random.default_rng(seed), size, depth=2) if size else [()]
+    sub = tr.FiniteSubtree(params, verts)
+    if pre:
+        sub = tr.closed_neighborhood(sub, pre)
+    near = tr.closed_neighborhood(sub, radius)
+    scratch = tr.FiniteSubtree(params, near.vertices)
+    assert len(near.valencies) == len(scratch.valencies)
+    for got, want in zip(near.valencies, scratch.valencies):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_growing_a_ball_searches_no_level(monkeypatch):
+    # each radius step of a ball adds the children of its whole last level,
+    # so the valencies follow from q and need no parent lookup
+    calls = []
+
+    def spy(level, idx, exact=tr._positions):
+        calls.append(idx.size)
+        return exact(level, idx)
+
+    monkeypatch.setattr(tr, "_positions", spy)
+    params = tr.TreeParams(2, depth_cap=12)
+    ball = tr.FiniteSubtree(params, [()])
+    for r in range(1, 12):
+        ball = tr.closed_neighborhood(ball, 1)
+        assert ball.valencies[r].tolist() == [1] * tr.n_addresses(params, r)
+        assert all((val == 3).all() for val in ball.valencies[:r])
+    assert calls == []
+
+
 def test_closed_neighborhood_grows_across_the_int64_boundary():
     # at q = 10 depth 18 is the last int64 level: from a path to depth 18,
     # the first shell reaches depth 19 and the second merges the children
