@@ -87,11 +87,14 @@ def canonicalize(params: TreeParams, cell: EndCell) -> EndCell:
     """Collapse a half-tree pointing away from the basepoint to a cylinder.
 
     The surviving half-tree shape always points toward the basepoint,
-    i.e. describes the complement of the cylinder at its tail.
+    i.e. describes the complement of the cylinder at its tail.  Anything
+    but a Cylinder or a Halftree raises MalformedAddressError.
     """
     if isinstance(cell, Cylinder):
         check_address(params, cell.base, allow_deep=True)
         return cell
+    if not isinstance(cell, Halftree):
+        raise MalformedAddressError(f"expected a Cylinder or Halftree, got {type(cell).__name__}")
     check_address(params, cell.tail, allow_deep=True)
     check_address(params, cell.head, allow_deep=True)
     if cell.head != ROOT and parent(cell.head) == cell.tail:

@@ -22,18 +22,19 @@ the cap raise DepthBudgetError rather than truncating silently.
 Addresses of one depth are numbered in lexicographic order, and a finite
 subtree is one sorted array of these numbers per depth
 (`FiniteSubtree.levels`).  Parent and children are index arithmetic on
-those arrays, so connectivity and valencies cost one searchsorted per
-depth and a closed neighbourhood at most one stable sort per old level
-its shell reaches, not one Python step per vertex; a ball's radius step
-costs neither.  Every subtree carries a shell, the vertices that may
+those arrays, so a subtree built from vertices costs one searchsorted per
+depth to check and a closed neighbourhood at most one stable sort per old
+level its shell reaches, not one Python step per vertex; a ball's radius
+step sorts nothing.  Every subtree carries a shell, the vertices that may
 lack a neighbour inside it: all of them when it is built from vertices,
 the ones it added last when it is a closed neighbourhood.  The next
 neighbourhood grows from the shell alone, and completeness and the orbit
-scan read only its depths.  A level the shell adds nothing to stays the
-same array, and valencies are carried with it: one is recomputed only
-where its level or a neighbouring level changed.  Growing a ball by one
-therefore costs what its new shell costs.  The set of address tuples is
-built from the levels only when a caller asks for it.
+scan read only its depths.  Geodesics are unique, so a vertex at distance
+j >= 1 from a connected S has one neighbour at distance j-1 and the rest
+at j+1: in N_r(S), r >= 1, the last shell has valency 1 and every other
+vertex q+1, with no search.  Growing a ball by one therefore costs what
+its new shell costs.  The set of address tuples is built from the levels
+only when a caller asks for it.
 Indices are int64 while every address of their depth fits in it and
 Python integers past that (`_index_dtype`); the index decoder
 (`_letters`) and the prefix fold follow that rule, and so do the portrait
@@ -352,45 +353,28 @@ class FiniteSubtree:
         self.valencies = tuple(_valency(ups, k) for k in range(len(levels)))
 
     @classmethod
-    def _grown(
-        cls, tree: "FiniteSubtree", levels: tuple[np.ndarray, ...], shell: tuple[np.ndarray, ...]
-    ) -> "FiniteSubtree":
-        """The subtree with these level arrays, grown from `tree` by adding
-        the vertices of `shell`.  A level that did not change must be the
-        very array of `tree`: valency k is taken over from `tree` when
-        levels k-1, k and k+1 all are.
-
-        One case needs no search either.  When the growth adds a single
-        level, below a last old level that is all shell and kept along
-        with the level above it, the new level is all the children of
-        that old level: each old vertex gains its q children (q+1 at the
-        basepoint) and each new vertex has valency 1.  This is every
-        radius step of a ball.  Every other changed valency is computed
-        from the uplinks of its level and the next."""
-        old, n = tree.levels, len(levels)
-        kept = [k < len(old) and levels[k] is old[k] for k in range(n)] + [n == len(old)]
-        stale = {k for k in range(n) if not (kept[k] and kept[k + 1] and (k == 0 or kept[k - 1]))}
-        known = {}
-        last = len(old) - 1
-        if (
-            n == last + 2
-            and kept[last]
-            and (last == 0 or kept[last - 1])
-            and tree._shell[last].size == old[last].size
-        ):
-            q = tree.params.q
-            known[last] = tree.valencies[last] + (q + 1 if last == 0 else q)
-            known[last + 1] = np.ones(levels[last + 1].size, dtype=np.int64)
-        stale -= known.keys()
-        ups = {j: _uplinks(tree.params, levels, j) for j in stale | {k + 1 for k in stale}}
-        known.update((k, _valency(ups, k)) for k in stale)
-        valencies = tuple(known[k] if k in known else tree.valencies[k] for k in range(n))
+    def _grown(cls, tree: "FiniteSubtree", levels: tuple, shell: tuple, added: dict):
+        """N_r(tree), r >= 1, from its levels and last shell; `added[k]` marks
+        the vertices the last radius step added to level k.  Geodesics are
+        unique, so a vertex at distance j >= 1 from the connected `tree` has
+        one neighbour at distance j-1 and the rest at j+1: the last shell has
+        valency 1 and every other vertex q+1.  A level that is `tree`'s own
+        array and held none of its shell keeps `tree`'s valencies, all q+1."""
+        full = tree.params.q + 1
+        old = tree.levels
         out = cls.__new__(cls)
         out.params = tree.params
         out._vertices = None
         out._shell = shell
         out.levels = levels
-        out.valencies = valencies
+        out.valencies = tuple(
+            np.where(added[k], 1, full)
+            if k in added
+            else tree.valencies[k]
+            if k < len(old) and level is old[k] and not tree._shell[k].size
+            else np.full(level.size, full)
+            for k, level in enumerate(levels)
+        )
         return out
 
     @property
@@ -432,6 +416,11 @@ def _open_depths(tree: FiniteSubtree) -> list[int]:
     return [k for k, idx in enumerate(tree._shell) if idx.size]
 
 
+def _check_subtree(tree) -> None:
+    if not isinstance(tree, FiniteSubtree):
+        raise SubtreeError(f"expected a FiniteSubtree, got {type(tree).__name__}")
+
+
 def is_complete(tree: FiniteSubtree) -> bool:
     """True iff every vertex is a leaf of S (valency <= 1) or has full
     valency q+1 within S.
@@ -440,6 +429,7 @@ def is_complete(tree: FiniteSubtree) -> bool:
     two is not, since its middle vertex has valency 2.  Only the depths of
     `_open_depths` are read: every other vertex is full.
     """
+    _check_subtree(tree)
     full = tree.params.q + 1
     val = tree.valencies
     return all(((val[k] == full) | (val[k] <= 1)).all() for k in _open_depths(tree))
@@ -448,29 +438,31 @@ def is_complete(tree: FiniteSubtree) -> bool:
 def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
     """All vertices within the given distance of S.  Always complete.
 
-    Grows S one shell at a time, starting from the shell S carries: all
-    of S when it was built from vertices, the shell it added last when it
-    is a closed neighbourhood (every other vertex of S already has all
-    its neighbours inside).  The parent of every vertex but the top one
-    (the basepoint, or the one vertex whose parent lies outside) is in the set,
-    so a shell reaches a depth with one sorted array of distinct indices:
-    the children of the shell one depth up, or the parent of the top
-    vertex.  Into an empty level that array goes as it is, and it is all
-    shell.  Into an old level, one stable sort of the old level followed
-    by the reach keeps each value's first copy: that is the new level, and
-    since the old level comes first, the first copies that come from the
-    reach are the next shell.  A level the reach adds nothing to stays the
-    same array, and the result keeps the valencies of `tree` wherever a
-    level and its two neighbours stayed (`FiniteSubtree._grown`); it
-    carries its last shell for the next call.  A radius-1 step of a ball
-    adds the children of its whole last level and nothing else, so its
-    valencies follow from q with no search and no sort.  Object-dtype
-    levels sort as Python integers.
+    Radius 0 returns S itself.  Otherwise S grows one shell at a time,
+    from the shell S carries: all of S when it was built from vertices,
+    the shell it added last when it is a closed neighbourhood (every other
+    vertex of S already has all its neighbours inside).  The parent of
+    every vertex but the top one (the basepoint, or the one vertex whose
+    parent lies outside) is in the set, so a shell reaches a depth with one
+    sorted array of distinct indices: the children of the shell one depth
+    up, or the parent of the top vertex.  Into an empty level that array
+    goes as it is, and it is all shell.  Into an old level, one stable sort
+    of the old level followed by the reach keeps each value's first copy:
+    that is the new level, and since the old level comes first, the first
+    copies that come from the reach are the next shell.  A level the reach
+    adds nothing to stays the same array.  The last shell has valency 1
+    and every other vertex q+1, since a vertex at distance j >= 1 from S
+    has one neighbour at distance j-1 and the rest at j+1
+    (`FiniteSubtree._grown`).  The result carries its last shell for the
+    next call.  Object-dtype levels sort as Python integers.
     """
+    _check_subtree(tree)
     if not isinstance(radius, (int, np.integer)):
         raise ConfigError(f"radius must be an integer, got {radius!r}")
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
+    if not radius:
+        return tree
     params = tree.params
     cap = params.depth_cap
     current = list(tree.levels)
@@ -484,16 +476,20 @@ def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
             reach[top - 1] = _parent_indices(params, top, current[top])
         current.append(_empty_level(params, len(current)))
         frontier = [_empty_level(params, k) for k in range(len(current))]
+        added = {}
         for k, idx in reach.items():
             if not current[k].size:
                 current[k] = frontier[k] = idx
+                added[k] = np.ones(idx.size, dtype=bool)
                 continue
             both = np.concatenate([current[k], idx])
             order = np.argsort(both, kind="stable")
             both = both[order]
             first = np.ones(both.size, dtype=bool)
             first[1:] = both[1:] != both[:-1]
-            frontier[k] = both[first & (order >= current[k].size)]
+            fresh = first & (order >= current[k].size)
+            frontier[k] = both[fresh]
             if frontier[k].size:
                 current[k] = both[first]
-    return FiniteSubtree._grown(tree, tuple(current), tuple(frontier))
+                added[k] = fresh[first]
+    return FiniteSubtree._grown(tree, tuple(current), tuple(frontier), added)

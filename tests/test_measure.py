@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from treerep import automorphism as au
 from treerep import measure as me
+from treerep import representation as rep
 from treerep import tree as tr
 from treerep.errors import (
     CylinderTooShallowError,
@@ -52,6 +53,26 @@ def test_canonicalize_collapses_outward_halftrees():
         me.canonicalize(P2, me.Halftree((1,), (2, 1)))  # not adjacent
     with pytest.raises(MalformedAddressError):
         me.canonicalize(P2, me.Halftree((1,), (1,)))
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        pytest.param(lambda: me.canonicalize(P2, [(1,)]), "list", id="canonicalize"),
+        pytest.param(lambda: me.rn_cocycle(au.edge_inversion(P2), (1,)), "tuple", id="rn_cocycle"),
+        pytest.param(lambda: me.cell_measure(P2, "x"), "str", id="cell_measure"),
+        pytest.param(lambda: me.map_cell(au.edge_inversion(P2), None), "NoneType", id="map_cell"),
+        pytest.param(lambda: me.cell_index_ranges(P2, (1,), 2), "tuple", id="cell_index_ranges"),
+        pytest.param(lambda: me.assert_partition(P2, [(1,)]), "tuple", id="assert_partition"),
+        pytest.param(
+            lambda: rep.indicator_fn(P2, (1,), np.ones(2)), "tuple", id="indicator_fn"
+        ),
+    ],
+)
+def test_cell_callers_refuse_what_is_not_a_cell(call, kind):
+    # every one of them canonicalizes its cell first
+    with pytest.raises(MalformedAddressError, match=f"expected a Cylinder or Halftree, got {kind}$"):
+        call()
 
 
 def test_cell_json_shape():

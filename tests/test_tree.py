@@ -431,8 +431,9 @@ def test_radius_one_steps_grow_from_the_last_shell(q, seed, size, idle):
 )
 def test_grown_valencies_are_the_valencies_built_from_scratch(q, seed, size, pre, radius):
     # S is built from vertices (pre = 0) or is a closed neighbourhood; size
-    # 0 starts from the basepoint, so S and its neighbourhoods are balls,
-    # whose last two valency levels `_grown` writes down without a search
+    # 0 starts from the basepoint, so S and its neighbourhoods are balls.
+    # `_grown` reads the valencies off the last shell, and the same set
+    # built from vertices counts them with uplink searches: the reference
     params = tr.TreeParams(q, depth_cap=6)
     verts = grown_set(q, np.random.default_rng(seed), size, depth=2) if size else [()]
     sub = tr.FiniteSubtree(params, verts)
@@ -445,23 +446,56 @@ def test_grown_valencies_are_the_valencies_built_from_scratch(q, seed, size, pre
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_growing_a_ball_searches_no_level(monkeypatch):
-    # each radius step of a ball adds the children of its whole last level,
-    # so the valencies follow from q and need no parent lookup
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(0, 1),
+    st.integers(1, 3),
+)
+def test_growing_a_closed_neighbourhood_searches_no_level(q, seed, size, pre, radius):
+    # a vertex at distance j >= 1 from S has one neighbour at distance j-1
+    # and the rest at j+1, so N_r(S) has valency 1 on its last shell and
+    # q+1 elsewhere, and growing any start, ragged or not, looks up no
+    # parent; S is a closed neighbourhood when pre = 1, built before the spy
+    params = tr.TreeParams(q, depth_cap=7)
+    verts = grown_set(q, np.random.default_rng(seed), size, depth=3)
+    sub = tr.FiniteSubtree(params, verts)
+    if pre:
+        sub = tr.closed_neighborhood(sub, pre)
     calls = []
 
-    def spy(level, idx, exact=tr._positions):
-        calls.append(idx.size)
-        return exact(level, idx)
+    def spying(name, exact):
+        def spy(*args):
+            calls.append(name)
+            return exact(*args)
 
-    monkeypatch.setattr(tr, "_positions", spy)
-    params = tr.TreeParams(2, depth_cap=12)
-    ball = tr.FiniteSubtree(params, [()])
-    for r in range(1, 12):
-        ball = tr.closed_neighborhood(ball, 1)
-        assert ball.valencies[r].tolist() == [1] * tr.n_addresses(params, r)
-        assert all((val == 3).all() for val in ball.valencies[:r])
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_positions", "_uplinks"):
+            mp.setattr(tr, name, spying(name, getattr(tr, name)))
+        assert tr.closed_neighborhood(sub, 0) is sub
+        near = tr.closed_neighborhood(sub, radius)
     assert calls == []
+    want = oracles.neighborhood(q, verts, pre + radius)
+    last = want - oracles.neighborhood(q, verts, pre + radius - 1)
+    got = {
+        (k, i): val
+        for k, (idx, vals) in enumerate(zip(near.levels, near.valencies))
+        for i, val in zip(idx.tolist(), vals.tolist())
+    }
+    assert got == {(len(v), oracles.lex_index(q, v)): 1 if v in last else q + 1 for v in want}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: tr.closed_neighborhood([()], 1), lambda: tr.is_complete(None)],
+    ids=["closed_neighborhood", "is_complete"],
+)
+def test_subtree_helpers_refuse_what_is_not_a_subtree(call):
+    with pytest.raises(SubtreeError, match="expected a FiniteSubtree, got (list|NoneType)"):
+        call()
 
 
 def test_closed_neighborhood_grows_across_the_int64_boundary():
