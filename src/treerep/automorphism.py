@@ -42,7 +42,18 @@ Levels above the shortest row read whole columns, deeper ones only the
 rows that reach them.  The edge inversion shifts every row one letter to
 the right as one column block, writing the image (1, a1 - 1, a2, ...) of
 every row, and copies the image of the rows starting with 1 over it, with
-no per-row branch.
+no per-row branch.  Only rows shorter than two letters (the basepoint,
+and the neighbours that become it) need per-row length tests; when the
+shortest row has two letters, one min pass replaces them.
+
+A word is evaluated in one buffer: apply_batch pads a copy of its input
+and hands it to every step.  A portrait step rewrites its level columns
+of that buffer in place.  Forward, later levels key on the original
+letters, so each level folds its column into the running prefix index
+before it overwrites the column; backward they key on the image letters,
+which are in place already.  The edge inversion writes its images into a
+new buffer.  A generator's batch called on its own works on a copy and
+never writes into its input.
 
 An automorphism is a word of (generator, inverted) pairs applied left to
 right; composition concatenates words, inversion reverses the word and
@@ -64,6 +75,7 @@ from .tree import (
     ROOT,
     Address,
     TreeParams,
+    _fold,
     _index_dtype,
     addresses_at_depth,
     check_address,
@@ -178,35 +190,37 @@ class PortraitGen:
             out.append(perm[letter - 1] if perm else letter)
         return tuple(out)
 
-    def batch(self, letters: np.ndarray, lengths: np.ndarray, inverted: bool):
+    def batch(self, letters: np.ndarray, lengths: np.ndarray, inverted: bool, *, _owned: bool = False):
         # the keying rule of `apply`: the running prefix index reads the
         # original letters forward, the image letters written so far
         # backward; levels past the deepest vertex are the identity.  Above
         # the shortest row every row takes part, and a level holding every
-        # vertex of its depth is keyed by the prefix index itself.
-        out = letters.copy(order="K")  # a plain copy() is row-major
-        ref = out if inverted else letters
+        # vertex of its depth is keyed by the prefix index itself.  Each
+        # level rewrites its own column of one buffer: `letters` itself
+        # when the caller hands it over (`_owned`, apply_batch's word
+        # buffer), else a copy, so a plain call never writes its input.
+        out = letters if _owned else letters.copy(order="K")  # a plain copy() is row-major
         q = self.portrait.q
+        last = self._levels[-1][0]
         reach = int(lengths.min()) if lengths.size else 0
-        idx = np.zeros(letters.shape[0], dtype=np.int64)
+        idx = np.zeros(out.shape[0], dtype=np.int64)
         done = 0  # columns folded into idx
         for j, keys, fwd, inv in self._levels:
-            if j >= letters.shape[1]:
+            if j >= out.shape[1]:
                 break
             full = not j or keys.size == (q + 1) * q ** (j - 1)  # every vertex of depth j
+            # columns not yet folded hold the original letters forward
+            # (a level folds its column before rewriting it), the images
+            # backward
             idx = idx.astype(_index_dtype(q, j), copy=False)
             for k in range(done, j):
-                idx *= q
-                idx += ref[:, k]
-                idx -= 1
+                _fold(idx, out[:, k], q)
             done = j
             if full and j < reach and not inverted:
                 # a row's child position in the flat table is the index of
                 # its depth-(j + 1) prefix (int64: the table holds every
                 # such prefix), so the fold of column j keys the level
-                idx *= q
-                idx += letters[:, j]
-                idx -= 1
+                _fold(idx, out[:, j], q)
                 done = j + 1
                 out[:, j] = fwd[1:][idx]
                 continue
@@ -220,7 +234,12 @@ class PortraitGen:
                 pos = pos[hit]
             # one flat gather: two index arrays into a 2-d table cost twice as
             # much; the basepoint level's one vertex sits at position 0
-            out[rows, j] = table[pos * q + letters[rows, j]]
+            pos = pos * q + out[rows, j]
+            if not inverted and j < last:  # fold column j before overwriting it
+                idx = idx.astype(_index_dtype(q, j + 1), copy=False)
+                _fold(idx, out[:, j], q)
+                done = j + 1
+            out[rows, j] = table[pos]
         return out, lengths
 
     def to_json_obj(self) -> dict:
@@ -248,11 +267,17 @@ class EdgeInversionGen:
             return (addr[1] + 1,) + addr[2:]
         return (1, addr[0] - 1) + addr[1:]
 
-    def batch(self, letters: np.ndarray, lengths: np.ndarray, inverted: bool):
+    def batch(self, letters: np.ndarray, lengths: np.ndarray, inverted: bool, *, _owned: bool = False):
         # every row gets the down image (1, a1 - 1, a2, ...), then the rows
         # starting with 1 take the up image (a2 + 1, a3, ...) over it and
-        # the basepoint rows (1)
-        up = (lengths >= 1) & (letters[:, 0] == 1)
+        # the basepoint rows (1).  The images go to a new buffer whether or
+        # not the caller hands `letters` over.  Where every row has two
+        # letters or more, no row is the basepoint or becomes it, so the
+        # three per-row length tests are one min pass.
+        deep = lengths.size and lengths.min() >= 2
+        up = letters[:, 0] == 1
+        if not deep:
+            up &= lengths >= 1
         new = lengths + (1 - 2 * up.view(np.int8))  # the +-1 steps in int8, one int64 pass
         if lengths.max(initial=0) >= letters.shape[1] and np.any(new > letters.shape[1]):
             raise MalformedAddressError("batch buffer too narrow for an inversion step")
@@ -262,8 +287,11 @@ class EdgeInversionGen:
         out[:, 1:2] -= 1
         np.copyto(out[:, :-1], letters[:, 1:], where=up[:, None])
         np.copyto(out[:, -1], 0, where=up)
-        out[:, 0] += up & (lengths >= 2)
-        out[lengths == 0, 1:] = 0
+        if deep:
+            out[:, 0] += up
+        else:
+            out[:, 0] += up & (lengths >= 2)
+            out[lengths == 0, 1:] = 0
         return out, new
 
     def to_json_obj(self) -> dict:
@@ -306,7 +334,13 @@ class TreeAutomorphism:
         be a valid letter for its position (`TreeParams.letter_range`);
         anything else raises MalformedAddressError.  The images come
         back column-major, in an (n, width + word_cost()) matrix of the
-        input's dtype, with their lengths.
+        input's dtype, with their lengths; the input is not written.
+
+        The word runs in one buffer: a copy of `letters` with zeroed
+        padding columns, rewritten in place by every portrait step and
+        replaced by each edge inversion's image buffer (see the module
+        docstring for the fold-before-overwrite rule and for when the
+        inversion takes its per-row length tests).
         """
         letters = np.asarray(letters)
         lengths = np.array(lengths)
@@ -338,12 +372,12 @@ class TreeAutomorphism:
                 f"letters must lie in 1..{q + 1} at position 0 and in 1..{q} after it, "
                 f"within each row's length (q={q})"
             )
-        out = np.zeros((n, width + self.word_cost()), dtype=letters.dtype, order="F")
+        out = np.empty((n, width + self.word_cost()), dtype=letters.dtype, order="F")
+        out[:, width:] = 0
         out[:, :width] = letters
-        letters = out
         for gen, flag in self.word:
-            letters, lengths = gen.batch(letters, lengths, flag)
-        return letters, lengths
+            out, lengths = gen.batch(out, lengths, flag, _owned=True)
+        return out, lengths
 
     # -- algebra ------------------------------------------------------------
 
@@ -381,7 +415,14 @@ def identity(params: TreeParams) -> TreeAutomorphism:
     return TreeAutomorphism(params, [])
 
 
+def _check_automorphism(g) -> None:
+    if not isinstance(g, TreeAutomorphism):
+        raise ConfigError(f"expected a TreeAutomorphism, got {type(g).__name__}")
+
+
 def from_portrait(params: TreeParams, portrait: Portrait) -> TreeAutomorphism:
+    if not isinstance(portrait, Portrait):
+        raise ConfigError(f"expected a Portrait, got {type(portrait).__name__}")
     if portrait.q != params.q:
         raise ConfigError(f"portrait is for q={portrait.q}, tree has q={params.q}")
     for addr in portrait.node_perms:
@@ -395,6 +436,8 @@ def edge_inversion(params: TreeParams) -> TreeAutomorphism:
 
 def compose(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
     """g after h (apply h first)."""
+    _check_automorphism(g)
+    _check_automorphism(h)
     if g.params != h.params:
         raise ConfigError("cannot compose automorphisms over different trees")
     out = TreeAutomorphism(g.params, h.word + g.word)

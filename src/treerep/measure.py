@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automorphism import TreeAutomorphism
+from .automorphism import TreeAutomorphism, _check_automorphism
 from .errors import (
     CylinderTooShallowError,
     DepthBudgetError,
@@ -407,6 +407,7 @@ def _exit_vertex(cell: EndCell) -> Address:
 
 def map_cell(g: TreeAutomorphism, cell: EndCell) -> EndCell:
     """Image of a cell under the boundary action of g."""
+    _check_automorphism(g)
     params = g.params
     cell = canonicalize(params, cell)
     if isinstance(cell, Cylinder):
@@ -439,6 +440,7 @@ def rn_cocycle(g: TreeAutomorphism, cell: EndCell) -> Fraction:
     and the composition law reads
     rn_cocycle(g h, c) = rn_cocycle(g, c) * rn_cocycle(h, g^-1 . c).
     """
+    _check_automorphism(g)
     params = g.params
     cell = canonicalize(params, cell)
     y = g.x0_image

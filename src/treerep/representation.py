@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import measure as bm
-from .automorphism import TreeAutomorphism, edge_inversion
+from .automorphism import TreeAutomorphism, _check_automorphism, edge_inversion
 from .errors import (
     ConfigError,
     DepthBudgetError,
@@ -55,6 +55,7 @@ from .tree import (
     Address,
     FiniteSubtree,
     TreeParams,
+    _check_subtree,
     index_unchecked,
     letter_matrix,
     n_addresses,
@@ -163,6 +164,11 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
     times n_m plus its lookup row.  For D = 0 the one slot is the product
     by the identity, which is exact.
     """
+    _check_automorphism(g)
+    if not isinstance(v, StepFunction):
+        raise ConfigError(f"expected a StepFunction, got {type(v).__name__}")
+    if not isinstance(pair, OperatorPair):
+        raise ConfigError(f"expected an OperatorPair, got {type(pair).__name__}")
     params = v.params
     if g.params != params:
         raise ConfigError("automorphism and step function use different tree parameters")
@@ -212,6 +218,7 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
     so the sums are those of a row-by-row loop, bit for bit.  Raises
     PartitionError if the orbit cells do not tile the boundary.
     """
+    _check_subtree(tree)
     params = v.params
     if tree.params != params:
         raise ConfigError("subtree and step function use different tree parameters")
@@ -272,6 +279,7 @@ def fixed_space_report(tree: FiniteSubtree) -> int:
     coordinate, so the scalar check covers every fiber dimension.  The
     probe and the average share the subtree's one orbit_partition.
     """
+    _check_subtree(tree)
     params = tree.params
     count, m, labels = bm.orbit_partition(tree)
     probe = (labels + 1)[:, None].astype(np.complex128)

@@ -242,18 +242,35 @@ def address_from_index(params: TreeParams, depth: int, idx: int) -> Address:
 def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
     """Vectorized index_unchecked of the depth-m prefix of every row.
 
-    Rows must have length >= m.  The result has `_index_dtype`'s dtype
-    for depth m: int64, or Python integers where the depth outgrows it.
+    `letters` is an (n, width) matrix, `m` a depth of at most width, and
+    `lengths` holds one length per row, each >= m.  The result has
+    `_index_dtype`'s dtype for depth m: int64, or Python integers where
+    the depth outgrows it.
     """
+    _check_depth(m)
+    if np.ndim(letters) != 2 or m > letters.shape[1]:
+        raise MalformedAddressError(
+            f"letters must be an (n, width) matrix with width >= {m}, got shape {np.shape(letters)}"
+        )
+    if np.shape(lengths) != letters.shape[:1]:
+        raise MalformedAddressError(
+            f"lengths must be {letters.shape[0]} integers, got shape {np.shape(lengths)}"
+        )
     if m and np.any(lengths < m):
         raise MalformedAddressError(f"a row is shorter than the requested prefix length {m}")
-    dtype = _index_dtype(params.q, m)
-    idx = np.zeros(letters.shape[0], dtype=dtype)
+    idx = np.zeros(letters.shape[0], dtype=_index_dtype(params.q, m))
     for j in range(m):
-        idx *= params.q
-        idx += letters[:, j]
-        idx -= 1
+        _fold(idx, letters[:, j], params.q)
     return idx
+
+
+def _fold(idx: np.ndarray, column: np.ndarray, q: int) -> None:
+    """Move prefix indices on by one letter column, in place: the index of
+    a[:j + 1] is q times that of a[:j], plus a[j] - 1 (depth 0 is index 0,
+    so a first letter a gives a - 1)."""
+    idx *= q
+    idx += column
+    idx -= 1
 
 
 # ---------------------------------------------------------------------------

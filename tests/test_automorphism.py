@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -516,6 +517,56 @@ def test_apply_batch_matches_apply_vertex_on_mixed_words(q_cap, seed):
     for row, k in enumerate(lengths):
         v = tuple(int(x) for x in letters[row, :k])
         assert tuple(int(x) for x in out[row, : out_lengths[row]]) == g.apply_vertex(v)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_batches_leave_a_writable_input_unchanged(dtype, order):
+    # a portrait rewrites level columns in place: in apply_batch's own
+    # buffer, or in a copy when its batch is called directly; dense and
+    # sparse levels, above and below the shortest row, both directions
+    params = tr.TreeParams(3, 5)
+    rng = np.random.default_rng(11)
+    letters = np.pad(tr.letter_matrix(params, 4), ((0, 0), (0, 1)))  # room for an inversion
+    letters = np.array(letters, dtype=dtype, order=order)
+    lengths = rng.integers(2, 5, letters.shape[0])
+    lengths[::7] = rng.integers(0, 2, lengths[::7].size)
+    dense = au.random_portrait(params, 4, rng)
+    sparse = au.Portrait(
+        dense.root_perm, {a: p for a, p in dense.node_perms.items() if rng.random() < 0.3}
+    )
+    gens = [au.PortraitGen(dense), au.PortraitGen(sparse), au.EdgeInversionGen()]
+    g = au.TreeAutomorphism(params, [(gen, flag) for gen in gens for flag in (False, True)])
+    before, lengths_before = letters.copy(order="K"), lengths.copy()
+    assert letters.flags.writeable
+    for gen, flag in g.word:
+        gen.batch(letters, lengths, flag)
+        assert np.array_equal(letters, before) and np.array_equal(lengths, lengths_before)
+    out, out_lengths = g.apply_batch(letters, lengths)
+    assert np.array_equal(letters, before) and np.array_equal(lengths, lengths_before)
+    assert out.dtype == dtype and out.flags.f_contiguous
+    for row, k in enumerate(lengths):
+        v = tuple(int(x) for x in letters[row, :k])
+        assert tuple(int(x) for x in out[row, : out_lengths[row]]) == g.apply_vertex(v)
+
+
+def test_a_portrait_word_keeps_its_images_in_one_buffer():
+    # a depth-5 portrait at q = 5, cap 7 (93,750 rows): the word's buffer,
+    # the running prefix index and the copied lengths come to about 2.3
+    # times the letter matrix; one more copy of it, such as a copy per
+    # generator step, crosses 2.5 times
+    params = tr.TreeParams(5, 7)
+    g = au.from_portrait(params, au.random_portrait(params, 5, np.random.default_rng(5)))
+    letters = tr.letter_matrix(params, 7)
+    lengths = np.full(letters.shape[0], 7)
+    g.apply_batch(letters, lengths)  # numpy's lazy set-up is not the word's
+    tracemalloc.start()
+    try:
+        g.apply_batch(letters, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * letters.nbytes
 
 
 def test_apply_batch_checks_its_input():

@@ -10,12 +10,14 @@ from treerep import measure as me
 from treerep import representation as rep
 from treerep import tree as tr
 from treerep.errors import (
+    ConfigError,
     CylinderTooShallowError,
     DepthBudgetError,
     MalformedAddressError,
     PartitionError,
     PruningError,
     RefinementError,
+    SubtreeError,
 )
 from treerep.suites import replay_pruning_pair
 
@@ -72,6 +74,40 @@ def test_canonicalize_collapses_outward_halftrees():
 def test_cell_callers_refuse_what_is_not_a_cell(call, kind):
     # every one of them canonicalizes its cell first
     with pytest.raises(MalformedAddressError, match=f"expected a Cylinder or Halftree, got {kind}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: rep.haar_average_fix("t", rep.constant_fn(P2, 1.0)),
+            SubtreeError,
+            "expected a FiniteSubtree, got str$",
+            id="haar_average_fix",
+        ),
+        pytest.param(
+            lambda: rep.fixed_space_report("t"),
+            SubtreeError,
+            "expected a FiniteSubtree, got str$",
+            id="fixed_space_report",
+        ),
+        pytest.param(
+            lambda: me.map_cell("g", me.Cylinder((1,))),
+            ConfigError,
+            "expected a TreeAutomorphism, got str$",
+            id="map_cell",
+        ),
+        pytest.param(
+            lambda: me.rn_cocycle(None, me.Cylinder((1,))),
+            ConfigError,
+            "expected a TreeAutomorphism, got NoneType$",
+            id="rn_cocycle",
+        ),
+    ],
+)
+def test_stabilizer_and_measure_helpers_refuse_wrong_types(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 

@@ -303,6 +303,27 @@ def test_pi_dimension_mismatch():
         rp.pi_apply(au.edge_inversion(P2), v, pair)
 
 
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda g, v, pair: rp.pi_apply(g, "x", pair), "a StepFunction, got str", id="pi_apply-v"),
+        pytest.param(
+            lambda g, v, pair: rp.pi_apply("g", v, pair), "a TreeAutomorphism, got str", id="pi_apply-g"
+        ),
+        pytest.param(
+            lambda g, v, pair: rp.pi_apply(g, v, None), "an OperatorPair, got NoneType", id="pi_apply-pair"
+        ),
+        pytest.param(lambda g, v, pair: au.compose(g, "h"), "a TreeAutomorphism, got str", id="compose"),
+        pytest.param(lambda g, v, pair: au.from_portrait(P2, "p"), "a Portrait, got str", id="from_portrait"),
+    ],
+)
+def test_action_entry_points_refuse_wrong_types(call, expected):
+    _, _, pair = build_rng_pair(P2, 2, 42)
+    g, v = au.step_translation(P2), rp.constant_fn(P2, np.ones(2))
+    with pytest.raises(ConfigError, match=f"expected {expected}$"):
+        call(g, v, pair)
+
+
 def test_indicator_fn_refuses_a_value_that_is_not_a_vector():
     # a (2, 2) value once filled the cell's two rows with different rows
     half = me.canonicalize(P2, me.Halftree((1,), ()))

@@ -211,6 +211,25 @@ def test_prefix_indices_past_int64_do_not_wrap():
     assert type(idx[1]) is int
 
 
+@pytest.mark.parametrize(
+    "columns, lengths, m, error, message",
+    [
+        pytest.param(4, np.full(3, 4), 2, MalformedAddressError, "lengths must be 24", id="3-lengths"),
+        pytest.param(4, np.full((24, 1), 4), 2, MalformedAddressError, "lengths must be 24", id="column"),
+        pytest.param(4, np.full(24, 4), -1, ConfigError, "depth must be", id="negative-m"),
+        pytest.param(4, np.full(24, 4), 2.0, ConfigError, "depth must be", id="float-m"),
+        pytest.param(4, np.full(24, 9), 6, MalformedAddressError, "width >= 6", id="m-past-width"),
+        pytest.param(0, np.full(24, 4), 1, MalformedAddressError, "letters must be", id="vector"),
+    ],
+)
+def test_prefix_indices_checks_its_input(columns, lengths, m, error, message):
+    # `columns` 4: the 24-row depth-4 matrix; 0: its first column alone
+    full = tr.letter_matrix(P2, 4)
+    letters = full if columns else full[:, 0]
+    with pytest.raises(error, match=message):
+        tr.prefix_indices(P2, letters, lengths, m)
+
+
 # -- finite subtrees ----------------------------------------------------------
 
 
