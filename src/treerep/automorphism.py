@@ -21,6 +21,16 @@ inversion, then (for j >= 2) the portrait swapping branches 1 and j.  Both
 are constant words, built once per tree and shared; so are their
 generators' level tables, which are read-only.
 
+A portrait generator is built with its portrait and forward scalar lookup
+only.  Its level tables (below) and its inverse scalar lookup are built on
+first use: a random_word used only through apply_vertex, the boundary-cell
+maps or its JSON form never builds a table, its first batch builds them
+once, and its inverse, which holds the same generators, reuses them.  Most
+suite words never run a batch.  from_portrait builds the tables with the
+word instead: a word built from a given portrait (the constant words, a
+benchmark's or a caller's own) is built to act, so its first batch should
+not pay for them, and a set-up that builds such words keeps that work.
+
 Letter matrices (one address per row, with a length per row) are
 column-major, as `tree` lays them out, so each step below reads or writes
 whole contiguous columns; every batch output is column-major, and a
@@ -65,6 +75,7 @@ from the basepoint (the displacement) are cached at construction.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -81,16 +92,22 @@ from .tree import (
     check_address,
     format_address,
     index_unchecked,
+    n_addresses,
 )
+
+
+_PERM_TYPES = (tuple, list, np.ndarray)
 
 
 def _check_perm(perm: Sequence[int], n: int, addr: Address) -> tuple[int, ...]:
     # the permutation below vertex addr; entries are letters: integers,
     # never truncated to one.  The error names the vertex, formatted only
     # on failure (a random portrait checks hundreds of nodes)
-    if not all(isinstance(x, (int, np.integer)) for x in perm):
+    if not isinstance(perm, _PERM_TYPES):
+        raise ConfigError(f"{_perm_label(addr)} must be a tuple of letters, got {type(perm).__name__}")
+    if not all(map(isinstance, perm, itertools.repeat((int, np.integer)))):
         raise ConfigError(f"{_perm_label(addr)} has a non-integer entry: {perm!r}")
-    t = tuple(int(x) for x in perm)
+    t = tuple(map(int, perm))
     if sorted(t) != list(range(1, n + 1)):
         raise ConfigError(f"{_perm_label(addr)} is not a permutation of 1..{n}: {perm!r}")
     return t
@@ -105,8 +122,7 @@ def _tables(perms: list[tuple[int, ...]]) -> np.ndarray:
     # i * width + (letter - 1) is perms[i](letter), and entry 0 is unused,
     # so a gather at i * width + letter needs no - 1; read-only, as a
     # shared word shares its tables
-    t = np.zeros(1 + len(perms) * len(perms[0]), dtype=np.int16)
-    t[1:] = np.ravel(perms)
+    t = np.array([0, *itertools.chain.from_iterable(perms)], dtype=np.int16)
     t.setflags(write=False)
     return t
 
@@ -131,6 +147,15 @@ class Portrait:
     node_perms: Mapping[Address, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.root_perm, _PERM_TYPES):
+            raise ConfigError(
+                f"root perm must be a tuple of letters, got {type(self.root_perm).__name__}"
+            )
+        if not isinstance(self.node_perms, Mapping):
+            raise ConfigError(
+                f"node_perms must be a mapping from addresses to permutations, got "
+                f"{type(self.node_perms).__name__}"
+            )
         q = len(self.root_perm) - 1
         if q < 2:
             raise ConfigError("root permutation must act on at least 3 letters")
@@ -155,34 +180,44 @@ class PortraitGen:
 
     def __init__(self, portrait: Portrait):
         self.portrait = portrait
-        # scalar lookups, vertex address -> permutation of the letter below
+        # scalar lookup, vertex address -> permutation of the letter below
         # it; the basepoint's is the root permutation
         self._perms = {ROOT: portrait.root_perm, **portrait.node_perms}
-        self._perms_inv = {addr: _inv_perm(p) for addr, p in self._perms.items()}
-        # level tables, built from the same data: for every depth j that
-        # carries permutations, the sorted prefix indices (tree.index_unchecked
-        # numbering) of its vertices and their flat letter tables, forward
-        # and inverted; depth 0 is the basepoint alone
+
+    @functools.cached_property
+    def _perms_inv(self) -> dict[Address, tuple[int, ...]]:
+        # the inverse scalar lookup, built on first use
+        return {addr: _inv_perm(p) for addr, p in self._perms.items()}
+
+    @functools.cached_property
+    def _levels(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        # level tables, built on first use from the scalar lookups (a word
+        # and its inverse share the generator, so they share these): for
+        # every depth j that carries permutations, the sorted prefix indices
+        # (tree.index_unchecked numbering) of its vertices and their flat
+        # letter tables, forward and inverted; depth 0 is the basepoint alone
+        q = self.portrait.q
         by_level: dict[int, list[Address]] = {}
         for addr in self._perms:
             by_level.setdefault(len(addr), []).append(addr)
-        self._levels = []
+        levels = []
         for j in sorted(by_level):
             addrs = sorted(by_level[j])  # letters are in range: index order
-            keys = np.array(
-                [index_unchecked(portrait.q, a) for a in addrs], dtype=_index_dtype(portrait.q, j)
-            )
+            keys = np.array([index_unchecked(q, a) for a in addrs], dtype=_index_dtype(q, j))
             keys.setflags(write=False)
-            self._levels.append((
+            levels.append((
                 j,
                 keys,
                 _tables([self._perms[a] for a in addrs]),
                 _tables([self._perms_inv[a] for a in addrs]),
             ))
+        return levels
 
     def apply(self, addr: Address, inverted: bool) -> Address:
         # the permutation below a vertex is keyed by the original prefix
         # going forward, by the preimage prefix (built so far) going backward
+        if not addr:
+            return addr
         perms = self._perms_inv if inverted else self._perms
         out: list[int] = []
         for j, letter in enumerate(addr):
@@ -307,6 +342,7 @@ class TreeAutomorphism:
     __slots__ = ("params", "word", "x0_image", "displacement", "_inverse")
 
     def __init__(self, params: TreeParams, word: Iterable[tuple[Generator, bool]]):
+        _check_params(params)
         self.params = params
         self.word = tuple((gen, bool(flag)) for gen, flag in word)
         img: Address = ROOT
@@ -415,19 +451,32 @@ def identity(params: TreeParams) -> TreeAutomorphism:
     return TreeAutomorphism(params, [])
 
 
+def _check_params(params) -> None:
+    if not isinstance(params, TreeParams):
+        raise ConfigError(f"expected a TreeParams, got {type(params).__name__}")
+
+
+def _check_rng(rng) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"expected a numpy.random.Generator, got {type(rng).__name__}")
+
+
 def _check_automorphism(g) -> None:
     if not isinstance(g, TreeAutomorphism):
         raise ConfigError(f"expected a TreeAutomorphism, got {type(g).__name__}")
 
 
 def from_portrait(params: TreeParams, portrait: Portrait) -> TreeAutomorphism:
+    _check_params(params)
     if not isinstance(portrait, Portrait):
         raise ConfigError(f"expected a Portrait, got {type(portrait).__name__}")
     if portrait.q != params.q:
         raise ConfigError(f"portrait is for q={portrait.q}, tree has q={params.q}")
     for addr in portrait.node_perms:
         check_address(params, addr)
-    return TreeAutomorphism(params, [(PortraitGen(portrait), False)])
+    gen = PortraitGen(portrait)
+    gen._levels  # built with the word: see the module docstring
+    return TreeAutomorphism(params, [(gen, False)])
 
 
 def edge_inversion(params: TreeParams) -> TreeAutomorphism:
@@ -456,10 +505,15 @@ def _root_swap(params: TreeParams, j: int) -> TreeAutomorphism:
     return from_portrait(params, Portrait(tuple(perm)))
 
 
-@functools.lru_cache(maxsize=64)
 def step_translation(params: TreeParams) -> TreeAutomorphism:
     """The branch swap 1 <-> 2, then the edge inversion; one shared word
     per tree."""
+    _check_params(params)
+    return _step_translation(params)
+
+
+@functools.lru_cache(maxsize=64)
+def _step_translation(params: TreeParams) -> TreeAutomorphism:
     return compose(edge_inversion(params), _root_swap(params, 2))
 
 
@@ -467,6 +521,7 @@ def basepoint_shift(params: TreeParams, head: Address) -> TreeAutomorphism:
     """An automorphism carrying the basepoint to the adjacent vertex `head`:
     the edge inversion followed by the root transposition onto `head`; one
     shared word per tree and head."""
+    _check_params(params)
     check_address(params, head)
     if len(head) != 1:
         raise ConfigError(f"{head!r} is not adjacent to the basepoint")
@@ -480,16 +535,25 @@ def _basepoint_shift(params: TreeParams, j: int) -> TreeAutomorphism:
 
 
 def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) -> Portrait:
-    """Uniform portrait down to `depth`; identity below."""
+    """Uniform portrait down to `depth`; identity below.
+
+    The root permutation is one rng.permutation(q + 1); each level below
+    is one rng.permuted over its vertices' rows of 1..q, in index order,
+    which draws the same stream as one rng.permutation(q) per vertex."""
+    _check_params(params)
     if not isinstance(depth, (int, np.integer)) or depth < 1:
         raise ConfigError(f"portrait depth must be an integer >= 1, got {depth!r}")
     if depth > params.depth_cap:
         raise DepthBudgetError(f"portrait depth {depth} exceeds cap {params.depth_cap}")
-    root = tuple(int(x) for x in rng.permutation(params.q + 1) + 1)
+    _check_rng(rng)
+    q = params.q
+    root = tuple((rng.permutation(q + 1) + 1).tolist())
     nodes = {}
     for level in range(1, depth):
-        for addr in addresses_at_depth(params, level):
-            nodes[addr] = tuple(int(x) for x in rng.permutation(params.q) + 1)
+        rows = np.empty((n_addresses(params, level), q), dtype=np.int64)
+        rows[:] = np.arange(1, q + 1)
+        rng.permuted(rows, axis=1, out=rows)
+        nodes.update(zip(addresses_at_depth(params, level), map(tuple, rows.tolist())))
     return Portrait(root, nodes)
 
 
@@ -498,6 +562,8 @@ def random_word(params: TreeParams, rng: np.random.Generator, max_factors: int) 
     the edge inversion or the step translation, inverted or not.  The draw
     order is part of the suites' seed paths: a failure record replays only
     while a seed gives the same words."""
+    _check_params(params)
+    _check_rng(rng)
     if not isinstance(max_factors, (int, np.integer)) or max_factors < 1:
         raise ConfigError(f"max_factors must be an integer >= 1, got {max_factors!r}")
     word = []

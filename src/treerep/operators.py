@@ -322,12 +322,31 @@ _DISC_FRACTION = 0.75  # of the disc radius 2 sqrt(q), for random_in_disc
 
 
 def random_in_disc(d: int, q: int, rng: np.random.Generator) -> np.ndarray:
-    """Random d x d complex matrix rescaled to three quarters of the disc radius."""
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    nrm = spectral_norm(a)
-    if nrm == 0.0:
-        return np.zeros((d, d), dtype=np.complex128)
-    return a * (_DISC_FRACTION * 2.0 * math.sqrt(q) / nrm)
+    """Random d x d complex matrix rescaled to three quarters of the disc radius.
+
+    Raises OperatorDomainError when q is not an integer >= 2, and
+    ConfigError when d is not an integer >= 1 or rng is not a
+    numpy.random.Generator.
+    """
+    return _in_disc(d, _branching(q), [rng])[0]
+
+
+def _in_disc(d: int, q: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One random_in_disc matrix per generator, as an (n, d, d) stack: each
+    raw matrix is drawn from its own generator, then the stack is rescaled
+    with one SVD call (matrix i bitwise random_in_disc(d, q, rngs[i]))."""
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ConfigError(f"d must be an integer >= 1, got {d!r}")
+    for rng in rngs:
+        if not isinstance(rng, np.random.Generator):
+            raise ConfigError(f"expected a numpy.random.Generator, got {type(rng).__name__}")
+    raw = np.array(
+        [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs]
+    ).reshape(len(rngs), d, d)
+    nrm = np.linalg.svd(raw, compute_uv=False)[:, 0]
+    scale = np.zeros_like(nrm)  # a zero matrix stays zero
+    np.divide(_DISC_FRACTION * 2.0 * math.sqrt(q), nrm, out=scale, where=nrm > 0.0)
+    return raw * scale[:, None, None]
 
 
 def matrix_to_json_obj(a: np.ndarray) -> dict:

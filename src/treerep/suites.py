@@ -41,7 +41,7 @@ from .automorphism import (
     step_translation,
 )
 from .errors import ConfigError
-from .operators import OperatorPair, build_pair, phi_scalar, random_in_disc, spectral_norm
+from .operators import OperatorPair, _in_disc, build_pair, phi_scalar, spectral_norm
 from .representation import (
     StepFunction,
     alpha_via_rep,
@@ -180,11 +180,12 @@ def trial_rng(cfg: SuiteConfig, stream: str, trial: int) -> np.random.Generator:
 
 def _trial_pairs(cfg: SuiteConfig, stream: str) -> list[tuple[np.random.Generator, OperatorPair]]:
     """(rng, pair) per trial of `stream`: each trial's generator after it
-    drew its alpha, and the alphas' operator pairs, built in one stacked
-    build_pair call.  A bad alpha raises before any trial runs, and the
-    error's `index` is its trial."""
+    drew its alpha (random_in_disc's draw, the whole stack rescaled at
+    once), and the alphas' operator pairs, built in one stacked build_pair
+    call.  A bad alpha raises before any trial runs, and the error's
+    `index` is its trial."""
     rngs = [trial_rng(cfg, stream, trial) for trial in range(cfg.trials)]
-    alphas = np.stack([random_in_disc(cfg.dim, cfg.q, rng) for rng in rngs])
+    alphas = _in_disc(cfg.dim, cfg.q, rngs)
     return list(zip(rngs, build_pair(alphas, cfg.q)))
 
 

@@ -219,7 +219,7 @@ def letter_matrix(params: TreeParams, depth: int) -> np.ndarray:
 
 
 def addresses_at_depth(params: TreeParams, depth: int) -> list[Address]:
-    return [tuple(int(x) for x in row) for row in letter_matrix(params, depth)]
+    return list(map(tuple, letter_matrix(params, depth).tolist()))
 
 
 def index_unchecked(q: int, addr: Address) -> int:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from treerep import automorphism as au
+from treerep import measure as me
 from treerep import tree as tr
 from treerep.errors import ConfigError, DepthBudgetError, MalformedAddressError
 
@@ -59,6 +62,38 @@ def test_portrait_errors_name_the_permutation(root, nodes, message):
     with pytest.raises(ConfigError) as err:
         au.Portrait(root, nodes)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(lambda: au.Portrait(None), "root perm must be a tuple of letters, got NoneType",
+                     id="Portrait(None)"),
+        pytest.param(lambda: au.Portrait(5), "root perm must be a tuple of letters, got int",
+                     id="Portrait(5)"),
+        pytest.param(lambda: au.Portrait((2, 1, 3), [((1,), (2, 1))]),
+                     "node_perms must be a mapping", id="Portrait-list-nodes"),
+        pytest.param(lambda: au.Portrait((2, 1, 3), {(1,): None}),
+                     "node perm at 1 must be a tuple of letters, got NoneType", id="Portrait-None-perm"),
+        pytest.param(lambda: au.edge_inversion("p"), "expected a TreeParams, got str",
+                     id="edge_inversion"),
+        pytest.param(lambda: au.step_translation("p"), "expected a TreeParams, got str",
+                     id="step_translation"),
+        pytest.param(lambda: au.from_portrait("p", au.Portrait((2, 1, 3))),
+                     "expected a TreeParams, got str", id="from_portrait"),
+        pytest.param(lambda: au.random_portrait("p", 2, np.random.default_rng(0)),
+                     "expected a TreeParams, got str", id="random_portrait-params"),
+        pytest.param(lambda: au.random_word(None, np.random.default_rng(0), 2),
+                     "expected a TreeParams, got NoneType", id="random_word-params"),
+        pytest.param(lambda: au.random_portrait(P2, 2, "x"),
+                     "expected a numpy.random.Generator, got str", id="random_portrait-rng"),
+        pytest.param(lambda: au.random_word(P2, None, 2),
+                     "expected a numpy.random.Generator, got NoneType", id="random_word-rng"),
+    ],
+)
+def test_word_builders_name_the_type_they_expect(build, expected):
+    with pytest.raises(ConfigError, match=expected):
+        build()
 
 
 def test_a_valid_portrait_formats_no_address(monkeypatch):
@@ -219,6 +254,44 @@ def test_random_words_take_numpy_integer_sizes():
         assert a.to_json_obj() == b.to_json_obj()
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         assert au.random_portrait(P3, size, rng_a) == au.random_portrait(P3, 2, rng_b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_random_portrait_draws_one_permutation_per_vertex(q):
+    # the seed path: the root's rng.permutation(q + 1), then one
+    # rng.permutation(q) per vertex of each level in index order, leaving
+    # the generator where that loop leaves it
+    params = tr.TreeParams(q)
+    for depth in range(1, 6):
+        rng, ref = np.random.default_rng([q, depth]), np.random.default_rng([q, depth])
+        root = tuple(int(x) for x in ref.permutation(q + 1) + 1)
+        nodes = {
+            addr: tuple(int(x) for x in ref.permutation(q) + 1)
+            for level in range(1, depth)
+            for addr in tr.addresses_at_depth(params, level)
+        }
+        assert au.random_portrait(params, depth, rng) == au.Portrait(root, nodes)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# sha256 of the JSON words random_word(TreeParams(q), default_rng([q, seed]), 4)
+# spells for seeds 0..19: the words every suite's seed path draws
+RANDOM_WORD_SHA256 = {
+    2: "133a9ce6ffab1bc6ba0166e95c32625f39ce608e80228671400a5bcdf4c09a99",
+    3: "e3bec5237b95419e92bcf654f4779330282df3ed7298f5147ae860bf135c740a",
+    5: "ef17e42295ffb367097ff98af9ea5c6d6731a24b131ad209b37a407152558d92",
+}
+
+
+@pytest.mark.parametrize("q", sorted(RANDOM_WORD_SHA256))
+def test_random_words_keep_their_seed_path(q):
+    params = tr.TreeParams(q)
+    words = [
+        au.random_word(params, np.random.default_rng([q, seed]), 4).to_json_obj()
+        for seed in range(20)
+    ]
+    digest = hashlib.sha256(json.dumps(words, sort_keys=True).encode()).hexdigest()
+    assert digest == RANDOM_WORD_SHA256[q]
 
 
 def test_line_vertex_layout():
@@ -620,3 +693,37 @@ def test_word_cost_bounds_depth_growth():
         cost = g.word_cost()
         for v in oracles.ball_vertices(2, 3):
             assert len(g.apply_vertex(v)) <= len(v) + cost
+
+
+def test_portrait_tables_are_built_on_first_batch_and_shared(monkeypatch):
+    built = []
+    tables = au._tables
+    monkeypatch.setattr(au, "_tables", lambda perms: built.append(perms) or tables(perms))
+    g = au.compose(
+        au.random_word(P3, np.random.default_rng(3), 4), au.random_word(P3, np.random.default_rng(5), 4)
+    )
+    built.clear()  # the shared step translation's, built with it
+    gens = [gen for gen, _ in g.word if gen.kind == "portrait" and gen.portrait.node_perms]
+    assert len(gens) >= 2  # random portraits, some of them inverted
+    # the scalar paths and the JSON form never build a level table
+    for v in oracles.ball_vertices(3, 2):
+        g.inverse().apply_vertex(g.apply_vertex(v))
+    for base in ((1,), (2, 3), (4, 1, 2)):
+        me.rn_cocycle(g, me.Cylinder(base))
+        me.map_cell(g.inverse(), me.Cylinder(base))
+    g.to_json_obj()
+    assert built == [] and not any("_levels" in vars(gen) for gen in gens)
+    # the first batch builds each level's forward and inverse tables once;
+    # more batches, and the inverse word's, reuse them
+    letters = tr.letter_matrix(P3, 4)
+    lengths = np.full(letters.shape[0], 4)
+    images, out_lengths = g.apply_batch(letters, lengths)
+    assert len(built) == 2 * sum(len(gen._levels) for gen in gens)
+    count, levels = len(built), [gen._levels for gen in gens]
+    g.apply_batch(letters, lengths)
+    back, back_lengths = g.inverse().apply_batch(images, out_lengths)
+    assert len(built) == count and all(map(lambda gen, lv: gen._levels is lv, gens, levels))
+    assert np.array_equal(back[:, :4], letters) and np.array_equal(back_lengths, lengths)
+    # a word built from a given portrait builds its tables with the word
+    (gen, _), = au.from_portrait(P3, au.random_portrait(P3, 3, np.random.default_rng(1))).word
+    assert "_levels" in vars(gen) and len(built) == count + 2 * len(gen._levels)

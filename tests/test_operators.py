@@ -234,6 +234,35 @@ def test_random_in_disc_stays_in_domain():
         assert op.spectral_norm(a) < 2 * math.sqrt(3)
 
 
+@pytest.mark.parametrize(
+    "d, q, rng, error, expected",
+    [
+        (2, 1, np.random.default_rng(0), OperatorDomainError, "integer >= 2, got 1"),
+        (2, 2.5, np.random.default_rng(0), OperatorDomainError, "integer >= 2, got 2.5"),
+        (2.0, 2, np.random.default_rng(0), ConfigError, "d must be an integer >= 1, got 2.0"),
+        (-1, 2, np.random.default_rng(0), ConfigError, "d must be an integer >= 1, got -1"),
+        (2, 2, None, ConfigError, "expected a numpy.random.Generator, got NoneType"),
+    ],
+)
+def test_random_in_disc_checks_its_input(d, q, rng, error, expected):
+    with pytest.raises(error, match=expected):
+        op.random_in_disc(d, q, rng)
+
+
+@pytest.mark.parametrize("d, q", [(1, 2), (2, 2), (3, 3), (6, 5)])
+def test_a_stack_of_disc_draws_is_each_draw_bitwise(d, q):
+    # each trial draws its raw matrix from its own generator; one SVD call
+    # rescales the stack, bit for bit the per-matrix spectral-norm rescale
+    seeds = range(12)
+    stack = op._in_disc(d, q, [np.random.default_rng(s) for s in seeds])
+    for s, alpha in zip(seeds, stack):
+        rng = np.random.default_rng(s)
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        want = raw * (0.75 * 2.0 * math.sqrt(q) / op.spectral_norm(raw))
+        assert np.array_equal(alpha, want)
+        assert np.array_equal(op.random_in_disc(d, q, np.random.default_rng(s)), want)
+
+
 def test_defective_jordan_block_meets_the_residual_contract():
     # defective matrix: no eigenvector basis exists, and the square root
     # must still satisfy the residual contract

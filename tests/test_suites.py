@@ -171,17 +171,17 @@ def test_forced_failure_records_counterexamples():
 
 @pytest.mark.parametrize("name", ["homomorphism", "fixed_vector_transfer", "halftree_reach"])
 def test_a_bad_alpha_names_its_trial(monkeypatch, name):
-    # the suite's pairs are built in one stacked call; an alpha outside the
-    # disc at trial 3 stops the suite with an error that names trial 3
-    draws = []
-    exact = su.random_in_disc
+    # the suite's alphas are rescaled and its pairs built in stacked calls;
+    # an alpha outside the disc at trial 3 stops the suite with an error
+    # that names trial 3
+    exact = su._in_disc
 
-    def outside_at_trials_3_and_5(d, q, rng):
-        draws.append(rng)
-        alpha = exact(d, q, rng)
-        return alpha * 2 if len(draws) in (4, 6) else alpha
+    def outside_at_trials_3_and_5(d, q, rngs):
+        alphas = exact(d, q, rngs)
+        alphas[[3, 5]] *= 2
+        return alphas
 
-    monkeypatch.setattr(su, "random_in_disc", outside_at_trials_3_and_5)
+    monkeypatch.setattr(su, "_in_disc", outside_at_trials_3_and_5)
     with pytest.raises(OperatorDomainError, match="stack index 3") as info:
         su.run_suite(su.SuiteConfig(trials=8), name)
     assert info.value.index == 3

@@ -16,11 +16,14 @@ the working tree's interpreter with the same environment;
 processes only, which keeps large arrays on the heap instead of in fresh
 mappings.
 
-Every run is printed as it ends: its end-to-end metrics and its `detail`
-line (the per-size medians).  The summary gives, per metric and per size,
+Every run is printed as it ends: its end-to-end metrics, its `detail`
+line (the per-size medians) and its minor page faults (the growth of
+`RUSAGE_CHILDREN`'s `ru_minflt` across the run), which tell a process whose
+large arrays land in fresh mappings from one that reuses its heap.  The summary gives, per metric and per size,
 each side's median with its quartiles and the number of pairs the change
 won, ties counting for neither side; the direction of each end-to-end metric
-is read from BENCHMARK.json, and sizes are times (lower is better).
+is read from BENCHMARK.json, and sizes are times (lower is better).  The exit
+status is 1 when any run reads `correct: false` or `failed > 0`, else 0.
 Standard library only.
 """
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,20 +53,24 @@ def unpack(ref: str, root: Path, dest: Path) -> None:
 
 
 def run_once(tree: Path, args, seed: int, env: dict) -> dict:
-    """One benchmark process: its result line plus its `detail` sizes."""
+    """One benchmark process: its result line plus its `detail` sizes and
+    its minor page faults (`minflt`)."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
         "--seconds", str(args.seconds), "--trace", "0",
     ]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=10 * args.seconds + 600
     )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {' '.join(cmd)} in {tree} failed:\n{proc.stdout}{proc.stderr}")
     result = json.loads(lines[-1])
     detail = next((line for line in lines if line.startswith("detail ")), "detail {}")
     result["detail"] = json.loads(detail[len("detail "):])
+    result["minflt"] = faults
     return result
 
 
@@ -114,6 +122,7 @@ def main(argv=None) -> int:
     higher_better = {m["name"] for m in bench["end_to_end"] if m["better"] == "higher"}
     env = dict(os.environ, **(MALLOC_THRESHOLDS if args.malloc_thresholds else {}))
     runs = []
+    broken = 0  # runs reading correct: false or failed > 0
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         unpack(args.ref, root, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": root}
@@ -125,10 +134,14 @@ def main(argv=None) -> int:
                 got[side] = result = run_once(sides[side], args, seed, env)
                 shown = " ".join(f"{k}={v:.6g}" for k, v in values(result).items())
                 print(f"pair {i} seed {seed} {side}: correct={result['correct']} "
-                      f"failed={result['failed']}/{result['attempted']} {shown}", flush=True)
+                      f"failed={result['failed']}/{result['attempted']} "
+                      f"minflt={result['minflt']} {shown}", flush=True)
+                broken += not result["correct"] or result["failed"] > 0
             runs.append((got["parent"], got["change"]))
     print("\n".join(summary(runs, higher_better)))
-    return 0
+    if broken:
+        print(f"error: {broken} run(s) read correct: false or failed > 0", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
