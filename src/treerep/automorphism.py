@@ -17,9 +17,9 @@ The step translation t, which shifts the standard line x_k = 1^k (k >= 0),
 x_{-k} = 2 1^(k-1) (k >= 1) by one (t x_k = x_{k+1}), is not a third kind
 but the two-letter word: the portrait swapping branches 1 and 2, then the
 edge inversion.  The basepoint shift onto a neighbour (j) is the edge
-inversion, then (for j >= 2) the portrait swapping branches 1 and j.  Both
-are constant words, built once per tree and shared; so are their
-generators' level tables, which are read-only.
+inversion, then (for j >= 2) the portrait swapping branches 1 and j.  These
+and the edge inversion itself are constant words, built once per tree and
+shared; so are their generators' level tables, which are read-only.
 
 A portrait generator is built with its portrait and forward scalar lookup
 only.  Its level tables (below) and its inverse scalar lookup are built on
@@ -49,12 +49,14 @@ looks that index up with one searchsorted.  Forward, on a full level that
 every row reaches, a row's child position is the prefix index of its next
 depth, so the one fold that moves the running index on is the whole key.
 Levels above the shortest row read whole columns, deeper ones only the
-rows that reach them.  The edge inversion shifts every row one letter to
-the right as one column block, writing the image (1, a1 - 1, a2, ...) of
-every row, and copies the image of the rows starting with 1 over it, with
-no per-row branch.  Only rows shorter than two letters (the basepoint,
-and the neighbours that become it) need per-row length tests; when the
-shortest row has two letters, one min pass replaces them.
+rows that reach them, and a level no row reaches ends the step.  The
+edge inversion shifts every row one letter to the right as one column
+block, writing the image (1, a1 - 1, a2, ...) of every row, and copies the
+image of the rows starting with 1 over it, with no per-row branch.  Only
+rows shorter than two letters (the basepoint, and the neighbours that
+become it) need per-row length tests; when the shortest row has two
+letters, one min pass replaces them, and when it has one, only the
+neighbours' test is left.
 
 A word is evaluated in one buffer: apply_batch pads a copy of its input
 and hands it to every step.  A portrait step rewrites its level columns
@@ -261,6 +263,8 @@ class PortraitGen:
                 continue
             table = inv if inverted else fwd
             rows = slice(None) if j < reach else np.flatnonzero(lengths > j)
+            if j >= reach and not rows.size:
+                break  # no row reaches depth j, nor any deeper level
             pos = at = idx[rows]
             if not full:
                 pos = np.minimum(np.searchsorted(keys, at), len(keys) - 1)
@@ -308,10 +312,12 @@ class EdgeInversionGen:
         # the basepoint rows (1).  The images go to a new buffer whether or
         # not the caller hands `letters` over.  Where every row has two
         # letters or more, no row is the basepoint or becomes it, so the
-        # three per-row length tests are one min pass.
-        deep = lengths.size and lengths.min() >= 2
+        # three per-row length tests are one min pass; where every row
+        # has one letter or more, the two basepoint tests are skipped.
+        reach = int(lengths.min()) if lengths.size else 0
+        deep = reach >= 2
         up = letters[:, 0] == 1
-        if not deep:
+        if not reach:
             up &= lengths >= 1
         new = lengths + (1 - 2 * up.view(np.int8))  # the +-1 steps in int8, one int64 pass
         if lengths.max(initial=0) >= letters.shape[1] and np.any(new > letters.shape[1]):
@@ -326,7 +332,8 @@ class EdgeInversionGen:
             out[:, 0] += up
         else:
             out[:, 0] += up & (lengths >= 2)
-            out[lengths == 0, 1:] = 0
+            if not reach:
+                out[lengths == 0, 1:] = 0
         return out, new
 
     def to_json_obj(self) -> dict:
@@ -398,7 +405,7 @@ class TreeAutomorphism:
         q = self.params.q
         block = letters[:, :reach]
         bad = block.size and (
-            block.min() < 1 or block[:, 0].max() > q + 1 or block[:, 1:].max(initial=0) > q
+            block.min() < 1 or block[:, 0].max() > q + 1 or reach > 1 and block[:, 1:].max() > q
         )
         for j in range(reach, width):
             column = letters[lengths > j, j]
@@ -480,6 +487,13 @@ def from_portrait(params: TreeParams, portrait: Portrait) -> TreeAutomorphism:
 
 
 def edge_inversion(params: TreeParams) -> TreeAutomorphism:
+    """One shared word per tree."""
+    _check_params(params)
+    return _edge_inversion(params)
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_inversion(params: TreeParams) -> TreeAutomorphism:
     return TreeAutomorphism(params, [(EdgeInversionGen(), False)])
 
 

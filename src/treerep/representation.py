@@ -14,16 +14,22 @@ resolution-m function to a resolution max(m+D, D+1) one:
 where b is the horofunction increment from the basepoint to g(basepoint),
 constant on each output cylinder, and tau is the matrix produced by the
 operator-calculus layer.  On each output cylinder u the increment is
-2 |lcp(u, g x0)| - D and the lookup vertex is the depth-m prefix of
-g^{-1} u; the resolution rule makes both well defined (every output
-cylinder is strictly deeper than g x0, so its preimage is again a
-cylinder, of depth at least m).  The cylinders with |lcp(u, g x0)| >= j
-are the ones below the depth-j prefix of g x0, one index range, so the
-D + 1 exponents sit on D + 1 nested ranges.  The input's own rows are
-multiplied by each of the D + 1 tau powers into one table of D + 1 slots;
-each output row counts the ranges that hold it to find its slot and is
-taken from the table once.  The homomorphism property suite is the
-empirical proof of this cylinder-level evaluation.
+2 |lcp(u, g x0)| - D and the value is v's on the depth-m cylinder that
+holds g^{-1} u; the resolution rule makes both well defined (every
+output cylinder is strictly deeper than g x0, so its preimage is again a
+cylinder, of depth at least m).  That lookup is found forward, from v's
+n_m cells rather than from the q^D times as many output rows: g carries
+the cylinder at a onto the ends seen through g a from g x0.  Off the
+path from x0 to g x0 this is the cylinder at g a, the q^(m_out - |g a|)
+output rows from g a padded with letter 1.  When m <= D exactly one
+image lies on that path, the shortest (length D - m), and its cell is
+every row outside the window that the other cells tile.  The cylinders
+with |lcp(u, g x0)| >= j are the ones below the depth-j prefix of g x0,
+one index range, so the D + 1 exponents sit on D + 1 nested ranges.  The
+input's own rows are multiplied by each of the D + 1 tau powers into one
+table of D + 1 slots; each output row counts the ranges that hold it to
+find its slot and is taken from the table once.  The homomorphism
+property suite is the empirical proof of this cylinder-level evaluation.
 
 Averages over compact stabilizers are finite measure-weighted sums over
 orbit cells (conditional means), never samples over group elements.  An
@@ -43,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import measure as bm
-from .automorphism import TreeAutomorphism, _check_automorphism, edge_inversion
+from .automorphism import TreeAutomorphism, _check_automorphism, _check_rng, edge_inversion
 from .errors import (
     ConfigError,
     DepthBudgetError,
@@ -117,6 +123,8 @@ class StepFunction:
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         """The difference at the finer of the two resolutions."""
+        if not isinstance(other, StepFunction):
+            raise ConfigError(f"expected a StepFunction, got {type(other).__name__}")
         if self.params != other.params or self.dim != other.dim:
             raise ConfigError("step functions live on different trees or dimensions")
         m = max(self.resolution, other.resolution)
@@ -154,15 +162,22 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
     """Apply the boundary representation of g to v.
 
     Output resolution is max(m + D, D + 1); exceeding the depth cap is a
-    DepthBudgetError rather than a truncation.  v's own n_m rows are
-    multiplied by each tau^(2j - D), j = 0..D, into one ((D + 1) n_m, d)
-    table, slot j after slot j - 1.  An output row's slot is the length
-    of its longest common prefix with g x0: the number of the nested
-    ranges j = 1..D (the rows below the depth-j prefix of g x0,
-    q^(m_out - j) rows from that prefix's index times as many) that hold
-    it.  Every output row is then taken once from the table, at its slot
-    times n_m plus its lookup row.  For D = 0 the one slot is the product
-    by the identity, which is exact.
+    DepthBudgetError rather than a truncation.  For m >= 1 the lookup row
+    of every output row comes from one apply_batch of g (not g^-1) over
+    the n_m depth-m addresses.  Each image g a, padded with letter 1 to
+    depth m_out, indexes the first of the q^(m_out - |g a|) output rows
+    that a's cell covers.  The owners, repeated in start order, fill
+    those rows; when m <= D the shortest image, the one on the path to
+    g x0, owns every row outside them.  When D = 0 every image is one
+    row, and the owners are scattered.  v's own n_m rows are multiplied
+    by each tau^(2j - D), j = 0..D, into one ((D + 1) n_m, d) table, slot
+    j after slot j - 1.  An output row's slot is the length of its
+    longest common prefix with g x0: the number of the nested ranges
+    j = 1..D (the rows below the depth-j prefix of g x0, q^(m_out - j)
+    rows from that prefix's index times as many) that hold it.  Every
+    output row is then taken once from the table, at its slot times n_m
+    plus its lookup row.  For D = 0 the one slot is the product by the
+    identity, which is exact.
     """
     _check_automorphism(g)
     if not isinstance(v, StepFunction):
@@ -185,15 +200,37 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
         )
     q = params.q
     n = n_addresses(params, m_out)
+    n_m = v.values.shape[0]
     if m == 0:
         at = np.zeros(n, dtype=np.int64)
     else:
-        letters = letter_matrix(params, m_out)
-        inv_letters, inv_lengths = g.inverse().apply_batch(
-            letters, np.full(n, m_out, dtype=np.int64)
-        )
-        at = prefix_indices(params, inv_letters, inv_lengths, m)
-    n_m = v.values.shape[0]
+        images, lengths = g.apply_batch(letter_matrix(params, m), np.full(n_m, m, dtype=np.int64))
+        if not d:
+            # every image is one row: scatter the owners
+            at = np.empty(n, dtype=np.int64)
+            at[prefix_indices(params, images, lengths, m)] = np.arange(n_m)
+        else:
+            # the cylinder at a goes onto the q^(m_out - |g a|) rows below
+            # g a, the first of which is g a padded with letter 1
+            images = images[:, :m_out]
+            np.copyto(images, 1, where=np.arange(m_out) >= lengths[:, None])
+            sizes = q ** (m_out - lengths)
+            lengths[:] = m_out  # padded, every row reads m_out letters
+            starts = prefix_indices(params, images, lengths, m_out)
+            if m <= d:
+                # the one image on the path from x0 to g x0, the shortest,
+                # owns every row outside the window the other cells tile
+                c = sizes.argmax()
+                starts[c] = n  # sorts last, and owns no row of the window
+                sizes[c] = 0
+            order = starts.argsort()
+            inner = order.repeat(sizes[order])
+            if m > d:
+                at = inner
+            else:
+                at = np.full(n, c)
+                first = starts[order[0]]
+                at[first : first + inner.size] = inner
     for j in range(1, d + 1):
         size = q ** (m_out - j)
         start = index_unchecked(q, g.x0_image[:j]) * size
@@ -306,8 +343,19 @@ def invariant_lift_check(
     every cell value of pi(g) applied to the constant function at w, plus
     the vector alpha.w reconstructed through the representation.
     Reported leakage is the norm of the component outside the span;
-    thresholds are the caller's business.
+    thresholds are the caller's business.  `generators` is a list or tuple
+    of automorphisms and `rng` a numpy Generator; anything else, like a
+    pair that is not an OperatorPair, is a ConfigError.
     """
+    if not isinstance(pair, OperatorPair):
+        raise ConfigError(f"expected an OperatorPair, got {type(pair).__name__}")
+    if not isinstance(generators, (list, tuple)):
+        raise ConfigError(
+            f"generators must be a list of automorphisms, got {type(generators).__name__}"
+        )
+    for g in generators:
+        _check_automorphism(g)
+    _check_rng(rng)
     mat = np.asarray(basis, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != pair.dim or not 1 <= mat.shape[1] <= pair.dim:
         raise ConfigError(
@@ -325,15 +373,16 @@ def invariant_lift_check(
         outside = vectors - (vectors @ ortho.conj()) @ ortho.T
         return float(np.max(np.linalg.norm(outside, axis=1)))
 
+    names = [f"{i}:" + "*".join(gen.kind for gen, _ in g.word) for i, g in enumerate(generators)]
     per_generator = {}
     reconstruction = 0.0
     for _ in range(_LIFT_PROBES):
         coeff = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
         w = mat @ coeff
         w = w / np.linalg.norm(w)
-        for idx, g in enumerate(generators):
-            name = f"{idx}:" + "*".join(gen.kind for gen, _ in g.word)
-            moved = pi_apply(g, constant_fn(params, w), pair)
+        probe = constant_fn(params, w)
+        for name, g in zip(names, generators):
+            moved = pi_apply(g, probe, pair)
             per_generator[name] = max(per_generator.get(name, 0.0), leak(moved.values))
         reconstruction = max(reconstruction, leak(alpha_via_rep(params, w, pair)))
     return {

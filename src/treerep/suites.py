@@ -30,11 +30,11 @@ import numpy as np
 
 from . import measure as bm
 from .automorphism import (
+    PortraitGen,
     TreeAutomorphism,
     basepoint_shift,
     compose,
     edge_inversion,
-    from_portrait,
     identity,
     random_portrait,
     random_word,
@@ -395,9 +395,15 @@ def suite_halftree_reach(cfg: SuiteConfig) -> SuiteReport:
 
 
 def _generators(params: TreeParams, rng: np.random.Generator) -> list[TreeAutomorphism]:
-    gens = [edge_inversion(params), step_translation(params)]
-    gens.append(from_portrait(params, random_portrait(params, 2, rng)))
-    return gens
+    # the portrait word is built as random_word builds its factors, with
+    # its level tables left to first use: the lift check only moves
+    # constant functions, which never run a batch
+    portrait = PortraitGen(random_portrait(params, 2, rng))
+    return [
+        edge_inversion(params),
+        step_translation(params),
+        TreeAutomorphism(params, [(portrait, False)]),
+    ]
 
 
 def suite_invariance_correspondence(cfg: SuiteConfig) -> SuiteReport:

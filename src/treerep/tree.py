@@ -174,7 +174,8 @@ def busemann_on_cylinder(params: TreeParams, u: Address, y: Address) -> int:
 
 
 def _check_depth(depth: int) -> None:
-    if not isinstance(depth, (int, np.integer)) or depth < 0:
+    # a bool is an int to isinstance, but never a depth
+    if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool) or depth < 0:
         raise ConfigError(f"depth must be a nonnegative integer, got {depth!r}")
 
 
@@ -231,7 +232,7 @@ def index_unchecked(q: int, addr: Address) -> int:
 
 
 def address_from_index(params: TreeParams, depth: int, idx: int) -> Address:
-    if not isinstance(idx, (int, np.integer)):
+    if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
         raise MalformedAddressError(f"index {idx!r} is not an integer")
     if not 0 <= idx < n_addresses(params, depth):
         raise MalformedAddressError(f"index {idx} out of range at depth {depth}")
@@ -256,10 +257,14 @@ def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray,
         raise MalformedAddressError(
             f"lengths must be {letters.shape[0]} integers, got shape {np.shape(lengths)}"
         )
-    if m and np.any(lengths < m):
+    if not m:
+        return np.zeros(letters.shape[0], dtype=np.int64)
+    if (np.asarray(lengths) < m).any():
         raise MalformedAddressError(f"a row is shorter than the requested prefix length {m}")
-    idx = np.zeros(letters.shape[0], dtype=_index_dtype(params.q, m))
-    for j in range(m):
+    # the first letter a is index a - 1; each further one is a fold
+    idx = letters[:, 0].astype(_index_dtype(params.q, m))
+    idx -= 1
+    for j in range(1, m):
         _fold(idx, letters[:, j], params.q)
     return idx
 

@@ -199,6 +199,7 @@ def test_step_translation_matches_its_closed_form(q, cap):
 
 def test_constant_words_are_built_once():
     for params in (P2, P3):
+        assert au.edge_inversion(params) is au.edge_inversion(params)
         assert au.step_translation(params) is au.step_translation(params)
         for j in range(1, params.q + 2):
             assert au.basepoint_shift(params, (j,)) is au.basepoint_shift(params, (j,))

@@ -152,6 +152,16 @@ def test_arithmetic_and_norms():
     assert v.max_cell_distance(v) == 0.0
 
 
+@pytest.mark.parametrize("other", [None, 3.0, np.zeros((3, 2))], ids=["None", "float", "array"])
+def test_differences_refuse_what_is_not_a_step_function(other):
+    # each once raised a raw AttributeError
+    v = rp.constant_fn(P2, np.array([3.0, 4.0]))
+    with pytest.raises(ConfigError, match="expected a StepFunction, got "):
+        v - other
+    with pytest.raises(ConfigError, match="expected a StepFunction, got "):
+        v.max_cell_distance(other)
+
+
 # -- the boundary representation ----------------------------------------------
 
 
@@ -244,6 +254,43 @@ def test_pi_exponent_ranges_match_the_oracle(monkeypatch, q, cap):
                 assert got.resolution == want.resolution
                 assert got.max_cell_distance(want) < 1e-9 * max(1.0, want.sup_norm())
         shift = au.compose(t, shift)
+
+
+@pytest.mark.parametrize("q,cap", [(2, 6), (3, 5), (5, 4)])
+def test_pi_apply_is_the_pull_back_bit_for_bit(q, cap):
+    # the reference pulls every output address u back with the scalar
+    # apply_vertex: v's row is the depth-m prefix index of g^-1 u, the slot
+    # |lcp(u, g x0)|, and the slot's rows are v's rows times tau^(2 slot - D),
+    # each slot one product as pi_apply makes it; every displacement the
+    # cap allows and every resolution, so m < D, m = D and m > D all occur
+    params = tr.TreeParams(q, cap)
+    rng, _, pair = build_rng_pair(params, 2, 60 + q)
+    t = au.step_translation(params)
+    shift = au.identity(params)  # t^d moves the basepoint to 1^d
+    cases = set()
+    for d in range(cap):
+        for _ in range(2):
+            before, after = (
+                au.from_portrait(params, au.random_portrait(params, d + 1, rng)) for _ in range(2)
+            )
+            g = au.compose(after, au.compose(shift, before))
+            gi = g.inverse()
+            for m in range(cap - d + 1):
+                n = tr.n_addresses(params, m)
+                v = rp.StepFunction(
+                    params, m, rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+                )
+                tables = [v.values @ op.power(pair, 2 * j - d).T for j in range(d + 1)]
+                m_out = max(m + d, d + 1)
+                want = np.array([
+                    tables[len(tr.lcp(u, g.x0_image))][oracles.lex_index(q, gi.apply_vertex(u)[:m])]
+                    for u in tr.addresses_at_depth(params, m_out)
+                ])
+                got = rp.pi_apply(g, v, pair)
+                assert got.resolution == m_out and np.array_equal(got.values, want)
+                cases.add((m > d) - (m < d))
+        shift = au.compose(t, shift)
+    assert cases == {-1, 0, 1}
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -641,6 +688,23 @@ def test_invariant_lift_check_rejects_dependent_basis():
     for basis in (np.stack([v, 2 * v], axis=1), wide, np.zeros((3, 0)), v, [v]):
         with pytest.raises(ConfigError):
             rp.invariant_lift_check(P2, basis, pair, generators_for(P2), rng=rng)
+
+
+@pytest.mark.parametrize(
+    "generators, rng, message",
+    [
+        pytest.param(None, 0, "a list of automorphisms, got NoneType", id="None"),
+        pytest.param([3], 0, "expected a TreeAutomorphism, got int", id="int-generator"),
+        pytest.param("words", 0, "a list of automorphisms, got str", id="str"),
+        pytest.param((), None, "expected a numpy.random.Generator, got NoneType", id="rng-None"),
+    ],
+)
+def test_invariant_lift_check_refuses_bad_generators_and_rngs(generators, rng, message):
+    # each once raised a raw TypeError or AttributeError
+    _, _, pair = build_rng_pair(P2, 2, 87)
+    rng = np.random.default_rng(rng) if rng is not None else rng
+    with pytest.raises(ConfigError, match=message):
+        rp.invariant_lift_check(P2, np.array([[1.0], [0.3]]), pair, generators, rng)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])

@@ -158,6 +158,18 @@ def test_measure_cocycle_builds_each_constant_word_once(monkeypatch):
     assert drawn and len(built) <= len(drawn) + 1
 
 
+def test_invariance_correspondence_builds_no_level_table(monkeypatch):
+    # the lift check moves only constant functions, which never run a
+    # batch, so its random portrait words never build their level tables
+    built = []
+    tables = au._tables
+    monkeypatch.setattr(au, "_tables", lambda perms: built.append(perms) or tables(perms))
+    au.step_translation(tr.TreeParams(2))  # the shared word, built once before the suite
+    built.clear()
+    assert su.run_suite(su.SuiteConfig(q=2, trials=5), "invariance_correspondence").passed
+    assert built == []
+
+
 def test_forced_failure_records_counterexamples():
     # an impossibly tight tolerance must produce failure records, not a crash
     cfg = su.SuiteConfig(trials=6, tol=1e-300, seed=0)

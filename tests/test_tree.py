@@ -165,8 +165,10 @@ def test_letter_matrix_lexicographic_and_round_trip():
             tr.address_from_index(deep, m, n)
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", None, True])
 def test_index_helpers_refuse_a_non_integer(bad):
+    # True once passed as depth 1, and letter_matrix(P2, True) raised a raw
+    # TypeError
     tr.letter_matrix(P2, 2)  # a cached depth 2 must not answer for 2.0
     with pytest.raises(ConfigError, match="depth must be a nonnegative integer"):
         tr.n_addresses(P2, bad)

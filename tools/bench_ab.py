@@ -20,7 +20,8 @@ Every run is printed as it ends: its end-to-end metrics, its `detail`
 line (the per-size medians) and its minor page faults (the growth of
 `RUSAGE_CHILDREN`'s `ru_minflt` across the run), which tell a process whose
 large arrays land in fresh mappings from one that reuses its heap.  The summary gives, per metric and per size,
-each side's median with its quartiles and the number of pairs the change
+each side's median with its quartiles, the signed change of the median,
+(change / parent - 1) in percent, and the number of pairs the change
 won, ties counting for neither side; the direction of each end-to-end metric
 is read from BENCHMARK.json, and sizes are times (lower is better).  The exit
 status is 1 when any run reads `correct: false` or `failed > 0`, else 0.
@@ -88,18 +89,31 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def change_pct(parent: float, change: float) -> str:
+    """The change median against the parent's, (change / parent - 1) in
+    percent and signed; n/a where the parent's median is 0."""
+    return f"{(change / parent - 1) * 100:+.1f}%" if parent else "n/a"
+
+
 def summary(runs: list[tuple[dict, dict]], higher_better: set[str]) -> list[str]:
     names = list(values(runs[0][0]))
-    lines = [f"{'metric':22s} {'parent median (q1-q3)':>34s} {'change median (q1-q3)':>34s}  change better"]
+    lines = [
+        f"{'metric':22s} {'parent median (q1-q3)':>34s} {'change median (q1-q3)':>34s}"
+        f" {'change':>8s}  change better"
+    ]
     for name in names:
         pairs = [(values(p)[name], values(c)[name]) for p, c in runs]
         sign = -1 if name in higher_better else 1
         wins = sum(sign * (c - p) < 0 for p, c in pairs)
-        cells = []
+        cells, medians = [], []
         for side in zip(*pairs):
             q1, q2, q3 = quartiles(list(side))
             cells.append(f"{q2:.6g} ({q1:.6g}-{q3:.6g})")
-        lines.append(f"{name:22s} {cells[0]:>34s} {cells[1]:>34s}  {wins}/{len(pairs)}")
+            medians.append(q2)
+        lines.append(
+            f"{name:22s} {cells[0]:>34s} {cells[1]:>34s} {change_pct(*medians):>8s}"
+            f"  {wins}/{len(pairs)}"
+        )
     return lines
 
 
