@@ -83,7 +83,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DepthBudgetError, MalformedAddressError
+from .errors import ConfigError, DepthBudgetError, MalformedAddressError, _expect, _integer
 from .tree import (
     ROOT,
     Address,
@@ -103,13 +103,14 @@ _PERM_TYPES = (tuple, list, np.ndarray)
 
 def _check_perm(perm: Sequence[int], n: int, addr: Address) -> tuple[int, ...]:
     # the permutation below vertex addr; entries are letters: integers,
-    # never truncated to one.  The error names the vertex, formatted only
-    # on failure (a random portrait checks hundreds of nodes)
-    if not isinstance(perm, _PERM_TYPES):
-        raise ConfigError(f"{_perm_label(addr)} must be a tuple of letters, got {type(perm).__name__}")
-    if not all(map(isinstance, perm, itertools.repeat((int, np.integer)))):
-        raise ConfigError(f"{_perm_label(addr)} has a non-integer entry: {perm!r}")
-    t = tuple(map(int, perm))
+    # never bools, never truncated to one.  The error names the vertex,
+    # formatted only on failure (a random portrait checks hundreds of nodes)
+    try:
+        t = tuple(_integer(x, "entry", None) for x in _expect(perm, _PERM_TYPES, "letters"))
+    except ConfigError:
+        label = _perm_label(addr)
+        _expect(perm, _PERM_TYPES, f"{label} as a tuple of letters")
+        raise ConfigError(f"{label} has a non-integer entry: {perm!r}") from None
     if sorted(t) != list(range(1, n + 1)):
         raise ConfigError(f"{_perm_label(addr)} is not a permutation of 1..{n}: {perm!r}")
     return t
@@ -149,16 +150,8 @@ class Portrait:
     node_perms: Mapping[Address, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.root_perm, _PERM_TYPES):
-            raise ConfigError(
-                f"root perm must be a tuple of letters, got {type(self.root_perm).__name__}"
-            )
-        if not isinstance(self.node_perms, Mapping):
-            raise ConfigError(
-                f"node_perms must be a mapping from addresses to permutations, got "
-                f"{type(self.node_perms).__name__}"
-            )
-        q = len(self.root_perm) - 1
+        q = len(_expect(self.root_perm, _PERM_TYPES, "root perm as a tuple of letters")) - 1
+        _expect(self.node_perms, Mapping, "node_perms as a mapping from addresses to permutations")
         if q < 2:
             raise ConfigError("root permutation must act on at least 3 letters")
         object.__setattr__(self, "root_perm", _check_perm(self.root_perm, q + 1, ROOT))
@@ -167,7 +160,7 @@ class Portrait:
         for addr, perm in self.node_perms.items():
             if not addr:
                 raise ConfigError("attach the basepoint permutation via root_perm")
-            addr = check_address(params, tuple(addr), allow_deep=True)
+            check_address(params, addr, allow_deep=True)
             clean[addr] = _check_perm(perm, q, addr)
         object.__setattr__(self, "node_perms", clean)
 
@@ -341,6 +334,7 @@ class EdgeInversionGen:
 
 
 Generator = PortraitGen | EdgeInversionGen
+_GENERATORS = (PortraitGen, EdgeInversionGen)
 
 
 class TreeAutomorphism:
@@ -349,9 +343,12 @@ class TreeAutomorphism:
     __slots__ = ("params", "word", "x0_image", "displacement", "_inverse")
 
     def __init__(self, params: TreeParams, word: Iterable[tuple[Generator, bool]]):
-        _check_params(params)
-        self.params = params
-        self.word = tuple((gen, bool(flag)) for gen, flag in word)
+        self.params = _expect(params, TreeParams, "a TreeParams")
+        try:  # not iterable, or a step that is no pair
+            word = [(gen, bool(flag)) for gen, flag in word]
+        except (TypeError, ValueError):
+            raise ConfigError(f"expected a word of (generator, flag) pairs, got {word!r}") from None
+        self.word = tuple((_expect(gen, _GENERATORS, "a generator"), flag) for gen, flag in word)
         img: Address = ROOT
         for gen, flag in self.word:
             img = gen.apply(img, flag)
@@ -458,26 +455,9 @@ def identity(params: TreeParams) -> TreeAutomorphism:
     return TreeAutomorphism(params, [])
 
 
-def _check_params(params) -> None:
-    if not isinstance(params, TreeParams):
-        raise ConfigError(f"expected a TreeParams, got {type(params).__name__}")
-
-
-def _check_rng(rng) -> None:
-    if not isinstance(rng, np.random.Generator):
-        raise ConfigError(f"expected a numpy.random.Generator, got {type(rng).__name__}")
-
-
-def _check_automorphism(g) -> None:
-    if not isinstance(g, TreeAutomorphism):
-        raise ConfigError(f"expected a TreeAutomorphism, got {type(g).__name__}")
-
-
 def from_portrait(params: TreeParams, portrait: Portrait) -> TreeAutomorphism:
-    _check_params(params)
-    if not isinstance(portrait, Portrait):
-        raise ConfigError(f"expected a Portrait, got {type(portrait).__name__}")
-    if portrait.q != params.q:
+    _expect(params, TreeParams, "a TreeParams")
+    if _expect(portrait, Portrait, "a Portrait").q != params.q:
         raise ConfigError(f"portrait is for q={portrait.q}, tree has q={params.q}")
     for addr in portrait.node_perms:
         check_address(params, addr)
@@ -488,7 +468,7 @@ def from_portrait(params: TreeParams, portrait: Portrait) -> TreeAutomorphism:
 
 def edge_inversion(params: TreeParams) -> TreeAutomorphism:
     """One shared word per tree."""
-    _check_params(params)
+    _expect(params, TreeParams, "a TreeParams")  # before the cache hashes it
     return _edge_inversion(params)
 
 
@@ -499,8 +479,8 @@ def _edge_inversion(params: TreeParams) -> TreeAutomorphism:
 
 def compose(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
     """g after h (apply h first)."""
-    _check_automorphism(g)
-    _check_automorphism(h)
+    _expect(g, TreeAutomorphism, "a TreeAutomorphism")
+    _expect(h, TreeAutomorphism, "a TreeAutomorphism")
     if g.params != h.params:
         raise ConfigError("cannot compose automorphisms over different trees")
     out = TreeAutomorphism(g.params, h.word + g.word)
@@ -522,7 +502,7 @@ def _root_swap(params: TreeParams, j: int) -> TreeAutomorphism:
 def step_translation(params: TreeParams) -> TreeAutomorphism:
     """The branch swap 1 <-> 2, then the edge inversion; one shared word
     per tree."""
-    _check_params(params)
+    _expect(params, TreeParams, "a TreeParams")  # before the cache hashes it
     return _step_translation(params)
 
 
@@ -535,7 +515,6 @@ def basepoint_shift(params: TreeParams, head: Address) -> TreeAutomorphism:
     """An automorphism carrying the basepoint to the adjacent vertex `head`:
     the edge inversion followed by the root transposition onto `head`; one
     shared word per tree and head."""
-    _check_params(params)
     check_address(params, head)
     if len(head) != 1:
         raise ConfigError(f"{head!r} is not adjacent to the basepoint")
@@ -554,12 +533,10 @@ def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) ->
     The root permutation is one rng.permutation(q + 1); each level below
     is one rng.permuted over its vertices' rows of 1..q, in index order,
     which draws the same stream as one rng.permutation(q) per vertex."""
-    _check_params(params)
-    if not isinstance(depth, (int, np.integer)) or depth < 1:
-        raise ConfigError(f"portrait depth must be an integer >= 1, got {depth!r}")
-    if depth > params.depth_cap:
+    _expect(params, TreeParams, "a TreeParams")
+    if _integer(depth, "portrait depth", 1) > params.depth_cap:
         raise DepthBudgetError(f"portrait depth {depth} exceeds cap {params.depth_cap}")
-    _check_rng(rng)
+    _expect(rng, np.random.Generator, "a numpy.random.Generator")
     q = params.q
     root = tuple((rng.permutation(q + 1) + 1).tolist())
     nodes = {}
@@ -576,12 +553,10 @@ def random_word(params: TreeParams, rng: np.random.Generator, max_factors: int) 
     the edge inversion or the step translation, inverted or not.  The draw
     order is part of the suites' seed paths: a failure record replays only
     while a seed gives the same words."""
-    _check_params(params)
-    _check_rng(rng)
-    if not isinstance(max_factors, (int, np.integer)) or max_factors < 1:
-        raise ConfigError(f"max_factors must be an integer >= 1, got {max_factors!r}")
+    _expect(params, TreeParams, "a TreeParams")
+    _expect(rng, np.random.Generator, "a numpy.random.Generator")
     word = []
-    for _ in range(int(rng.integers(1, max_factors + 1))):
+    for _ in range(int(rng.integers(1, _integer(max_factors, "max_factors", 1) + 1))):
         kind = int(rng.integers(0, 3))
         inverted = bool(rng.integers(0, 2))
         if kind == 0:

@@ -1,9 +1,22 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one rule for malformed arguments.
 
 Everything raised on purpose derives from TreeRepError so callers (and the
 CLI exit-code mapping) can tell contract violations apart from genuine bugs.
+
+One rule decides whether an argument is well formed, in the three helpers
+at the end of this module; each raises the class its caller names:
+ConfigError by default, SubtreeError for a subtree or a vertex set,
+MalformedAddressError for an address, a letter, an index or a cell, and
+OperatorDomainError for the operator layer's matrices, scalars and
+branching parameter.  `_expect` takes an argument of the right type and
+names the type it got otherwise.  `_integer` takes a Python or numpy
+integer and returns it as an int, so numpy integers are stored as int; a
+bool is an int to isinstance but never an integer here.  `_complex` takes
+what converts to a complex128 array.
 """
 from __future__ import annotations
+
+import numpy as np
 
 
 class TreeRepError(Exception):
@@ -79,3 +92,31 @@ class IllConditionedError(TreeRepError):
 
 class SpectralGuardError(TreeRepError):
     """A spectral exclusion that the theory guarantees failed numerically."""
+
+
+def _expect(value, kind, what: str, error=ConfigError):
+    """`value` if it is a `kind` (a type or a tuple of types), else `error`
+    naming `what` was expected and the type it got."""
+    if not isinstance(value, kind):
+        raise error(f"expected {what}, got {type(value).__name__}")
+    return value
+
+
+def _integer(value, what: str, lo: int | None = 0, error=ConfigError) -> int:
+    """`value` as an int: a Python int (exactly, so never a bool) or a numpy
+    integer, of at least `lo` (any integer where `lo` is None); else `error`
+    naming `what`.  Exact type tests, not numbers.Integral, keep the hot
+    paths fast."""
+    if type(value) is int or isinstance(value, np.integer):
+        if lo is None or value >= lo:
+            return int(value)
+    bound = "" if lo is None else f" >= {lo}"
+    raise error(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def _complex(value, what: str, error=ConfigError) -> np.ndarray:
+    """`value` as a complex128 array, else `error` naming `what`."""
+    try:
+        return np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise error(f"expected {what} of complex numbers, got {type(value).__name__}") from None

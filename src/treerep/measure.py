@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automorphism import TreeAutomorphism, _check_automorphism
+from .automorphism import TreeAutomorphism
 from .errors import (
     CylinderTooShallowError,
     DepthBudgetError,
@@ -39,6 +39,8 @@ from .errors import (
     PartitionError,
     PruningError,
     RefinementError,
+    SubtreeError,
+    _expect,
 )
 from .tree import (
     ROOT,
@@ -90,11 +92,10 @@ def canonicalize(params: TreeParams, cell: EndCell) -> EndCell:
     i.e. describes the complement of the cylinder at its tail.  Anything
     but a Cylinder or a Halftree raises MalformedAddressError.
     """
+    _expect(cell, (Cylinder, Halftree), "a Cylinder or Halftree", MalformedAddressError)
     if isinstance(cell, Cylinder):
         check_address(params, cell.base, allow_deep=True)
         return cell
-    if not isinstance(cell, Halftree):
-        raise MalformedAddressError(f"expected a Cylinder or Halftree, got {type(cell).__name__}")
     check_address(params, cell.tail, allow_deep=True)
     check_address(params, cell.head, allow_deep=True)
     if cell.head != ROOT and parent(cell.head) == cell.tail:
@@ -134,13 +135,13 @@ def cell_index_ranges(params: TreeParams, cell: EndCell, depth: int) -> list[tup
     """
     cell = canonicalize(params, cell)
     u = _anchor(cell)
+    total = n_addresses(params, depth)  # checks the depth before it is compared
     if depth < len(u):
         raise RefinementError(
             f"cell needs depth {len(u)} but an index view at depth {depth} was requested"
         )
     if depth > params.depth_cap:
         raise DepthBudgetError(f"address depth {depth} exceeds cap {params.depth_cap}")
-    total = n_addresses(params, depth)
     if not u:
         return [(0, total)]
     size = params.q ** (depth - len(u))
@@ -300,7 +301,7 @@ def orbit_cells(tree: FiniteSubtree) -> list[EndCell]:
     has the whole boundary as its one orbit.  The list is in label order
     (see `orbit_partition`).
     """
-    params = tree.params
+    params = _expect(tree, FiniteSubtree, "a FiniteSubtree", SubtreeError).params
     (_, ks, idx, complement), _ = _orbits(tree)
     anchors = [address_from_index(params, k, i) for k, i in zip(ks.tolist(), idx.tolist())]
     cells: list[EndCell] = [Cylinder(a) for a in anchors]
@@ -361,8 +362,8 @@ def orbit_merge_under_pruning(
     all of its neighbours except one; then the q cells at the deleted
     leaves merge into the new cell at v and every other cell is kept.
     """
-    params = tree.params
-    if pruned.params != params:
+    params = _expect(tree, FiniteSubtree, "a FiniteSubtree", SubtreeError).params
+    if _expect(pruned, FiniteSubtree, "a FiniteSubtree", SubtreeError).params != params:
         raise PruningError("subtrees live over different tree parameters")
     removed = tree.vertices - pruned.vertices
     if not removed or not pruned.vertices <= tree.vertices:
@@ -407,8 +408,7 @@ def _exit_vertex(cell: EndCell) -> Address:
 
 def map_cell(g: TreeAutomorphism, cell: EndCell) -> EndCell:
     """Image of a cell under the boundary action of g."""
-    _check_automorphism(g)
-    params = g.params
+    params = _expect(g, TreeAutomorphism, "a TreeAutomorphism").params
     cell = canonicalize(params, cell)
     if isinstance(cell, Cylinder):
         if not cell.base:
@@ -440,8 +440,7 @@ def rn_cocycle(g: TreeAutomorphism, cell: EndCell) -> Fraction:
     and the composition law reads
     rn_cocycle(g h, c) = rn_cocycle(g, c) * rn_cocycle(h, g^-1 . c).
     """
-    _check_automorphism(g)
-    params = g.params
+    params = _expect(g, TreeAutomorphism, "a TreeAutomorphism").params
     cell = canonicalize(params, cell)
     y = g.x0_image
     if isinstance(cell, Cylinder):

@@ -40,21 +40,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from numbers import Number
 
 import numpy as np
 
 from .errors import (
     BranchCutError,
-    ConfigError,
     IllConditionedError,
     OperatorDomainError,
     SpectralGuardError,
+    _complex,
+    _expect,
+    _integer,
 )
 
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a square matrix."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = _complex(a, "a matrix", OperatorDomainError)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise OperatorDomainError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -62,21 +65,14 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def _branching(q) -> int:
-    """q as an int; OperatorDomainError unless it is an integer >= 2."""
-    if not isinstance(q, (int, np.integer)) or q < 2:
-        raise OperatorDomainError(f"branching parameter must be an integer >= 2, got {q!r}")
-    return int(q)
-
-
 def phi_scalar(z: complex, q: int) -> complex:
     """build_pair's tau for the 1 x 1 alpha z; BranchCutError on the cut.
 
     Raises OperatorDomainError, as build_pair does, when q is not an
-    integer >= 2 or z is not finite.
+    integer >= 2 or z is not a finite number.
     """
-    q = _branching(q)
-    if not cmath.isfinite(z):
+    q = _integer(q, "branching parameter", 2, OperatorDomainError)
+    if not cmath.isfinite(_expect(z, Number, "z as a number", OperatorDomainError)):
         raise OperatorDomainError(f"z = {z!r} is not finite")
     w = 4 * q - z * z
     if w.imag == 0.0 and w.real <= 0.0:
@@ -142,7 +138,7 @@ def principal_sqrt(a: np.ndarray) -> np.ndarray:
     where no principal root exists), raises IllConditionedError naming its
     stack index.  An empty stack is its own root.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = _complex(a, "a stack of matrices", OperatorDomainError)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise OperatorDomainError(f"expected an (n, d, d) stack, got shape {a.shape}")
     d = a.shape[1]
@@ -194,14 +190,14 @@ def build_pair(alpha: np.ndarray, q: int) -> OperatorPair | list[OperatorPair]:
     stack the error names the index of the first bad alpha, in its message
     and as `index`.
     """
-    alpha = np.ascontiguousarray(alpha, dtype=np.complex128)
+    alpha = np.ascontiguousarray(_complex(alpha, "alpha", OperatorDomainError))
     single = alpha.ndim == 2
     stack = alpha[None] if single else alpha
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise OperatorDomainError(
             f"expected a square matrix or a stack of them, got shape {alpha.shape}"
         )
-    q = _branching(q)
+    q = _integer(q, "branching parameter", 2, OperatorDomainError)
 
     def where(i) -> str:
         return "" if single else f"alpha at stack index {i}: "
@@ -266,9 +262,8 @@ def power(pair: OperatorPair, k: int) -> np.ndarray:
     Missing powers are filled in from the largest cached one of k's sign,
     tau^j = tau^(j - 1) @ tau (tau^(j + 1) @ tau^(-1) below zero).
     """
-    if not isinstance(k, (int, np.integer)):
-        raise ConfigError(f"the exponent must be an integer, got {k!r}")
-    cache = pair._powers
+    k = _integer(k, "the exponent", None)
+    cache = _expect(pair, OperatorPair, "an OperatorPair")._powers
     if not cache:
         cache.update({0: np.eye(pair.dim, dtype=np.complex128), 1: pair.tau, -1: pair.tau_inv})
     step = 1 if k > 0 else -1
@@ -299,8 +294,7 @@ def guard_spectrum(pair: OperatorPair) -> dict:
     phi(+-(q+1)), outside the disc), so the guard catches rounding and
     forged pairs.  Anything but an OperatorPair is an OperatorDomainError.
     """
-    if not isinstance(pair, OperatorPair):
-        raise OperatorDomainError(f"expected an OperatorPair, got {type(pair).__name__}")
+    _expect(pair, OperatorPair, "an OperatorPair", OperatorDomainError)
     lam = np.linalg.eigvals(pair.tau)
     margin = float(np.min(np.minimum(np.abs(lam - pair.q), np.abs(lam + pair.q))))
     sing = np.linalg.svd(pair.tau - pair.tau_inv, compute_uv=False)
@@ -328,18 +322,16 @@ def random_in_disc(d: int, q: int, rng: np.random.Generator) -> np.ndarray:
     ConfigError when d is not an integer >= 1 or rng is not a
     numpy.random.Generator.
     """
-    return _in_disc(d, _branching(q), [rng])[0]
+    return _in_disc(d, _integer(q, "branching parameter", 2, OperatorDomainError), [rng])[0]
 
 
 def _in_disc(d: int, q: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """One random_in_disc matrix per generator, as an (n, d, d) stack: each
     raw matrix is drawn from its own generator, then the stack is rescaled
     with one SVD call (matrix i bitwise random_in_disc(d, q, rngs[i]))."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ConfigError(f"d must be an integer >= 1, got {d!r}")
+    d = _integer(d, "d", 1)
     for rng in rngs:
-        if not isinstance(rng, np.random.Generator):
-            raise ConfigError(f"expected a numpy.random.Generator, got {type(rng).__name__}")
+        _expect(rng, np.random.Generator, "a numpy.random.Generator")
     raw = np.array(
         [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs]
     ).reshape(len(rngs), d, d)

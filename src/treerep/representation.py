@@ -49,19 +49,23 @@ from __future__ import annotations
 import numpy as np
 
 from . import measure as bm
-from .automorphism import TreeAutomorphism, _check_automorphism, _check_rng, edge_inversion
+from .automorphism import TreeAutomorphism, edge_inversion
 from .errors import (
     ConfigError,
     DepthBudgetError,
     RefinementError,
     SpectralGuardError,
+    SubtreeError,
+    _complex,
+    _expect,
+    _integer,
 )
 from .operators import OperatorPair, numerically_singular, power
 from .tree import (
     Address,
     FiniteSubtree,
     TreeParams,
-    _check_subtree,
+    check_address,
     index_unchecked,
     letter_matrix,
     n_addresses,
@@ -72,13 +76,13 @@ _LIFT_PROBES = 2  # random unit vectors of the span per invariant_lift_check
 
 
 def _resolution(params: TreeParams, resolution: int) -> int:
-    """`resolution` as an int (numpy integers are stored as int, as
-    TreeParams stores its fields), refused unless it lies in [0, depth_cap]."""
-    if not isinstance(resolution, (int, np.integer)):
-        raise ConfigError(f"resolution must be an integer, got {resolution!r}")
+    """`resolution` as an int (numpy integers are stored as int, as TreeParams
+    stores its fields) after a check of `params`; refused outside [0, depth_cap]."""
+    _expect(params, TreeParams, "a TreeParams")
+    resolution = _integer(resolution, "resolution", None)
     if not 0 <= resolution <= params.depth_cap:
         raise DepthBudgetError(f"resolution {resolution} outside [0, {params.depth_cap}]")
-    return int(resolution)
+    return resolution
 
 
 class StepFunction:
@@ -88,7 +92,7 @@ class StepFunction:
 
     def __init__(self, params: TreeParams, resolution: int, values: np.ndarray):
         resolution = _resolution(params, resolution)
-        values = np.asarray(values, dtype=np.complex128)
+        values = _complex(values, "a value array")
         if values.ndim != 2 or values.shape[0] != n_addresses(params, resolution):
             raise ConfigError(
                 f"expected a ({n_addresses(params, resolution)}, d) value array, "
@@ -123,8 +127,7 @@ class StepFunction:
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         """The difference at the finer of the two resolutions."""
-        if not isinstance(other, StepFunction):
-            raise ConfigError(f"expected a StepFunction, got {type(other).__name__}")
+        _expect(other, StepFunction, "a StepFunction")
         if self.params != other.params or self.dim != other.dim:
             raise ConfigError("step functions live on different trees or dimensions")
         m = max(self.resolution, other.resolution)
@@ -137,7 +140,7 @@ class StepFunction:
 def _vector(w: np.ndarray, dim: int | None = None) -> np.ndarray:
     """w as a nonempty complex vector, of length `dim` where given; a
     scalar is a 1-vector, anything else a ConfigError."""
-    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
+    w = np.atleast_1d(_complex(w, "a vector"))
     if w.ndim != 1 or not w.size or (dim is not None and w.size != dim):
         length = "" if dim is None else f" of length {dim}"
         raise ConfigError(f"expected a nonempty vector{length}, got shape {w.shape}")
@@ -179,12 +182,9 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
     plus its lookup row.  For D = 0 the one slot is the product by the
     identity, which is exact.
     """
-    _check_automorphism(g)
-    if not isinstance(v, StepFunction):
-        raise ConfigError(f"expected a StepFunction, got {type(v).__name__}")
-    if not isinstance(pair, OperatorPair):
-        raise ConfigError(f"expected an OperatorPair, got {type(pair).__name__}")
-    params = v.params
+    _expect(g, TreeAutomorphism, "a TreeAutomorphism")
+    params = _expect(v, StepFunction, "a StepFunction").params
+    _expect(pair, OperatorPair, "an OperatorPair")
     if g.params != params:
         raise ConfigError("automorphism and step function use different tree parameters")
     if pair.q != params.q:
@@ -255,8 +255,8 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
     so the sums are those of a row-by-row loop, bit for bit.  Raises
     PartitionError if the orbit cells do not tile the boundary.
     """
-    _check_subtree(tree)
-    params = v.params
+    _expect(tree, FiniteSubtree, "a FiniteSubtree", SubtreeError)
+    params = _expect(v, StepFunction, "a StepFunction").params
     if tree.params != params:
         raise ConfigError("subtree and step function use different tree parameters")
     count, k, labels = bm.orbit_partition(tree)
@@ -287,15 +287,15 @@ def halftree_element(
     through the basepoint's neighbour `head`, which basepoint_shift(params,
     head) reaches from the constant function w' (see the half-tree
     reachability suite for the two-path check)."""
-    if len(head) != 1:
+    if len(check_address(params, head)) != 1:
         raise ConfigError(f"{head} is not a neighbour of the basepoint")
-    w_prime = _vector(w_prime, pair.dim)
+    w_prime = _vector(w_prime, _expect(pair, OperatorPair, "an OperatorPair").dim)
     return indicator_fn(params, bm.Cylinder(head), (pair.tau - pair.tau_inv) @ w_prime)
 
 
 def halftree_preimage(pair: OperatorPair, w: np.ndarray) -> np.ndarray:
     """Solve (tau - tau^{-1}) w' = w; the guard layer promises solvability."""
-    w = _vector(w, pair.dim)
+    w = _vector(w, _expect(pair, OperatorPair, "an OperatorPair").dim)
     diff = pair.tau - pair.tau_inv
     sing = np.linalg.svd(diff, compute_uv=False)
     if numerically_singular(sing):
@@ -316,8 +316,7 @@ def fixed_space_report(tree: FiniteSubtree) -> int:
     coordinate, so the scalar check covers every fiber dimension.  The
     probe and the average share the subtree's one orbit_partition.
     """
-    _check_subtree(tree)
-    params = tree.params
+    params = _expect(tree, FiniteSubtree, "a FiniteSubtree", SubtreeError).params
     count, m, labels = bm.orbit_partition(tree)
     probe = (labels + 1)[:, None].astype(np.complex128)
     fn = StepFunction(params, m, probe)
@@ -347,16 +346,11 @@ def invariant_lift_check(
     of automorphisms and `rng` a numpy Generator; anything else, like a
     pair that is not an OperatorPair, is a ConfigError.
     """
-    if not isinstance(pair, OperatorPair):
-        raise ConfigError(f"expected an OperatorPair, got {type(pair).__name__}")
-    if not isinstance(generators, (list, tuple)):
-        raise ConfigError(
-            f"generators must be a list of automorphisms, got {type(generators).__name__}"
-        )
-    for g in generators:
-        _check_automorphism(g)
-    _check_rng(rng)
-    mat = np.asarray(basis, dtype=np.complex128)
+    _expect(pair, OperatorPair, "an OperatorPair")
+    for g in _expect(generators, (list, tuple), "a list of automorphisms"):
+        _expect(g, TreeAutomorphism, "a TreeAutomorphism")
+    _expect(rng, np.random.Generator, "a numpy.random.Generator")
+    mat = _complex(basis, "a basis matrix")
     if mat.ndim != 2 or mat.shape[0] != pair.dim or not 1 <= mat.shape[1] <= pair.dim:
         raise ConfigError(
             f"basis must be a ({pair.dim}, k) matrix, 1 <= k <= {pair.dim}, got shape {mat.shape}"

@@ -40,7 +40,7 @@ from .automorphism import (
     random_word,
     step_translation,
 )
-from .errors import ConfigError
+from .errors import ConfigError, _expect, _integer
 from .operators import OperatorPair, _in_disc, build_pair, phi_scalar, spectral_norm
 from .representation import (
     StepFunction,
@@ -74,23 +74,13 @@ class SuiteConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("q", "depth_cap", "dim", "trials", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy integers stored as int
-        if self.q < 2:
-            raise ConfigError(f"q must be >= 2, got {self.q}")
-        if self.depth_cap < 4:
-            raise ConfigError(f"depth cap must be >= 4, got {self.depth_cap}")
-        if self.dim < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dim}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (isinstance(self.tol, (int, float)) and self.tol > 0 and math.isfinite(self.tol)):
-            raise ConfigError(f"tolerance must be positive and finite, got {self.tol!r}")
+        for name, lo in (("q", 2), ("depth_cap", 4), ("dim", 1), ("trials", 1), ("seed", 0)):
+            # numpy integers stored as int
+            object.__setattr__(self, name, _integer(getattr(self, name), name, lo))
+        # a bool is an int to isinstance, but never a tolerance
+        tol = _expect(self.tol, (int, float), "a real tolerance")
+        if isinstance(tol, bool) or not 0 < tol < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {tol!r}")
 
     @property
     def params(self) -> TreeParams:
@@ -498,11 +488,13 @@ SUITES = {
 
 
 def run_suite(cfg: SuiteConfig, name: str) -> SuiteReport:
-    if name not in SUITES:
+    _expect(cfg, SuiteConfig, "a SuiteConfig")
+    if _expect(name, str, "a suite name") not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](cfg)
 
 
 def run_all(cfg: SuiteConfig) -> list[SuiteReport]:
     """Run every suite, one after another in registry order."""
+    _expect(cfg, SuiteConfig, "a SuiteConfig")
     return [suite(cfg) for suite in SUITES.values()]

@@ -22,12 +22,11 @@ the cap raise DepthBudgetError rather than truncating silently.
 Addresses of one depth are numbered in lexicographic order, and a finite
 subtree is one sorted array of these numbers per depth
 (`FiniteSubtree.levels`).  Parent and children are index arithmetic on
-those arrays, so a subtree built from vertices costs one searchsorted per
-depth to check and a closed neighbourhood at most one stable sort per old
-level its shell reaches, not one Python step per vertex; a ball's radius
-step sorts nothing.  Every subtree carries a shell, the vertices that may
-lack a neighbour inside it: all of them when it is built from vertices,
-the ones it added last when it is a closed neighbourhood.  The next
+those arrays, so a closed neighbourhood costs at most one stable sort per
+old level its shell reaches, not one Python step per vertex; a ball's
+radius step sorts nothing.  Every subtree carries a shell, the vertices
+that may lack a neighbour inside it: all of them when it is built from
+vertices, the ones it added last when it is a closed neighbourhood.  The next
 neighbourhood grows from the shell alone, and completeness and the orbit
 scan read only its depths.  Geodesics are unique, so a vertex at distance
 j >= 1 from a connected S has one neighbour at distance j-1 and the rest
@@ -50,17 +49,19 @@ take letter matrices accept either order.
 from __future__ import annotations
 
 import functools
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     CylinderTooShallowError,
     DepthBudgetError,
     MalformedAddressError,
     SubtreeError,
+    _expect,
+    _integer,
 )
 
 Address = tuple[int, ...]
@@ -80,14 +81,10 @@ class TreeParams:
     depth_cap: int = 8
 
     def __post_init__(self):
-        if not isinstance(self.q, (int, np.integer)) or self.q < 2:
-            raise ConfigError(f"q must be an integer >= 2, got {self.q!r}")
-        if not isinstance(self.depth_cap, (int, np.integer)) or self.depth_cap < 1:
-            raise ConfigError(f"depth_cap must be a positive integer, got {self.depth_cap!r}")
         # numpy integers are stored as int, so equal parameters hash and
         # serialize alike
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "depth_cap", int(self.depth_cap))
+        object.__setattr__(self, "q", _integer(self.q, "q", 2))
+        object.__setattr__(self, "depth_cap", _integer(self.depth_cap, "depth_cap", 1))
 
     def letter_range(self, position: int) -> range:
         """Valid letters at a given position (0-based) of an address."""
@@ -95,11 +92,13 @@ class TreeParams:
 
 
 def check_address(params: TreeParams, addr: Address, *, allow_deep: bool = False) -> Address:
-    """Validate letter ranges (and, unless allow_deep, the depth cap)."""
-    if not isinstance(addr, tuple):
-        raise MalformedAddressError(f"address must be a tuple of letters, got {type(addr).__name__}")
+    """Validate params, letter ranges and (unless allow_deep) the depth cap."""
+    _expect(params, TreeParams, "a TreeParams")
+    _expect(addr, tuple, "an address as a tuple of letters", MalformedAddressError)
     for i, letter in enumerate(addr):
-        if not isinstance(letter, (int, np.integer)):
+        # `_integer`'s rule, inline: this loop runs for every letter of
+        # every address checked
+        if type(letter) is not int and not isinstance(letter, np.integer):
             raise MalformedAddressError(f"letter {letter!r} at position {i} is not an integer")
         hi = params.q + 1 if i == 0 else params.q
         if not 1 <= letter <= hi:
@@ -173,14 +172,8 @@ def busemann_on_cylinder(params: TreeParams, u: Address, y: Address) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_depth(depth: int) -> None:
-    # a bool is an int to isinstance, but never a depth
-    if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool) or depth < 0:
-        raise ConfigError(f"depth must be a nonnegative integer, got {depth!r}")
-
-
 def n_addresses(params: TreeParams, depth: int) -> int:
-    _check_depth(depth)
+    depth = _integer(depth, "depth")
     if depth == 0:
         return 1
     return (params.q + 1) * params.q ** (depth - 1)
@@ -211,8 +204,7 @@ def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
 def letter_matrix(params: TreeParams, depth: int) -> np.ndarray:
     """All depth-`depth` addresses as an (n, depth) int16 matrix,
     column-major, sorted."""
-    _check_depth(depth)
-    if depth > params.depth_cap:
+    if _integer(depth, "depth") > params.depth_cap:
         raise DepthBudgetError(f"depth {depth} exceeds cap {params.depth_cap}")
     out = _letters(params, depth, np.arange(n_addresses(params, depth))).astype(np.int16)
     out.setflags(write=False)
@@ -232,9 +224,7 @@ def index_unchecked(q: int, addr: Address) -> int:
 
 
 def address_from_index(params: TreeParams, depth: int, idx: int) -> Address:
-    if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
-        raise MalformedAddressError(f"index {idx!r} is not an integer")
-    if not 0 <= idx < n_addresses(params, depth):
+    if not 0 <= _integer(idx, "index", None, MalformedAddressError) < n_addresses(params, depth):
         raise MalformedAddressError(f"index {idx} out of range at depth {depth}")
     idx = np.array([idx], dtype=_index_dtype(params.q, depth))
     return tuple(_letters(params, depth, idx)[0].tolist())
@@ -248,7 +238,7 @@ def prefix_indices(params: TreeParams, letters: np.ndarray, lengths: np.ndarray,
     `_index_dtype`'s dtype for depth m: int64, or Python integers where
     the depth outgrows it.
     """
-    _check_depth(m)
+    m = _integer(m, "depth")
     if np.ndim(letters) != 2 or m > letters.shape[1]:
         raise MalformedAddressError(
             f"letters must be an (n, width) matrix with width >= {m}, got shape {np.shape(letters)}"
@@ -285,9 +275,11 @@ def _fold(idx: np.ndarray, column: np.ndarray, q: int) -> None:
 # vertex hangs off the basepoint, and the children of i are i q + 0..q-1
 # (those of the basepoint 0..q).  Indices are int64 wherever a whole level
 # fits in it; deeper levels hold Python integers, which do not wrap.
-# Vertex lists are checked and indexed one vertex at a time (they are small:
-# a basepoint, an edge, a pruned ball); derived subtrees such as closed
-# neighbourhoods come from valid level arrays through `FiniteSubtree._grown`.
+# Vertex lists are checked, indexed and counted one vertex at a time (they
+# are small: a basepoint, an edge, a pruned ball): a vertex's valency is 1
+# for a parent in the set plus its children, counted with one Counter of
+# parents; derived subtrees such as closed neighbourhoods come from valid
+# level arrays through `FiniteSubtree._grown`.
 # ---------------------------------------------------------------------------
 
 
@@ -310,31 +302,6 @@ def _child_indices(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarra
     return (idx.astype(dtype)[:, None] * params.q + np.arange(params.q)).ravel()
 
 
-def _positions(level: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Position of every idx in the sorted array `level`, -1 where absent."""
-    pos = np.searchsorted(level, idx)
-    hit = pos < level.size
-    hit[hit] = level[pos[hit]] == idx[hit]
-    return np.where(hit, pos, -1)
-
-
-def _uplinks(params: TreeParams, levels: tuple[np.ndarray, ...], k: int) -> np.ndarray:
-    """Position in level k-1 of the parent of every depth-k vertex, -1 where
-    it lies outside the set (always for the basepoint); empty past the
-    last level."""
-    if k == len(levels):
-        return np.zeros(0, dtype=np.int64)
-    if k == 0:
-        return np.full(levels[0].size, -1)
-    return _positions(levels[k - 1], _parent_indices(params, k, levels[k]))
-
-
-def _valency(ups, k: int) -> np.ndarray:
-    """Valency of every depth-k vertex, where ups[j] are the uplinks of depth j."""
-    children = ups[k + 1]
-    return (ups[k] >= 0) + np.bincount(children[children >= 0], minlength=ups[k].size)
-
-
 class FiniteSubtree:
     """A nonempty, connected (hence geodesically closed) finite vertex set.
 
@@ -351,28 +318,31 @@ class FiniteSubtree:
     __slots__ = ("params", "levels", "valencies", "_vertices", "_shell", "_orbits")
 
     def __init__(self, params: TreeParams, vertices: Iterable[Address]):
-        verts = frozenset(tuple(v) for v in vertices)
+        # each vertex is checked before anything hashes or compares its letters
+        verts = frozenset(
+            check_address(params, tuple(_expect(v, Iterable, "an address", MalformedAddressError)))
+            for v in _expect(vertices, Iterable, "an iterable of addresses", SubtreeError)
+        )
         if not verts:
             raise SubtreeError("a subtree needs at least one vertex")
-        by_depth: dict[int, list[int]] = {}
-        for v in verts:
-            check_address(params, v)
-            # int(): numpy letters would index in their own type and wrap
-            by_depth.setdefault(len(v), []).append(index_unchecked(params.q, map(int, v)))
-        levels = tuple(
-            np.array(sorted(by_depth.get(k, ())), dtype=_index_dtype(params.q, k))
-            for k in range(max(by_depth) + 1)
-        )
-        ups = [_uplinks(params, levels, k) for k in range(len(levels) + 1)]
         # each component has exactly one vertex that is the basepoint or
         # whose parent lies outside the set
-        if sum(int(np.count_nonzero(up < 0)) for up in ups) != 1:
+        if sum(not v or v[:-1] not in verts for v in verts) != 1:
             raise SubtreeError("vertex set is not connected")
+        children = Counter(v[:-1] for v in verts if v)
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(max(map(len, verts)) + 1)]
+        for v in verts:
+            up = bool(v) and v[:-1] in verts
+            # int(): numpy letters would index in their own type and wrap
+            rows[len(v)].append((index_unchecked(params.q, map(int, v)), up + children[v]))
+        for row in rows:
+            row.sort()
         self.params = params
         self._vertices = verts
-        self._shell = levels
-        self.levels = levels
-        self.valencies = tuple(_valency(ups, k) for k in range(len(levels)))
+        self._shell = self.levels = tuple(
+            np.array([i for i, _ in row], dtype=_index_dtype(params.q, k)) for k, row in enumerate(rows)
+        )
+        self.valencies = tuple(np.array([n for _, n in row], dtype=np.int64) for row in rows)
 
     @classmethod
     def _grown(cls, tree: "FiniteSubtree", levels: tuple, shell: tuple, added: dict):
@@ -438,11 +408,6 @@ def _open_depths(tree: FiniteSubtree) -> list[int]:
     return [k for k, idx in enumerate(tree._shell) if idx.size]
 
 
-def _check_subtree(tree) -> None:
-    if not isinstance(tree, FiniteSubtree):
-        raise SubtreeError(f"expected a FiniteSubtree, got {type(tree).__name__}")
-
-
 def is_complete(tree: FiniteSubtree) -> bool:
     """True iff every vertex is a leaf of S (valency <= 1) or has full
     valency q+1 within S.
@@ -451,7 +416,7 @@ def is_complete(tree: FiniteSubtree) -> bool:
     two is not, since its middle vertex has valency 2.  Only the depths of
     `_open_depths` are read: every other vertex is full.
     """
-    _check_subtree(tree)
+    _expect(tree, FiniteSubtree, "a FiniteSubtree", SubtreeError)
     full = tree.params.q + 1
     val = tree.valencies
     return all(((val[k] == full) | (val[k] <= 1)).all() for k in _open_depths(tree))
@@ -478,12 +443,8 @@ def closed_neighborhood(tree: FiniteSubtree, radius: int) -> FiniteSubtree:
     (`FiniteSubtree._grown`).  The result carries its last shell for the
     next call.  Object-dtype levels sort as Python integers.
     """
-    _check_subtree(tree)
-    if not isinstance(radius, (int, np.integer)):
-        raise ConfigError(f"radius must be an integer, got {radius!r}")
-    if radius < 0:
-        raise ConfigError("radius must be nonnegative")
-    if not radius:
+    _expect(tree, FiniteSubtree, "a FiniteSubtree", SubtreeError)
+    if not _integer(radius, "radius"):
         return tree
     params = tree.params
     cap = params.depth_cap

@@ -69,7 +69,7 @@ def test_negative_seed_gives_exit_2(capsys):
     for argv in (("verify",), ("suite", "homomorphism"), ("spectrum",), ("admissibility-table",)):
         code, out, err = run_cli(capsys, *argv, "--trials", "2", "--seed", "-1")
         assert (code, out) == (2, ""), argv
-        assert err == "configuration error: seed must be >= 0, got -1\n"
+        assert err == "configuration error: seed must be an integer >= 0, got -1\n"
 
 
 def test_csv_is_refused_for_every_non_tabular_report(capsys):

@@ -491,10 +491,16 @@ def test_power_refuses_a_non_integer_exponent(k):
         op.power(pair, k)
 
 
-def test_power_takes_numpy_and_bool_exponents():
+def test_power_takes_numpy_exponents_and_refuses_bools():
     pair = op.build_pair(op.random_in_disc(2, 3, np.random.default_rng(35)), 3)
-    assert np.array_equal(op.power(pair, np.int64(3)), op.power(pair, 3))
-    assert np.array_equal(op.power(pair, True), pair.tau)
+    for k in (3, -2):
+        assert np.array_equal(op.power(pair, np.int64(k)), op.power(pair, k))
+        assert np.array_equal(op.power(pair, np.int8(k)), op.power(pair, k))
+    assert all(type(k) is int for k in pair._powers)
+    for k in (True, False):
+        with pytest.raises(ConfigError) as err:
+            op.power(pair, k)
+        assert str(err.value) == f"the exponent must be an integer, got {k}"
 
 
 # -- guards -------------------------------------------------------------------

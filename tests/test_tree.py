@@ -170,14 +170,13 @@ def test_index_helpers_refuse_a_non_integer(bad):
     # True once passed as depth 1, and letter_matrix(P2, True) raised a raw
     # TypeError
     tr.letter_matrix(P2, 2)  # a cached depth 2 must not answer for 2.0
-    with pytest.raises(ConfigError, match="depth must be a nonnegative integer"):
-        tr.n_addresses(P2, bad)
-    with pytest.raises(ConfigError, match="depth must be a nonnegative integer"):
-        tr.letter_matrix(P2, bad)
-    with pytest.raises(ConfigError, match="depth must be a nonnegative integer"):
-        tr.address_from_index(P2, bad, 1)
-    with pytest.raises(MalformedAddressError, match="is not an integer"):
+    for call in (tr.n_addresses, tr.letter_matrix, lambda p, d: tr.address_from_index(p, d, 1)):
+        with pytest.raises(ConfigError) as err:
+            call(P2, bad)
+        assert str(err.value) == f"depth must be an integer >= 0, got {bad!r}"
+    with pytest.raises(MalformedAddressError) as err:
         tr.address_from_index(P2, 2, bad)
+    assert str(err.value) == f"index must be an integer, got {bad!r}"
 
 
 def test_index_helpers_take_numpy_integers():
@@ -365,10 +364,14 @@ def test_closed_neighborhood_refuses_a_non_integer_radius(radius):
         tr.closed_neighborhood(tr.FiniteSubtree(P2, [()]), radius)
 
 
-def test_closed_neighborhood_takes_bool_and_numpy_radii():
+def test_closed_neighborhood_takes_numpy_radii_and_refuses_bools():
     point = tr.FiniteSubtree(P2, [()])
-    assert tr.closed_neighborhood(point, True) == tr.closed_neighborhood(point, 1)
     assert tr.closed_neighborhood(point, np.int64(2)) == tr.closed_neighborhood(point, 2)
+    assert tr.closed_neighborhood(point, np.uint8(0)) is point
+    for radius in (True, False):
+        with pytest.raises(ConfigError) as err:
+            tr.closed_neighborhood(point, radius)
+        assert str(err.value) == f"radius must be an integer >= 0, got {radius}"
 
 
 @given(
@@ -454,7 +457,7 @@ def test_grown_valencies_are_the_valencies_built_from_scratch(q, seed, size, pre
     # S is built from vertices (pre = 0) or is a closed neighbourhood; size
     # 0 starts from the basepoint, so S and its neighbourhoods are balls.
     # `_grown` reads the valencies off the last shell, and the same set
-    # built from vertices counts them with uplink searches: the reference
+    # built from vertices counts them vertex by vertex: the reference
     params = tr.TreeParams(q, depth_cap=6)
     verts = grown_set(q, np.random.default_rng(seed), size, depth=2) if size else [()]
     sub = tr.FiniteSubtree(params, verts)
@@ -477,25 +480,17 @@ def test_grown_valencies_are_the_valencies_built_from_scratch(q, seed, size, pre
 def test_growing_a_closed_neighbourhood_searches_no_level(q, seed, size, pre, radius):
     # a vertex at distance j >= 1 from S has one neighbour at distance j-1
     # and the rest at j+1, so N_r(S) has valency 1 on its last shell and
-    # q+1 elsewhere, and growing any start, ragged or not, looks up no
-    # parent; S is a closed neighbourhood when pre = 1, built before the spy
+    # q+1 elsewhere, and growing any start, ragged or not, searches no
+    # level; S is a closed neighbourhood when pre = 1, built before the spy
     params = tr.TreeParams(q, depth_cap=7)
     verts = grown_set(q, np.random.default_rng(seed), size, depth=3)
     sub = tr.FiniteSubtree(params, verts)
     if pre:
         sub = tr.closed_neighborhood(sub, pre)
     calls = []
-
-    def spying(name, exact):
-        def spy(*args):
-            calls.append(name)
-            return exact(*args)
-
-        return spy
-
+    exact = tr.np.searchsorted
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_positions", "_uplinks"):
-            mp.setattr(tr, name, spying(name, getattr(tr, name)))
+        mp.setattr(tr.np, "searchsorted", lambda *a, **k: calls.append(a) or exact(*a, **k))
         assert tr.closed_neighborhood(sub, 0) is sub
         near = tr.closed_neighborhood(sub, radius)
     assert calls == []

@@ -23,7 +23,10 @@ large arrays land in fresh mappings from one that reuses its heap.  The summary 
 each side's median with its quartiles, the signed change of the median,
 (change / parent - 1) in percent, and the number of pairs the change
 won, ties counting for neither side; the direction of each end-to-end metric
-is read from BENCHMARK.json, and sizes are times (lower is better).  The exit
+is read from BENCHMARK.json, and sizes are times (lower is better).  Its last
+line gives each side's line count of `src/treerep/*.py` (as `wc -l` counts
+them) and the signed difference, so a change that claims to shrink the
+package quotes its size from the same command as its timings.  The exit
 status is 1 when any run reads `correct: false` or `failed > 0`, else 0.
 Standard library only.
 """
@@ -73,6 +76,11 @@ def run_once(tree: Path, args, seed: int, env: dict) -> dict:
     result["detail"] = json.loads(detail[len("detail "):])
     result["minflt"] = faults
     return result
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the package's modules, `src/treerep/*.py`, counted as `wc -l` does."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "treerep").glob("*.py"))
 
 
 def values(result: dict) -> dict:
@@ -140,6 +148,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         unpack(args.ref, root, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": root}
+        lines = {side: source_lines(tree) for side, tree in sides.items()}
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -153,6 +162,8 @@ def main(argv=None) -> int:
                 broken += not result["correct"] or result["failed"] > 0
             runs.append((got["parent"], got["change"]))
     print("\n".join(summary(runs, higher_better)))
+    print(f"src/treerep/*.py lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     if broken:
         print(f"error: {broken} run(s) read correct: false or failed > 0", file=sys.stderr)
     return 1 if broken else 0
