@@ -22,14 +22,19 @@ and the edge inversion itself are constant words, built once per tree and
 shared; so are their generators' level tables, which are read-only.
 
 A portrait generator is built with its portrait and forward scalar lookup
-only.  Its level tables (below) and its inverse scalar lookup are built on
-first use: a random_word used only through apply_vertex, the boundary-cell
-maps or its JSON form never builds a table, its first batch builds them
-once, and its inverse, which holds the same generators, reuses them.  Most
-suite words never run a batch.  from_portrait builds the tables with the
-word instead: a word built from a given portrait (the constant words, a
-benchmark's or a caller's own) is built to act, so its first batch should
-not pay for them, and a set-up that builds such words keeps that work.
+only.  Its level keys and tables (below) and its inverse scalar lookup are
+built on first use, and the tables one direction at a time: a batch reads
+only the tables of its own direction, so the first forward batch builds
+the forward tables and the first inverted batch the inverted ones, each
+once.  A random_word used only through apply_vertex, the boundary-cell
+maps or its JSON form never builds a table, and its inverse, which holds
+the same generators with their flags flipped, reuses the keys and the
+tables of each direction already built.  Most suite words never run a
+batch.  from_portrait builds the keys and both directions' tables with
+the word instead: a word built from a given portrait (the constant words,
+a benchmark's or a caller's own) is built to act, so its first batch
+should not pay for them, and a set-up that builds such words keeps that
+work.
 
 Letter matrices (one address per row, with a length per row) are
 column-major, as `tree` lays them out, so each step below reads or writes
@@ -164,6 +169,16 @@ class Portrait:
             clean[addr] = _check_perm(perm, q, addr)
         object.__setattr__(self, "node_perms", clean)
 
+    @classmethod
+    def _of(cls, root_perm: tuple[int, ...], node_perms: dict[Address, tuple[int, ...]]) -> "Portrait":
+        """A portrait from parts valid by construction (random_portrait's
+        draws): tuples of int letters that permute 1..q+1 and 1..q, keyed
+        by nonempty valid addresses.  Checks nothing again."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "root_perm", root_perm)
+        object.__setattr__(out, "node_perms", node_perms)
+        return out
+
     @property
     def q(self) -> int:
         return len(self.root_perm) - 1
@@ -185,12 +200,13 @@ class PortraitGen:
         return {addr: _inv_perm(p) for addr, p in self._perms.items()}
 
     @functools.cached_property
-    def _levels(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        # level tables, built on first use from the scalar lookups (a word
-        # and its inverse share the generator, so they share these): for
-        # every depth j that carries permutations, the sorted prefix indices
-        # (tree.index_unchecked numbering) of its vertices and their flat
-        # letter tables, forward and inverted; depth 0 is the basepoint alone
+    def _levels(self) -> list[tuple[int, np.ndarray, bool, list[Address]]]:
+        # built on first batch, in either direction (a word and its inverse
+        # share the generator, so they share these): for every depth j that
+        # carries permutations, the sorted prefix indices
+        # (tree.index_unchecked numbering) of its vertices, whether they are
+        # every vertex of depth j, and the vertices in index order; depth 0
+        # is the basepoint alone
         q = self.portrait.q
         by_level: dict[int, list[Address]] = {}
         for addr in self._perms:
@@ -200,13 +216,18 @@ class PortraitGen:
             addrs = sorted(by_level[j])  # letters are in range: index order
             keys = np.array([index_unchecked(q, a) for a in addrs], dtype=_index_dtype(q, j))
             keys.setflags(write=False)
-            levels.append((
-                j,
-                keys,
-                _tables([self._perms[a] for a in addrs]),
-                _tables([self._perms_inv[a] for a in addrs]),
-            ))
+            levels.append((j, keys, not j or keys.size == (q + 1) * q ** (j - 1), addrs))
         return levels
+
+    @functools.cached_property
+    def _fwd_tables(self) -> list[np.ndarray]:
+        # each level's flat letter table, built on the first forward batch
+        return [_tables([self._perms[a] for a in addrs]) for *_, addrs in self._levels]
+
+    @functools.cached_property
+    def _inv_tables(self) -> list[np.ndarray]:
+        # each level's inverted table, built on the first inverted batch
+        return [_tables([self._perms_inv[a] for a in addrs]) for *_, addrs in self._levels]
 
     def apply(self, addr: Address, inverted: bool) -> Address:
         # the permutation below a vertex is keyed by the original prefix
@@ -235,10 +256,10 @@ class PortraitGen:
         reach = int(lengths.min()) if lengths.size else 0
         idx = np.zeros(out.shape[0], dtype=np.int64)
         done = 0  # columns folded into idx
-        for j, keys, fwd, inv in self._levels:
+        tables = self._inv_tables if inverted else self._fwd_tables
+        for (j, keys, full, _), table in zip(self._levels, tables):
             if j >= out.shape[1]:
                 break
-            full = not j or keys.size == (q + 1) * q ** (j - 1)  # every vertex of depth j
             # columns not yet folded hold the original letters forward
             # (a level folds its column before rewriting it), the images
             # backward
@@ -252,9 +273,8 @@ class PortraitGen:
                 # such prefix), so the fold of column j keys the level
                 _fold(idx, out[:, j], q)
                 done = j + 1
-                out[:, j] = fwd[1:][idx]
+                out[:, j] = table[1:][idx]
                 continue
-            table = inv if inverted else fwd
             rows = slice(None) if j < reach else np.flatnonzero(lengths > j)
             if j >= reach and not rows.size:
                 break  # no row reaches depth j, nor any deeper level
@@ -343,15 +363,31 @@ class TreeAutomorphism:
     __slots__ = ("params", "word", "x0_image", "displacement", "_inverse")
 
     def __init__(self, params: TreeParams, word: Iterable[tuple[Generator, bool]]):
-        self.params = _expect(params, TreeParams, "a TreeParams")
+        _expect(params, TreeParams, "a TreeParams")
         try:  # not iterable, or a step that is no pair
-            word = [(gen, bool(flag)) for gen, flag in word]
+            word = [(gen, flag) for gen, flag in word]
         except (TypeError, ValueError):
             raise ConfigError(f"expected a word of (generator, flag) pairs, got {word!r}") from None
-        self.word = tuple((_expect(gen, _GENERATORS, "a generator"), flag) for gen, flag in word)
+        for i, (gen, flag) in enumerate(word):
+            _expect(gen, _GENERATORS, f"a generator at step {i}")
+            _expect(flag, (bool, np.bool_), f"a bool inverted flag at step {i}")
+        self._set(params, tuple((gen, bool(flag)) for gen, flag in word))
+
+    @classmethod
+    def _of(cls, params: TreeParams, word: tuple[tuple[Generator, bool], ...]) -> "TreeAutomorphism":
+        """A word from steps the package built or checked: a tuple of
+        (generator, bool) pairs over checked params.  Checks nothing again."""
+        out = cls.__new__(cls)
+        out._set(params, word)
+        return out
+
+    def _set(self, params: TreeParams, word: tuple[tuple[Generator, bool], ...]) -> None:
+        # the one place the basepoint's image is computed
         img: Address = ROOT
-        for gen, flag in self.word:
+        for gen, flag in word:
             img = gen.apply(img, flag)
+        self.params = params
+        self.word = word
         self.x0_image = img
         self.displacement = len(img)
         self._inverse = None
@@ -423,8 +459,8 @@ class TreeAutomorphism:
 
     def inverse(self) -> "TreeAutomorphism":
         if self._inverse is None:
-            inv = TreeAutomorphism(
-                self.params, [(gen, not flag) for gen, flag in reversed(self.word)]
+            inv = TreeAutomorphism._of(
+                self.params, tuple((gen, not flag) for gen, flag in reversed(self.word))
             )
             inv._inverse = self
             self._inverse = inv
@@ -452,7 +488,7 @@ class TreeAutomorphism:
 
 
 def identity(params: TreeParams) -> TreeAutomorphism:
-    return TreeAutomorphism(params, [])
+    return TreeAutomorphism._of(_expect(params, TreeParams, "a TreeParams"), ())
 
 
 def from_portrait(params: TreeParams, portrait: Portrait) -> TreeAutomorphism:
@@ -462,8 +498,8 @@ def from_portrait(params: TreeParams, portrait: Portrait) -> TreeAutomorphism:
     for addr in portrait.node_perms:
         check_address(params, addr)
     gen = PortraitGen(portrait)
-    gen._levels  # built with the word: see the module docstring
-    return TreeAutomorphism(params, [(gen, False)])
+    gen._fwd_tables, gen._inv_tables  # built with the word: see the module docstring
+    return TreeAutomorphism._of(params, ((gen, False),))
 
 
 def edge_inversion(params: TreeParams) -> TreeAutomorphism:
@@ -474,7 +510,7 @@ def edge_inversion(params: TreeParams) -> TreeAutomorphism:
 
 @functools.lru_cache(maxsize=64)
 def _edge_inversion(params: TreeParams) -> TreeAutomorphism:
-    return TreeAutomorphism(params, [(EdgeInversionGen(), False)])
+    return TreeAutomorphism._of(params, ((EdgeInversionGen(), False),))
 
 
 def compose(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
@@ -483,7 +519,7 @@ def compose(g: TreeAutomorphism, h: TreeAutomorphism) -> TreeAutomorphism:
     _expect(h, TreeAutomorphism, "a TreeAutomorphism")
     if g.params != h.params:
         raise ConfigError("cannot compose automorphisms over different trees")
-    out = TreeAutomorphism(g.params, h.word + g.word)
+    out = TreeAutomorphism._of(g.params, h.word + g.word)
     if out.displacement > g.params.depth_cap:
         raise DepthBudgetError(
             f"composition moves the basepoint to depth {out.displacement}, "
@@ -532,7 +568,10 @@ def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) ->
 
     The root permutation is one rng.permutation(q + 1); each level below
     is one rng.permuted over its vertices' rows of 1..q, in index order,
-    which draws the same stream as one rng.permutation(q) per vertex."""
+    which draws the same stream as one rng.permutation(q) per vertex.
+    Every part is valid by construction (shuffles of 1..q+1 and 1..q as
+    tuples of ints, keyed by the level's addresses), so the Portrait is
+    built by Portrait._of, without its checks."""
     _expect(params, TreeParams, "a TreeParams")
     if _integer(depth, "portrait depth", 1) > params.depth_cap:
         raise DepthBudgetError(f"portrait depth {depth} exceeds cap {params.depth_cap}")
@@ -545,7 +584,7 @@ def random_portrait(params: TreeParams, depth: int, rng: np.random.Generator) ->
         rows[:] = np.arange(1, q + 1)
         rng.permuted(rows, axis=1, out=rows)
         nodes.update(zip(addresses_at_depth(params, level), map(tuple, rows.tolist())))
-    return Portrait(root, nodes)
+    return Portrait._of(root, nodes)
 
 
 def random_word(params: TreeParams, rng: np.random.Generator, max_factors: int) -> TreeAutomorphism:
@@ -564,6 +603,6 @@ def random_word(params: TreeParams, rng: np.random.Generator, max_factors: int) 
         elif kind == 1:
             word.append((EdgeInversionGen(), inverted))
         else:
-            t = step_translation(params)
+            t = _step_translation(params)
             word.extend((t.inverse() if inverted else t).word)
-    return TreeAutomorphism(params, word)
+    return TreeAutomorphism._of(params, tuple(word))

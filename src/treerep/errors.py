@@ -3,6 +3,13 @@
 Everything raised on purpose derives from TreeRepError so callers (and the
 CLI exit-code mapping) can tell contract violations apart from genuine bugs.
 
+Arguments are checked where they come in: at the exported entry points,
+and at the unexported helpers that other modules call.  A value the
+package builds from parts it has already checked is made by a private
+constructor that checks nothing again -- `StepFunction._of`,
+`TreeAutomorphism._of` and `Portrait._of` -- which never sees caller
+input.
+
 One rule decides whether an argument is well formed, in the three helpers
 at the end of this module; each raises the class its caller names:
 ConfigError by default, SubtreeError for a subtree or a vertex set,

@@ -178,8 +178,12 @@ def assert_partition(
     lexicographic order; entry i is j when cylinder i lies in cells[j].
     Raises PartitionError unless the cells tile the boundary exactly once.
     `depth` defaults to the smallest depth that expresses every cell; a
-    grid too large for int64 indices raises DepthBudgetError.
+    grid too large for int64 indices raises DepthBudgetError.  `cells`
+    is a list or tuple; anything else is a MalformedAddressError, as a
+    malformed cell is.
     """
+    _expect(params, TreeParams, "a TreeParams")
+    _expect(cells, (list, tuple), "a list of cells", MalformedAddressError)
     if depth is None:
         depth = max((min_expressible_depth(params, c) for c in cells), default=0)
     _label_grid_size(params, depth)

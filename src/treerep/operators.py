@@ -278,7 +278,14 @@ def power(pair: OperatorPair, k: int) -> np.ndarray:
 def numerically_singular(sing: np.ndarray) -> bool:
     """Whether singular values `sing`, largest first, are those of a
     numerically singular matrix: the smallest is at most
-    1e-14 * max(1, largest), or not a number."""
+    1e-14 * max(1, largest), or not a number.  Anything but a nonempty
+    vector of reals is an OperatorDomainError."""
+    # singular values are real: through complex128 and back is exact
+    sing = _complex(sing, "singular values", OperatorDomainError).real
+    if sing.ndim != 1 or not sing.size:
+        raise OperatorDomainError(
+            f"expected a nonempty vector of singular values, got shape {sing.shape}"
+        )
     return not sing[-1] > 1e-14 * max(1.0, sing[0])
 
 

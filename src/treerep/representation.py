@@ -102,13 +102,27 @@ class StepFunction:
         self.resolution = resolution
         self.values = values
 
+    @classmethod
+    def _of(cls, params: TreeParams, resolution: int, values: np.ndarray) -> "StepFunction":
+        """A step function from parts the package built and checked: an int
+        resolution within the cap and a complex128 (n_addresses, d) array.
+        Sets the slots and checks nothing again."""
+        out = cls.__new__(cls)
+        out.params = params
+        out.resolution = resolution
+        out.values = values
+        return out
+
     @property
     def dim(self) -> int:
         return self.values.shape[1]
 
     def refine(self, resolution: int) -> "StepFunction":
         # checked before np.repeat allocates the rows
-        resolution = _resolution(self.params, resolution)
+        return self._refine(_resolution(self.params, resolution))
+
+    def _refine(self, resolution: int) -> "StepFunction":
+        # refine, to a resolution the package has checked
         if resolution == self.resolution:
             return self
         if resolution < self.resolution:
@@ -116,7 +130,7 @@ class StepFunction:
                 f"cannot coarsen from resolution {self.resolution} to {resolution}"
             )
         factor = n_addresses(self.params, resolution) // n_addresses(self.params, self.resolution)
-        return StepFunction(self.params, resolution, np.repeat(self.values, factor, axis=0))
+        return StepFunction._of(self.params, resolution, np.repeat(self.values, factor, axis=0))
 
     def integral(self) -> np.ndarray:
         """Measure-weighted integral; cells at one depth weigh equally."""
@@ -131,7 +145,7 @@ class StepFunction:
         if self.params != other.params or self.dim != other.dim:
             raise ConfigError("step functions live on different trees or dimensions")
         m = max(self.resolution, other.resolution)
-        return StepFunction(self.params, m, self.refine(m).values - other.refine(m).values)
+        return StepFunction._of(self.params, m, self._refine(m).values - other._refine(m).values)
 
     def max_cell_distance(self, other: "StepFunction") -> float:
         return (self - other).sup_norm()
@@ -239,7 +253,7 @@ def pi_apply(g: TreeAutomorphism, v: StepFunction, pair: OperatorPair) -> StepFu
     # np.take gathers whole rows; fancy indexing of a narrow 2-d array
     # goes element by element and costs several times as much
     out = np.take(table, at, axis=0)
-    return StepFunction(params, m_out, out)
+    return StepFunction._of(params, m_out, out)
 
 
 def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
@@ -262,13 +276,13 @@ def haar_average_fix(tree: FiniteSubtree, v: StepFunction) -> StepFunction:
     count, k, labels = bm.orbit_partition(tree)
     m = max(v.resolution, k)
     labels = np.repeat(labels, n_addresses(params, m) // labels.size)
-    vv = v.refine(m)
+    vv = v._refine(m)
     sums = np.empty((count, v.dim), dtype=np.complex128)
     for j, column in enumerate(vv.values.T):
         sums[:, j].real = np.bincount(labels, column.real, minlength=count)
         sums[:, j].imag = np.bincount(labels, column.imag, minlength=count)
     means = sums / np.bincount(labels, minlength=count)[:, None]
-    return StepFunction(params, m, np.take(means, labels, axis=0))
+    return StepFunction._of(params, m, np.take(means, labels, axis=0))
 
 
 def alpha_via_rep(params: TreeParams, w: np.ndarray, pair: OperatorPair) -> np.ndarray:

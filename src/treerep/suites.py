@@ -77,10 +77,14 @@ class SuiteConfig:
         for name, lo in (("q", 2), ("depth_cap", 4), ("dim", 1), ("trials", 1), ("seed", 0)):
             # numpy integers stored as int
             object.__setattr__(self, name, _integer(getattr(self, name), name, lo))
-        # a bool is an int to isinstance, but never a tolerance
-        tol = _expect(self.tol, (int, float), "a real tolerance")
+        # a bool is an int to isinstance, but never a tolerance; numpy
+        # scalars are stored as the Python int or float of equal value
+        tol = _expect(self.tol, (int, float, np.integer, np.floating), "a real tolerance")
+        if not isinstance(tol, bool):
+            tol = int(tol) if isinstance(tol, (int, np.integer)) else float(tol)
         if isinstance(tol, bool) or not 0 < tol < math.inf:
             raise ConfigError(f"tolerance must be positive and finite, got {tol!r}")
+        object.__setattr__(self, "tol", tol)
 
     @property
     def params(self) -> TreeParams:

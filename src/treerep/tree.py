@@ -115,13 +115,14 @@ def format_address(addr: Address) -> str:
 
 
 def parent(addr: Address) -> Address:
-    if not addr:
+    if not _expect(addr, tuple, "an address as a tuple of letters", MalformedAddressError):
         raise MalformedAddressError("the basepoint has no parent")
     return addr[:-1]
 
 
 def neighbors(params: TreeParams, addr: Address) -> list[Address]:
     """The parent (unless addr is the basepoint), then the children in order."""
+    check_address(params, addr, allow_deep=True)
     out = [] if not addr else [addr[:-1]]
     out.extend(addr + (letter,) for letter in params.letter_range(len(addr)))
     return out
@@ -173,6 +174,9 @@ def busemann_on_cylinder(params: TreeParams, u: Address, y: Address) -> int:
 
 
 def n_addresses(params: TreeParams, depth: int) -> int:
+    """The number of depth-`depth` addresses.  `params` is not checked:
+    this runs thousands of times a verify pass, and every caller has
+    checked its params already."""
     depth = _integer(depth, "depth")
     if depth == 0:
         return 1
@@ -203,7 +207,9 @@ def _letters(params: TreeParams, depth: int, idx: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=64, typed=True)  # typed: 2.0 must not hit the entry of 2
 def letter_matrix(params: TreeParams, depth: int) -> np.ndarray:
     """All depth-`depth` addresses as an (n, depth) int16 matrix,
-    column-major, sorted."""
+    column-major, sorted.  `params`, and a depth the cache cannot hash,
+    are not checked: pi_apply calls this once a call, and it and
+    addresses_at_depth check both first."""
     if _integer(depth, "depth") > params.depth_cap:
         raise DepthBudgetError(f"depth {depth} exceeds cap {params.depth_cap}")
     out = _letters(params, depth, np.arange(n_addresses(params, depth))).astype(np.int16)
@@ -212,7 +218,9 @@ def letter_matrix(params: TreeParams, depth: int) -> np.ndarray:
 
 
 def addresses_at_depth(params: TreeParams, depth: int) -> list[Address]:
-    return list(map(tuple, letter_matrix(params, depth).tolist()))
+    # both checked before letter_matrix's cache hashes them
+    _expect(params, TreeParams, "a TreeParams")
+    return list(map(tuple, letter_matrix(params, _integer(depth, "depth")).tolist()))
 
 
 def index_unchecked(q: int, addr: Address) -> int:
@@ -224,6 +232,7 @@ def index_unchecked(q: int, addr: Address) -> int:
 
 
 def address_from_index(params: TreeParams, depth: int, idx: int) -> Address:
+    _expect(params, TreeParams, "a TreeParams")
     if not 0 <= _integer(idx, "index", None, MalformedAddressError) < n_addresses(params, depth):
         raise MalformedAddressError(f"index {idx} out of range at depth {depth}")
     idx = np.array([idx], dtype=_index_dtype(params.q, depth))

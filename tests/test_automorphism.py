@@ -99,6 +99,34 @@ def test_word_builders_name_the_type_they_expect(build, expected):
     assert str(err.value) == expected
 
 
+@pytest.mark.parametrize("flag", ["no", 2, None, 1, 0.0], ids=repr)
+def test_a_step_flag_must_be_a_bool(flag):
+    # bool() would take "no" and 2 as inverted steps, None as a forward one
+    word = [(au.EdgeInversionGen(), False), (au.EdgeInversionGen(), flag)]
+    with pytest.raises(ConfigError) as err:
+        au.TreeAutomorphism(P2, word)
+    assert str(err.value) == f"expected a bool inverted flag at step 1, got {type(flag).__name__}"
+
+
+def test_a_step_flag_takes_numpy_bools_as_bool():
+    g = au.TreeAutomorphism(P2, [(au.EdgeInversionGen(), np.True_), (au.EdgeInversionGen(), np.False_)])
+    assert [type(flag) for _, flag in g.word] == [bool, bool] and g.x0_image == ()
+    with pytest.raises(ConfigError, match="^expected a generator at step 0, got str$"):
+        au.TreeAutomorphism(P2, [("h", False)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_random_portraits_are_the_checked_portraits(q):
+    # random_portrait skips Portrait's checks: its parts must pass them unchanged
+    params = tr.TreeParams(q, 4)
+    rng = np.random.default_rng(q)
+    for i in range(100):
+        p = au.random_portrait(params, 1 + i % 3, rng)
+        checked = au.Portrait(p.root_perm, p.node_perms)
+        assert p == checked and type(p.node_perms) is dict
+        assert all(type(x) is int for perm in (p.root_perm, *p.node_perms.values()) for x in perm)
+
+
 def test_a_valid_portrait_formats_no_address(monkeypatch):
     calls = []
     monkeypatch.setattr(au, "format_address", lambda addr: calls.append(addr) or "")
@@ -210,10 +238,13 @@ def test_constant_words_are_built_once():
         {"kind": "portrait", "root": [2, 1, 3], "nodes": {}},
         {"kind": "edge_inversion"},
     ]
-    # shared words share their generators' level tables, so those are read-only
+    # shared words share their generators' level keys and tables, built
+    # with the word in both directions, so those are read-only
     (swap, _), _ = au.step_translation(P2).word
-    for _, *arrays in swap._levels:
-        assert not any(arr.flags.writeable for arr in arrays)
+    assert "_fwd_tables" in vars(swap) and "_inv_tables" in vars(swap)
+    arrays = [keys for _, keys, _, _ in swap._levels] + swap._fwd_tables + swap._inv_tables
+    assert len(arrays) == 3 * len(swap._levels) >= 3
+    assert not any(arr.flags.writeable for arr in arrays)
 
 
 def test_basepoint_shift_rejects_malformed_heads():
@@ -704,11 +735,14 @@ def test_portrait_tables_are_built_on_first_batch_and_shared(monkeypatch):
     tables = au._tables
     monkeypatch.setattr(au, "_tables", lambda perms: built.append(perms) or tables(perms))
     g = au.compose(
-        au.random_word(P3, np.random.default_rng(3), 4), au.random_word(P3, np.random.default_rng(5), 4)
+        au.random_word(P3, np.random.default_rng(3), 4), au.random_word(P3, np.random.default_rng(10), 4)
     )
     built.clear()  # the shared step translation's, built with it
-    gens = [gen for gen, _ in g.word if gen.kind == "portrait" and gen.portrait.node_perms]
-    assert len(gens) >= 2  # random portraits, some of them inverted
+    steps = [(gen, flag) for gen, flag in g.word if gen.kind == "portrait" and gen.portrait.node_perms]
+    gens = list({id(gen): gen for gen, _ in steps}.values())
+    flags = {id(gen): {flag for other, flag in steps if other is gen} for gen in gens}
+    assert len(gens) >= 2 and {False, True} <= set().union(*flags.values())  # both directions
+    lazy = ("_levels", "_fwd_tables", "_inv_tables")
     # the scalar paths and the JSON form never build a level table
     for v in oracles.ball_vertices(3, 2):
         g.inverse().apply_vertex(g.apply_vertex(v))
@@ -716,18 +750,45 @@ def test_portrait_tables_are_built_on_first_batch_and_shared(monkeypatch):
         me.rn_cocycle(g, me.Cylinder(base))
         me.map_cell(g.inverse(), me.Cylinder(base))
     g.to_json_obj()
-    assert built == [] and not any("_levels" in vars(gen) for gen in gens)
-    # the first batch builds each level's forward and inverse tables once;
-    # more batches, and the inverse word's, reuse them
+    assert built == [] and not any(name in vars(gen) for gen in gens for name in lazy)
+
+    def direction(gen, inverted):
+        # the perms one direction's tables are built from, level by level
+        perms = gen._perms_inv if inverted else gen._perms
+        return [[perms[a] for a in addrs] for *_, addrs in gen._levels]
+
+    # a batch builds, once, the tables of the directions it reads and no other
     letters = tr.letter_matrix(P3, 4)
     lengths = np.full(letters.shape[0], 4)
     images, out_lengths = g.apply_batch(letters, lengths)
-    assert len(built) == 2 * sum(len(gen._levels) for gen in gens)
+    want = [p for gen in gens for flag in (False, True) if flag in flags[id(gen)]
+            for p in direction(gen, flag)]
+    assert sorted(built) == sorted(want)
+    for gen in gens:
+        assert ("_fwd_tables" in vars(gen)) == (False in flags[id(gen)])
+        assert ("_inv_tables" in vars(gen)) == (True in flags[id(gen)])
     count, levels = len(built), [gen._levels for gen in gens]
     g.apply_batch(letters, lengths)
+    assert len(built) == count
+    # the inverse word reads each generator in the other direction: it
+    # builds just the tables still missing, on the same level keys
     back, back_lengths = g.inverse().apply_batch(images, out_lengths)
-    assert len(built) == count and all(map(lambda gen, lv: gen._levels is lv, gens, levels))
+    want = [p for gen in gens for flag in (False, True) if flag not in flags[id(gen)]
+            for p in direction(gen, flag)]
+    assert sorted(built[count:]) == sorted(want)
+    assert all(map(lambda gen, lv: gen._levels is lv, gens, levels))
+    assert all(name in vars(gen) for gen in gens for name in lazy)
+    count = len(built)
+    g.apply_batch(letters, lengths)
+    g.inverse().apply_batch(images, out_lengths)
+    assert len(built) == count
     assert np.array_equal(back[:, :4], letters) and np.array_equal(back_lengths, lengths)
+    # an inverted batch of a fresh generator builds its inverted tables alone
+    gen = au.PortraitGen(au.random_portrait(P3, 3, np.random.default_rng(2)))
+    gen.batch(letters, lengths, True)
+    assert built[count:] == direction(gen, True) and "_fwd_tables" not in vars(gen)
+    count = len(built)
     # a word built from a given portrait builds its tables with the word
     (gen, _), = au.from_portrait(P3, au.random_portrait(P3, 3, np.random.default_rng(1))).word
-    assert "_levels" in vars(gen) and len(built) == count + 2 * len(gen._levels)
+    assert all(name in vars(gen) for name in lazy)
+    assert built[count:] == direction(gen, False) + direction(gen, True)

@@ -6,7 +6,8 @@ then replaced by a malformed value: a string, None, a float, NaN, -1, a
 2 x 2 zero matrix, a list and True.  Every such call must raise a
 TreeRepError subclass or return normally; a raw AttributeError, TypeError
 or ValueError is an escape.  True in an integer slot must raise: a bool is
-never an integer.
+never an integer.  The unexported helpers that other modules call get the
+same treatment, from a table of their own.
 """
 import math
 import types
@@ -90,6 +91,40 @@ CALLS = {
 
 SLOTS = [(name, i) for name, (build, _) in CALLS.items() for i in range(len(build()))]
 
+# the same, for unexported helpers: name -> (the helper, its well-formed
+# arguments, its integer slots).  n_addresses's params and letter_matrix's
+# arguments are left to their callers, which check them (see their
+# docstrings); addresses_at_depth checks both before letter_matrix's cache
+HELPERS = {
+    "tree.addresses_at_depth": (tr.addresses_at_depth, lambda: [P2, 1], {1}),
+    "tree.address_from_index": (tr.address_from_index, lambda: [P2, 1, 0], {1, 2}),
+    "tree.neighbors": (tr.neighbors, lambda: [P2, (1,)], set()),
+    "tree.parent": (tr.parent, lambda: [(1,)], set()),
+    "measure.assert_partition": (me.assert_partition, lambda: [P2, [me.Cylinder(())], 1], {2}),
+    "operators.numerically_singular": (op.numerically_singular, lambda: [np.array([2.0, 1.0])], set()),
+}
+
+HELPER_SLOTS = [(name, i) for name, (_, build, _) in HELPERS.items() for i in range(len(build()))]
+
+
+def escapes(call, build, slot, integers) -> list[str]:
+    """The malformed values in `slot` that `call` lets escape as anything
+    but a TreeRepError, or takes where an integer belongs."""
+    out = []
+    for label, bad in BAD.items():
+        args = build()
+        args[slot] = bad
+        try:
+            call(*args)
+        except TreeRepError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - any other class is the escape reported
+            out.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        if label == "bool" and slot in integers:
+            out.append("bool: accepted where an integer belongs")
+    return out
+
 
 def exported_callables() -> set[str]:
     out = set()
@@ -116,20 +151,22 @@ def test_the_well_formed_call_returns(name):
 @pytest.mark.parametrize("name, slot", SLOTS, ids=[f"{name}-{i}" for name, i in SLOTS])
 def test_a_malformed_argument_raises_a_library_error(name, slot):
     build, integers = CALLS[name]
-    escapes = []
-    for label, bad in BAD.items():
-        args = build()
-        args[slot] = bad
-        try:
-            getattr(treerep, name)(*args)
-        except TreeRepError:
-            continue
-        except Exception as exc:  # noqa: BLE001 - any other class is the escape reported
-            escapes.append(f"{label}: {type(exc).__name__}: {exc}")
-            continue
-        if label == "bool" and slot in integers:
-            escapes.append("bool: accepted where an integer belongs")
-    assert escapes == []
+    assert escapes(getattr(treerep, name), build, slot, integers) == []
+
+
+@pytest.mark.parametrize("name", sorted(HELPERS))
+def test_the_well_formed_helper_call_returns(name):
+    helper, build, _ = HELPERS[name]
+    helper(*build())
+
+
+@pytest.mark.parametrize("name, slot", HELPER_SLOTS, ids=[f"{name}-{i}" for name, i in HELPER_SLOTS])
+def test_a_malformed_helper_argument_raises_a_library_error(name, slot):
+    # before these helpers checked their arguments, every slot here but
+    # address_from_index's depth and index and assert_partition's depth
+    # let a raw error escape
+    helper, build, integers = HELPERS[name]
+    assert escapes(helper, build, slot, integers) == []
 
 
 @pytest.mark.parametrize(

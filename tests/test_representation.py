@@ -288,6 +288,10 @@ def test_pi_apply_is_the_pull_back_bit_for_bit(q, cap):
                 ])
                 got = rp.pi_apply(g, v, pair)
                 assert got.resolution == m_out and np.array_equal(got.values, want)
+                # built unchecked by StepFunction._of, the output passes the checks
+                again = rp.StepFunction(params, got.resolution, got.values)
+                assert again.params == got.params and again.resolution == got.resolution
+                assert again.values is got.values and type(got.resolution) is int
                 cases.add((m > d) - (m < d))
         shift = au.compose(t, shift)
     assert cases == {-1, 0, 1}

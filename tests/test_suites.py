@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from treerep import automorphism as au
 from treerep import measure as me
+from treerep import representation as rp
 from treerep import suites as su
 from treerep import tree as tr
 from treerep.errors import ConfigError, OperatorDomainError
@@ -55,6 +57,28 @@ def test_config_stores_numpy_integers_as_int():
     assert cfg == plain and all(type(getattr(cfg, name)) is int for name in names)
     assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(dataclasses.asdict(plain))
     assert cfg.params == plain.params and type(cfg.params.q) is int
+
+
+def test_config_stores_numpy_tolerances_as_python_numbers():
+    # the config's JSON form is that of the equal Python int or float
+    for tol, plain in (
+        (np.float32(0.5), 0.5), (np.float64(1e-8), 1e-8), (np.float16(0.25), 0.25),
+        (np.int64(1), 1), (np.uint8(3), 3),
+    ):
+        cfg, want = su.SuiteConfig(tol=tol), su.SuiteConfig(tol=plain)
+        assert cfg == want and type(cfg.tol) is type(plain)
+        assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(dataclasses.asdict(want))
+    assert su.SuiteConfig(tol=np.float32(1e-8)).tol == float(np.float32(1e-8))
+    for bad, message in (
+        (True, "tolerance must be positive and finite, got True"),
+        (np.True_, f"expected a real tolerance, got {type(np.True_).__name__}"),
+        (np.False_, f"expected a real tolerance, got {type(np.False_).__name__}"),
+        (np.float32("nan"), "tolerance must be positive and finite, got nan"),
+        (np.int64(0), "tolerance must be positive and finite, got 0"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            su.SuiteConfig(tol=bad)
+        assert str(err.value) == message
 
 
 def test_unknown_suite_rejected():
@@ -248,6 +272,58 @@ def test_run_all_order_and_determinism():
     assert [r.suite_name for r in first] == list(su.SUITES)
     again = su.run_all(cfg)
     assert [r.to_json_obj() for r in again] == [r.to_json_obj() for r in first]
+
+
+def test_built_values_skip_the_public_checks(monkeypatch):
+    # a value built from parts the package has checked comes from a private
+    # _of constructor: inside these builders no checked constructor runs,
+    # every value an _of builds passes the checked one with equal fields
+    builders = {
+        rp.StepFunction: [rp.pi_apply, rp.StepFunction.refine, rp.StepFunction._refine,
+                          rp.StepFunction.__sub__, rp.haar_average_fix],
+        au.TreeAutomorphism: [au.compose, au.TreeAutomorphism.inverse, au.random_word],
+        au.Portrait: [au.random_portrait],
+    }
+    codes = {cls: {fn.__code__ for fn in fns} for cls, fns in builders.items()}
+    checked_inside, built = Counter(), {cls: [] for cls in builders}
+
+    def inside(cls):
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code not in codes[cls]:
+            frame = frame.f_back
+        return frame is not None
+
+    def spy_checked(cls, check):
+        def spy(self, *args):
+            checked_inside[cls.__name__] += inside(cls)
+            check(self, *args)
+        return spy
+
+    def spy_of(cls, of):
+        def spy(_, *args):
+            out = of(*args)
+            built[cls].append((inside(cls), out))
+            return out
+        return classmethod(spy)
+
+    for cls in builders:
+        name = "__post_init__" if cls is au.Portrait else "__init__"
+        monkeypatch.setattr(cls, name, spy_checked(cls, getattr(cls, name)))
+        monkeypatch.setattr(cls, "_of", spy_of(cls, cls._of))
+    reports = su.run_all(su.SuiteConfig(q=2, trials=5))
+    monkeypatch.undo()
+    assert all(r.passed for r in reports)
+    assert checked_inside == Counter()
+    assert all(any(below for below, _ in built[cls]) for cls in builders)
+    for v in (v for _, v in built[rp.StepFunction]):
+        again = rp.StepFunction(v.params, v.resolution, v.values)
+        assert again.values is v.values and type(v.resolution) is int
+        assert (again.params, again.resolution) == (v.params, v.resolution)
+    for g in (g for _, g in built[au.TreeAutomorphism]):
+        again = au.TreeAutomorphism(g.params, g.word)
+        assert (again.params, again.word, again.x0_image) == (g.params, g.word, g.x0_image)
+    for p in (p for _, p in built[au.Portrait]):
+        assert au.Portrait(p.root_perm, p.node_perms) == p
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["tolerance", "exact"])

@@ -5,6 +5,7 @@ Run from the root of a treerep checkout:
 
     python3 tools/bench_ab.py HEAD~1 --workload boundary_action --pairs 10 --seed 101
     python3 tools/bench_ab.py main --workload verify --seconds 35 --malloc-thresholds
+    python3 tools/bench_ab.py HEAD~1 --workload verify --pairs 10 --trace
 
 The ref's committed files are unpacked with `git archive` into a temporary
 directory (the parent side); the working tree is the change side.  Pair i
@@ -26,7 +27,10 @@ won, ties counting for neither side; the direction of each end-to-end metric
 is read from BENCHMARK.json, and sizes are times (lower is better).  Its last
 line gives each side's line count of `src/treerep/*.py` (as `wc -l` counts
 them) and the signed difference, so a change that claims to shrink the
-package quotes its size from the same command as its timings.  The exit
+package quotes its size from the same command as its timings.  With
+`--trace`, one more `--trace 1` run per side follows the pairs, at the
+first pair's seed, and every per-layer metric whose value differs is
+printed, parent -> change, to show where a saving lands.  The exit
 status is 1 when any run reads `correct: false` or `failed > 0`, else 0.
 Standard library only.
 """
@@ -56,12 +60,12 @@ def unpack(ref: str, root: Path, dest: Path) -> None:
     archive.unlink()
 
 
-def run_once(tree: Path, args, seed: int, env: dict) -> dict:
+def run_once(tree: Path, args, seed: int, env: dict, trace: int = 0) -> dict:
     """One benchmark process: its result line plus its `detail` sizes and
     its minor page faults (`minflt`)."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
-        "--seconds", str(args.seconds), "--trace", "0",
+        "--seconds", str(args.seconds), "--trace", str(trace),
     ]
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
@@ -125,6 +129,17 @@ def summary(runs: list[tuple[dict, dict]], higher_better: set[str]) -> list[str]
     return lines
 
 
+def layer_lines(parent: dict, change: dict) -> list[str]:
+    """The per-layer metrics of two `--trace 1` results whose values
+    differ, parent -> change, with the signed change in percent."""
+    lines = []
+    for name, m in parent["metrics"].items():
+        p, c = m["value"], change["metrics"][name]["value"]
+        if p != c:
+            lines.append(f"{name:52s} {p:12.6g} -> {c:12.6g} {change_pct(p, c):>8s}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", help="git ref of the parent side")
@@ -134,6 +149,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--malloc-thresholds", action="store_true",
                     help="set " + " and ".join(f"{k}={v}" for k, v in MALLOC_THRESHOLDS.items()))
+    ap.add_argument("--trace", action="store_true",
+                    help="after the pairs, one traced run per side; print the per-layer metrics that differ")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -161,9 +178,15 @@ def main(argv=None) -> int:
                       f"minflt={result['minflt']} {shown}", flush=True)
                 broken += not result["correct"] or result["failed"] > 0
             runs.append((got["parent"], got["change"]))
+        if args.trace:
+            traced = {side: run_once(tree, args, args.seed, env, trace=1) for side, tree in sides.items()}
+            broken += sum(not r["correct"] or r["failed"] > 0 for r in traced.values())
     print("\n".join(summary(runs, higher_better)))
     print(f"src/treerep/*.py lines: parent {lines['parent']}, change {lines['change']} "
           f"({lines['change'] - lines['parent']:+d})")
+    if args.trace:
+        print(f"per-layer metrics that differ, --trace 1 at seed {args.seed}, parent -> change:")
+        print("\n".join(layer_lines(traced["parent"], traced["change"])))
     if broken:
         print(f"error: {broken} run(s) read correct: false or failed > 0", file=sys.stderr)
     return 1 if broken else 0
